@@ -16,7 +16,7 @@ from multitask_irl import (
     make_chain,
     make_demonstrator,
     q_from_v,
-    value_iteration,
+    solve_optimal,
 )
 
 
@@ -26,7 +26,7 @@ def main():
           f"discount {mdp.discount}")
     print(f"rewards by state: {mdp.reward.values}")
 
-    values, policy = value_iteration(mdp)
+    values, policy = solve_optimal(mdp)
     names = {ADVANCE: "advance", RESET: "reset"}
     print("\noptimal values and actions:")
     for s, (v, a) in enumerate(zip(values, policy.greedy_actions())):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import Cmp, Mdp, RewardFunction, StationaryPolicy, policy_transition, value_iteration
+from .mdp import Cmp, Mdp, RewardFunction, StationaryPolicy, policy_transition, solve_optimal
 from .priors import PolicyDirichletPrior, policy_posterior
 
 __all__ = [
@@ -138,7 +138,7 @@ def demo_feature_expectations(demos, features: FeatureMap, discount: float) -> n
 
 def mwal(cmp: Cmp, discount: float, demos, features: FeatureMap = None,
          n_iterations: int = 100, *, initial_state_probs=None,
-         tolerance: float = 1e-9, return_details: bool = False):
+         return_details: bool = False):
     """Feature matching by multiplicative weights against exact best responses.
 
     Each round the reward player's simplex weights define a reward; the
@@ -165,7 +165,7 @@ def mwal(cmp: Cmp, discount: float, demos, features: FeatureMap = None,
         weights = np.exp(shifted)
         weights /= weights.sum()
         reward = features.reward(weights)
-        _, policy = value_iteration(Mdp(cmp, reward, discount), tolerance)
+        _, policy = solve_optimal(Mdp(cmp, reward, discount))
         mu = feature_expectations(cmp, policy, features, discount, initial_state_probs)
         # G in [0, 1]: each feature expectation lies in [0, 1/(1-gamma)].
         gain = ((1.0 - discount) * (mu - mu_demo) + 2.0) / 4.0

@@ -23,9 +23,8 @@ from .mdp import (
     RewardFunction,
     batch_policy_values,
     batch_solve_optimal,
-    policy_evaluation,
     simulate,
-    value_iteration,
+    solve_optimal,
 )
 from .mtpo import (
     RewardHypothesisSet,
@@ -75,36 +74,26 @@ EXPERIMENTS = (
 )
 
 
-def _policy_values(mdp: Mdp, policy, tolerance: float) -> np.ndarray:
-    """State values of a stationary or mixed policy under ``mdp``."""
-    if isinstance(policy, MixedPolicy):
-        stacked = np.stack([p.action_probs for p in policy.policies])
-        flat = stacked.reshape(stacked.shape[0], -1)
-        unique, inverse = np.unique(flat, axis=0, return_inverse=True)
-        weights = np.zeros(unique.shape[0])
-        np.add.at(weights, inverse, policy.weights)
-        distinct = unique.reshape(-1, mdp.cmp.n_states, mdp.cmp.n_actions)
-        values = batch_policy_values(
-            mdp.cmp.transition, mdp.reward.values[None, :], distinct, mdp.discount
-        )[:, 0, :]
-        return weights @ values
-    return policy_evaluation(mdp, policy, tolerance)
-
-
-def l1_loss(mdp: Mdp, policy, tolerance: float = 1e-9) -> float:
+def l1_loss(mdp: Mdp, policy) -> float:
     """Sum over states of the optimal-minus-achieved value gap.
 
-    Accepts a stationary or mixed policy; per-state gaps are clamped at zero
-    before summing, so solver noise on an optimal policy cannot go negative.
+    Accepts a stationary or mixed policy (a stationary policy is a
+    one-component mixture); per-state gaps are clamped at zero before
+    summing, so float noise on an optimal policy cannot go negative.
     """
-    optimal, _ = value_iteration(mdp, tolerance)
-    achieved = _policy_values(mdp, policy, tolerance)
-    return float(np.maximum(optimal - achieved, 0.0).sum())
-
-
-def _loss_against(optimal: np.ndarray, mdp: Mdp, policy, tolerance: float) -> float:
-    achieved = _policy_values(mdp, policy, tolerance)
-    return float(np.maximum(optimal - achieved, 0.0).sum())
+    if not isinstance(policy, MixedPolicy):
+        policy = MixedPolicy.uniform([policy])
+    stacked = np.stack([p.action_probs for p in policy.policies])
+    flat = stacked.reshape(stacked.shape[0], -1)
+    unique, inverse = np.unique(flat, axis=0, return_inverse=True)
+    weights = np.zeros(unique.shape[0])
+    np.add.at(weights, inverse, policy.weights)
+    distinct = unique.reshape(-1, mdp.cmp.n_states, mdp.cmp.n_actions)
+    values = batch_policy_values(
+        mdp.cmp.transition, mdp.reward.values[None, :], distinct, mdp.discount
+    )[:, 0, :]
+    optimal, _ = solve_optimal(mdp)
+    return float(np.maximum(optimal - weights @ values, 0.0).sum())
 
 
 @dataclass(frozen=True)
@@ -219,12 +208,11 @@ def _chain_demos(mdp, demonstrator, n_tasks, per_task, length, rng):
     ]
 
 
-def _mtpp_task_losses(ensemble, cmp, discount, true_mdps, true_optima, tolerance):
-    losses = []
-    for m, task_id in enumerate(ensemble.task_ids):
-        policy = posterior_policy(ensemble, task_id, cmp, discount, tolerance)
-        losses.append(_loss_against(true_optima[m], true_mdps[m], policy, tolerance))
-    return tuple(losses)
+def _mtpp_task_losses(ensemble, true_mdps):
+    return tuple(
+        l1_loss(mdp, posterior_policy(ensemble, task_id, mdp.cmp, mdp.discount))
+        for task_id, mdp in zip(ensemble.task_ids, true_mdps)
+    )
 
 
 def _run_sampler_comparison(cfg, seed):
@@ -234,13 +222,11 @@ def _run_sampler_comparison(cfg, seed):
     chain_counts = cfg.get("mh_chain_counts", (1, 2, 4, 8))
     n_tasks = cfg.get("n_tasks", 1)
     length = cfg.get("demo_length", 50)
-    tolerance = cfg.get("tolerance", 1e-9)
     mdp = _chain_mdp(cfg)
     discount = mdp.discount
     demonstrator = make_demonstrator("eps_greedy", mdp, epsilon=cfg.get("demo_epsilon", 0.01))
     hyper = _hyperprior(cfg, mdp.cmp.n_states)
     true_mdps = [mdp] * n_tasks
-    true_optima = [value_iteration(mdp, tolerance)[0]] * n_tasks
     rows = []
     for rep in range(replications):
         demos = _chain_demos(
@@ -249,19 +235,17 @@ def _run_sampler_comparison(cfg, seed):
         for budget in budgets:
             ensemble = mtpp_mc(
                 mdp.cmp, demos, hyper, budget, discount,
-                subseed(seed, name, "rep", rep, "mc", budget), tolerance=tolerance,
+                subseed(seed, name, "rep", rep, "mc", budget),
             )
-            rows.append(ResultRow(name, rep, "mtpp-mc", float(budget), _mtpp_task_losses(
-                ensemble, mdp.cmp, discount, true_mdps, true_optima, tolerance)))
+            rows.append(ResultRow(name, rep, "mtpp-mc", float(budget),
+                                  _mtpp_task_losses(ensemble, true_mdps)))
             for n_chains in chain_counts:
                 ensemble = mtpp_mh(
                     mdp.cmp, demos, hyper, budget, n_chains, discount,
                     subseed(seed, name, "rep", rep, "mh", n_chains, budget),
-                    tolerance=tolerance,
                 )
                 rows.append(ResultRow(name, rep, f"mtpp-mh-{n_chains}", float(budget),
-                                      _mtpp_task_losses(ensemble, mdp.cmp, discount,
-                                                        true_mdps, true_optima, tolerance)))
+                                      _mtpp_task_losses(ensemble, true_mdps)))
     return rows, {"n_tasks": n_tasks, "demo_length": length, "budgets": list(budgets)}
 
 
@@ -271,7 +255,6 @@ def _run_model_comparison(cfg, seed):
     budgets = cfg.get("sample_budgets", (100, 300, 1000, 3000))
     n_tasks = cfg.get("n_tasks", 1)
     length = cfg.get("demo_length", 50)
-    tolerance = cfg.get("tolerance", 1e-9)
     n_hypotheses = cfg.get("n_hypotheses", 64)
     mdp = _chain_mdp(cfg)
     discount = mdp.discount
@@ -282,7 +265,6 @@ def _run_model_comparison(cfg, seed):
     policy_prior = _policy_prior(cfg, n_states, mdp.cmp.n_actions)
     optimality = OptimalityPrior(cfg.get("optimality_rate", 1.0))
     true_mdps = [mdp] * n_tasks
-    true_optima = [value_iteration(mdp, tolerance)[0]] * n_tasks
     rows = []
     for rep in range(replications):
         demos = _chain_demos(
@@ -291,23 +273,22 @@ def _run_model_comparison(cfg, seed):
         for budget in budgets:
             ensemble = mtpp_mc(
                 mdp.cmp, demos, hyper, budget, discount,
-                subseed(seed, name, "rep", rep, "mc", budget), tolerance=tolerance,
+                subseed(seed, name, "rep", rep, "mc", budget),
             )
-            rows.append(ResultRow(name, rep, "mtpp-mc", float(budget), _mtpp_task_losses(
-                ensemble, mdp.cmp, discount, true_mdps, true_optima, tolerance)))
+            rows.append(ResultRow(name, rep, "mtpp-mc", float(budget),
+                                  _mtpp_task_losses(ensemble, true_mdps)))
             result = mtpo_mc(
                 mdp.cmp, demos, policy_prior,
                 optimality_prior=optimality, n_policy_samples=budget,
                 reward_prior=reward_prior, n_hypotheses=n_hypotheses,
                 discount=discount, seed=subseed(seed, name, "rep", rep, "mtpo", budget),
-                tolerance=tolerance,
             )
             losses = []
             for m, task_id in enumerate(result.task_ids):
                 _, policy = posterior_value_estimate(
-                    result.posterior(task_id), result.hypotheses, mdp.cmp, discount, tolerance
+                    result.posterior(task_id), result.hypotheses, mdp.cmp, discount
                 )
-                losses.append(_loss_against(true_optima[m], true_mdps[m], policy, tolerance))
+                losses.append(l1_loss(true_mdps[m], policy))
             rows.append(ResultRow(name, rep, "mtpo-mc", float(budget), tuple(losses)))
     return rows, {"n_tasks": n_tasks, "demo_length": length, "n_hypotheses": n_hypotheses}
 
@@ -323,7 +304,6 @@ def _run_multitask_gain(cfg, seed):
     n_states = cfg.get("chain_states", 5)
     discount = cfg.get("discount", 0.95)
     hyper_rate = cfg.get("hyper_rate", 10.0)
-    tolerance = cfg.get("tolerance", 1e-9)
     cmp = chain_transition(n_states, cfg.get("chain_slip", 0.2))
     hyper = _hyperprior(cfg, n_states)
     policy_prior = _policy_prior(cfg, n_states, cmp.n_actions)
@@ -340,7 +320,6 @@ def _run_multitask_gain(cfg, seed):
             concentration = env_rng.gamma(1.0, 1.0 / hyper_rate, size=n_states)
             rewards = env_rng.dirichlet(concentration, size=count)
             true_mdps = [Mdp(cmp, RewardFunction(rewards[m]), discount) for m in range(count)]
-            true_optima = [value_iteration(t, tolerance)[0] for t in true_mdps]
             demonstrators = [make_demonstrator("softmax", t, eta=eta) for t in true_mdps]
             demo_rng = substream(seed, name, "rep", rep, "demos", count)
             demos = []
@@ -350,14 +329,14 @@ def _run_multitask_gain(cfg, seed):
                                           task_id=m, initial_state_probs=start))
             ensemble = mtpp_mc(
                 cmp, demos, hyper, n_samples, discount,
-                subseed(seed, name, "rep", rep, "mc", count), tolerance=tolerance,
+                subseed(seed, name, "rep", rep, "mc", count),
             )
-            rows.append(ResultRow(name, rep, "mtpp-mc", float(count), _mtpp_task_losses(
-                ensemble, cmp, discount, true_mdps, true_optima, tolerance)))
+            rows.append(ResultRow(name, rep, "mtpp-mc", float(count),
+                                  _mtpp_task_losses(ensemble, true_mdps)))
             losses = []
             for m in range(count):
                 policy = imitator([d for d in demos if d.task_id == m], policy_prior)
-                losses.append(_loss_against(true_optima[m], true_mdps[m], policy, tolerance))
+                losses.append(l1_loss(true_mdps[m], policy))
             rows.append(ResultRow(name, rep, "imitator", float(count), tuple(losses)))
     meta = {"total_demos": total_demos, "demo_eta": eta,
             "note": "per-run gain = total_loss(imitator) - total_loss(mtpp-mc) at equal x"}
@@ -370,7 +349,6 @@ def _run_data_efficiency(cfg, seed):
     budgets = cfg.get("sample_budgets", (100, 1000, 10000))
     methods = cfg.get("methods", ("imitator", "mwal", "mtpp-mc", "mtpo-mc"))
     length = cfg.get("demo_length", 1000)
-    tolerance = cfg.get("tolerance", 1e-9)
     n_hypotheses = cfg.get("n_hypotheses", 64)
     mdp = _chain_mdp(cfg)
     discount = mdp.discount
@@ -381,7 +359,6 @@ def _run_data_efficiency(cfg, seed):
     policy_prior = _policy_prior(cfg, n_states, mdp.cmp.n_actions)
     optimality = OptimalityPrior(cfg.get("optimality_rate", 1.0))
     start = _delta_start(n_states)
-    optimal = value_iteration(mdp, tolerance)[0]
     rows = []
     for rep in range(replications):
         demo = simulate(mdp, demonstrator, length,
@@ -390,22 +367,22 @@ def _run_data_efficiency(cfg, seed):
         demos = [demo]
         for method in methods:
             if method == "imitator":
-                loss = _loss_against(optimal, mdp, imitator(demos, policy_prior), tolerance)
+                loss = l1_loss(mdp, imitator(demos, policy_prior))
                 for budget in budgets:
                     rows.append(ResultRow(name, rep, "imitator", float(budget), (loss,)))
                 continue
             for budget in budgets:
                 if method == "mwal":
                     mixture = mwal(mdp.cmp, discount, demos, n_iterations=budget,
-                                   initial_state_probs=start, tolerance=tolerance)
-                    loss = _loss_against(optimal, mdp, mixture, tolerance)
+                                   initial_state_probs=start)
+                    loss = l1_loss(mdp, mixture)
                 elif method == "mtpp-mc":
                     ensemble = mtpp_mc(
                         mdp.cmp, demos, hyper, budget, discount,
-                        subseed(seed, name, "rep", rep, "mc", budget), tolerance=tolerance,
+                        subseed(seed, name, "rep", rep, "mc", budget),
                     )
-                    policy = posterior_policy(ensemble, 0, mdp.cmp, discount, tolerance)
-                    loss = _loss_against(optimal, mdp, policy, tolerance)
+                    policy = posterior_policy(ensemble, 0, mdp.cmp, discount)
+                    loss = l1_loss(mdp, policy)
                 elif method == "mtpo-mc":
                     result = mtpo_mc(
                         mdp.cmp, demos, policy_prior,
@@ -413,12 +390,11 @@ def _run_data_efficiency(cfg, seed):
                         reward_prior=reward_prior, n_hypotheses=n_hypotheses,
                         discount=discount,
                         seed=subseed(seed, name, "rep", rep, "mtpo", budget),
-                        tolerance=tolerance,
                     )
                     _, policy = posterior_value_estimate(
-                        result.posterior(0), result.hypotheses, mdp.cmp, discount, tolerance
+                        result.posterior(0), result.hypotheses, mdp.cmp, discount
                     )
-                    loss = _loss_against(optimal, mdp, policy, tolerance)
+                    loss = l1_loss(mdp, policy)
                 else:
                     raise ConfigError(f"unknown method {method!r} for {name}")
                 rows.append(ResultRow(name, rep, method, float(budget), (loss,)))
@@ -448,7 +424,6 @@ def _run_random_mdp_sweep(cfg, seed, sweep: str):
     mh_iterations = cfg.get("mh_iterations", 2000)
     mh_chains = cfg.get("mh_chains", 1)
     mwal_iterations = cfg.get("mwal_iterations", 100)
-    tolerance = cfg.get("tolerance", 1e-9)
     discount = cfg.get("discount", 0.95)
     max_tasks = max(task_counts)
     rows = []
@@ -470,7 +445,6 @@ def _run_random_mdp_sweep(cfg, seed, sweep: str):
                 spec, substream(seed, name, "rep", rep, "env")
             )
             true_mdps, demonstrators = _population_subset(population, count)
-            true_optima = [value_iteration(t, tolerance)[0] for t in true_mdps]
             cmp = population.cmp
             hyper = _hyperprior(cfg, cmp.n_states)
             policy_prior = _policy_prior(cfg, cmp.n_states, cmp.n_actions)
@@ -482,30 +456,25 @@ def _run_random_mdp_sweep(cfg, seed, sweep: str):
             for method in methods:
                 if method == "soft":
                     losses = tuple(
-                        _loss_against(true_optima[m], true_mdps[m], demonstrators[m], tolerance)
-                        for m in range(count)
+                        l1_loss(true_mdps[m], demonstrators[m]) for m in range(count)
                     )
                 elif method == "imitator":
                     losses = tuple(
-                        _loss_against(true_optima[m], true_mdps[m],
-                                      imitator([demos[m]], policy_prior), tolerance)
+                        l1_loss(true_mdps[m], imitator([demos[m]], policy_prior))
                         for m in range(count)
                     )
                 elif method == "mwal":
-                    losses = []
-                    for m in range(count):
-                        mixture = mwal(cmp, discount, [demos[m]],
-                                       n_iterations=mwal_iterations, tolerance=tolerance)
-                        losses.append(_loss_against(true_optima[m], true_mdps[m],
-                                                    mixture, tolerance))
-                    losses = tuple(losses)
+                    losses = tuple(
+                        l1_loss(true_mdps[m], mwal(cmp, discount, [demos[m]],
+                                                   n_iterations=mwal_iterations))
+                        for m in range(count)
+                    )
                 elif method == "mtpp-mh":
                     ensemble = mtpp_mh(
                         cmp, demos, hyper, mh_iterations, mh_chains, discount,
-                        subseed(seed, name, "rep", rep, "mh", index), tolerance=tolerance,
+                        subseed(seed, name, "rep", rep, "mh", index),
                     )
-                    losses = _mtpp_task_losses(ensemble, cmp, discount,
-                                               true_mdps, true_optima, tolerance)
+                    losses = _mtpp_task_losses(ensemble, true_mdps)
                 elif method == "mtpp-mh-flat":
                     flat = [
                         Demonstration(task_id=0, states=d.states, actions=d.actions)
@@ -513,13 +482,10 @@ def _run_random_mdp_sweep(cfg, seed, sweep: str):
                     ]
                     ensemble = mtpp_mh(
                         cmp, flat, hyper, mh_iterations, mh_chains, discount,
-                        subseed(seed, name, "rep", rep, "mh-flat", index), tolerance=tolerance,
+                        subseed(seed, name, "rep", rep, "mh-flat", index),
                     )
-                    shared = posterior_policy(ensemble, 0, cmp, discount, tolerance)
-                    losses = tuple(
-                        _loss_against(true_optima[m], true_mdps[m], shared, tolerance)
-                        for m in range(count)
-                    )
+                    shared = posterior_policy(ensemble, 0, cmp, discount)
+                    losses = tuple(l1_loss(true_mdps[m], shared) for m in range(count))
                 else:
                     raise ConfigError(f"unknown method {method!r} for {name}")
                 rows.append(ResultRow(name, rep, method, float(x), losses))
@@ -581,7 +547,7 @@ def value_error_bound(k: int, discount: float) -> float:
 def bound_check(k_values=(10, 100, 1000), replications: int = 100, *, seed=0,
                 n_hypotheses: int = 16, discount: float = 0.95,
                 demo_length: int = 50, demo_eta: float = 8.0,
-                reference_samples: int = 20000, tolerance: float = 1e-9) -> dict:
+                reference_samples: int = 20000) -> dict:
     """Empirical check of the value-estimate error bound on a chain instance.
 
     Builds a finite hypothesis set containing the true chain reward, fixes
@@ -598,13 +564,12 @@ def bound_check(k_values=(10, 100, 1000), replications: int = 100, *, seed=0,
     demo = simulate(mdp, demonstrator, demo_length, substream(seed, "bound", "demo"),
                     task_id=0, initial_state_probs=_delta_start(cmp.n_states))
     posterior = policy_posterior(PolicyDirichletPrior.uniform(cmp.n_states, cmp.n_actions), [demo])
-    optimal_values, _ = batch_solve_optimal(cmp.transition, hypotheses.values,
-                                            discount, tolerance)
+    optimal_values, _ = batch_solve_optimal(cmp.transition, hypotheses.values, discount)
     prior = OptimalityPrior(1.0)
 
     def estimate(n_policies, rng):
         policies = sample_policies(posterior, n_policies, rng)
-        matrix = build_loss_matrix(cmp, discount, policies, hypotheses, tolerance)
+        matrix = build_loss_matrix(cmp, discount, policies, hypotheses)
         probs = reward_posterior(matrix, prior, hypotheses).probabilities
         return probs @ optimal_values
 

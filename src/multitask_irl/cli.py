@@ -117,7 +117,6 @@ def _cmd_infer(args) -> int:
     n_states, n_actions, demos = read_demonstrations(args.demos)
     cmp, spec = _infer_environment(config, n_states, n_actions)
     discount = spec.discount
-    tolerance = config.get("tolerance", 1e-9)
     os.makedirs(args.out, exist_ok=True)
     posterior_path = os.path.join(args.out, "posterior.jsonl")
     truth = Mdp(cmp, RewardFunction(spec.reward_values()), discount)
@@ -132,7 +131,7 @@ def _cmd_infer(args) -> int:
         hyper = GammaHyperprior(n_states, concentration_law=(1.0, config.get("hyper_rate", 10.0)))
         if args.model == "mtpp-mc":
             ensemble = mtpp_mc(cmp, demos, hyper, config.get("mc_samples", 1000),
-                               discount, seed, tolerance=tolerance)
+                               discount, seed)
         else:
             ensemble = mtpp_mh(
                 cmp, demos, hyper,
@@ -142,14 +141,13 @@ def _cmd_infer(args) -> int:
                 reward_step=config.get("reward_step", 50.0),
                 temperature_step=config.get("temperature_step", 0.25),
                 hyper_step=config.get("hyper_step", 0.25),
-                tolerance=tolerance,
             )
         ensemble.to_jsonl(posterior_path)
         for tid in task_ids:
-            policy = posterior_policy(ensemble, tid, cmp, discount, tolerance)
+            policy = posterior_policy(ensemble, tid, cmp, discount)
             summary["tasks"][str(tid)] = _task_summary(
                 ensemble.posterior_mean_reward(tid).values, policy, truth, demos, tid,
-                policy_prior, tolerance,
+                policy_prior,
             )
     else:
         result = mtpo_mc(
@@ -158,17 +156,15 @@ def _cmd_infer(args) -> int:
             n_policy_samples=config.get("mc_samples", 1000),
             reward_prior=DirichletRewardPrior(np.ones(n_states)),
             n_hypotheses=config.get("n_hypotheses", 64),
-            discount=discount, seed=seed, tolerance=tolerance,
+            discount=discount, seed=seed,
         )
         result.to_jsonl(posterior_path)
         for tid in task_ids:
             posterior = result.posterior(tid)
             mean_reward = posterior.probabilities @ result.hypotheses.values
-            _, policy = posterior_value_estimate(
-                posterior, result.hypotheses, cmp, discount, tolerance
-            )
+            _, policy = posterior_value_estimate(posterior, result.hypotheses, cmp, discount)
             summary["tasks"][str(tid)] = _task_summary(
-                mean_reward, policy, truth, demos, tid, policy_prior, tolerance,
+                mean_reward, policy, truth, demos, tid, policy_prior,
             )
 
     summary_path = os.path.join(args.out, "summary.json")
@@ -183,14 +179,14 @@ def _cmd_infer(args) -> int:
     return EXIT_OK
 
 
-def _task_summary(mean_reward, policy, truth, demos, task_id, policy_prior, tolerance):
+def _task_summary(mean_reward, policy, truth, demos, task_id, policy_prior):
     task_demos = [d for d in demos if d.task_id == task_id]
     baseline = imitator(task_demos, policy_prior)
     return {
         "posterior_mean_reward": [float(v) for v in mean_reward],
         "greedy_actions": [int(a) for a in policy.greedy_actions()],
-        "loss_vs_config_env": l1_loss(truth, policy, tolerance),
-        "imitator_loss_vs_config_env": l1_loss(truth, baseline, tolerance),
+        "loss_vs_config_env": l1_loss(truth, policy),
+        "imitator_loss_vs_config_env": l1_loss(truth, baseline),
     }
 
 

@@ -74,7 +74,6 @@ CONFIG_KEYS = {
     "seed": _Key(_parse_int(0), "master seed for all substreams"),
     "replications": _Key(_parse_int(1), "independent seeded runs"),
     "out_dir": _Key(_parse_str, "directory for CSV output"),
-    "tolerance": _Key(_parse_float(0.0, exclusive_min=True), "planner tolerance"),
     "discount": _Key(_parse_float(0.0, 1.0, exclusive_max=True), "discount factor"),
     "chain_states": _Key(_parse_int(2), "chain length"),
     "chain_slip": _Key(_parse_float(0.0, 1.0), "chain slip probability"),

@@ -7,7 +7,8 @@ Conventions used throughout the package:
 * Rewards are state-based with values in ``[0, 1]``; the return collects
   ``rho(s_t)`` at each visited state before the transition, so the optimal
   values satisfy ``V = rho + gamma * max_a T V``.
-* Greedy policies break ties toward the lowest action index.
+* Greedy policies break ties toward the lowest action index; action values
+  within ``_TIE_MARGIN`` of a state's best count as tied.
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ __all__ = [
     "Mdp",
     "StationaryPolicy",
     "Demonstration",
-    "value_iteration",
-    "policy_evaluation",
     "q_from_v",
     "softmax_policy",
     "simulate",
     "log_likelihood",
     "batch_solve_optimal",
+    "solve_optimal",
     "batch_policy_values",
     "policy_transition",
     "DegeneratePosteriorError",
@@ -206,67 +206,11 @@ def _expected_next_values(transition: np.ndarray, v: np.ndarray) -> np.ndarray:
     return transition @ v
 
 
-def value_iteration(mdp: Mdp, tolerance: float = 1e-9):
-    """Solve for optimal values and a greedy policy by Bellman sweeps.
-
-    Returns ``(values, policy)`` with the sup-norm Bellman residual of
-    ``values`` at most ``tolerance`` and ``values`` within ``tolerance`` of
-    the fixed point.  The greedy policy is deterministic, ties broken toward
-    the lowest action index.
-    """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    rewards = mdp.reward.values
-    if not np.all(np.isfinite(rewards)):
-        raise ValueError("reward entries must be finite")
-    transition = mdp.cmp.transition
-    gamma = mdp.discount
-    if gamma == 0.0:
-        q = np.repeat(rewards[:, None], mdp.cmp.n_actions, axis=1)
-        return rewards.copy(), StationaryPolicy.from_actions(q.argmax(axis=1), mdp.cmp.n_actions)
-    # Stopping at delta <= tolerance*(1-gamma)/gamma bounds both the Bellman
-    # residual and the distance to the fixed point by ``tolerance``.
-    stop = tolerance * (1.0 - gamma) / gamma
-    v = np.zeros(mdp.cmp.n_states)
-    while True:
-        v_next = (rewards[:, None] + gamma * _expected_next_values(transition, v)).max(axis=1)
-        delta = float(np.max(np.abs(v_next - v)))
-        v = v_next
-        if delta <= stop:
-            break
-    q = rewards[:, None] + gamma * _expected_next_values(transition, v)
-    return v, StationaryPolicy.from_actions(q.argmax(axis=1), mdp.cmp.n_actions)
-
-
 def policy_transition(cmp: Cmp, policy: StationaryPolicy) -> np.ndarray:
     """State-to-state kernel induced by following ``policy``."""
     if policy.n_states != cmp.n_states or policy.n_actions != cmp.n_actions:
         raise ValueError("policy shape does not match the CMP")
     return np.einsum("sa,sat->st", policy.action_probs, cmp.transition)
-
-
-def policy_evaluation(mdp: Mdp, policy: StationaryPolicy, tolerance: float = 1e-9) -> np.ndarray:
-    """Value of a stochastic policy by iterating the expectation backup.
-
-    The returned vector is within ``tolerance`` (sup norm) of the true fixed
-    point of ``V = rho + gamma * P_pi V``.
-    """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    kernel = policy_transition(mdp.cmp, policy)
-    rewards = mdp.reward.values
-    gamma = mdp.discount
-    if gamma == 0.0:
-        return rewards.copy()
-    stop = tolerance * (1.0 - gamma) / gamma
-    v = np.zeros(mdp.cmp.n_states)
-    while True:
-        v_next = rewards + gamma * kernel @ v
-        delta = float(np.max(np.abs(v_next - v)))
-        v = v_next
-        if delta <= stop:
-            break
-    return v
 
 
 def q_from_v(mdp: Mdp, values: np.ndarray) -> np.ndarray:
@@ -365,20 +309,36 @@ def log_likelihood(policy: StationaryPolicy, demo: Demonstration) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Fast planners used by the samplers and the benchmark harness.  They satisfy
-# the same contracts as value_iteration / policy_evaluation (tests cross-check
-# them) but solve many reward vectors or policies in one batched call.
+# Planners: exact linear solves, batched over reward vectors or policies.
 # ---------------------------------------------------------------------------
 
+# Action values closer than this to a state's best are ties; greedy choices
+# take the lowest tied action index, so float noise cannot pick the action.
+_TIE_MARGIN = 1e-10
+# Policy iteration on these small models converges in a handful of iterations.
+_MAX_POLICY_ITERATIONS = 200
 
-def batch_solve_optimal(transition: np.ndarray, rewards: np.ndarray, discount: float,
-                        tolerance: float = 1e-9):
+
+def _batch_q(transition: np.ndarray, rewards: np.ndarray, values: np.ndarray,
+             discount: float) -> np.ndarray:
+    """Action values for batched (K, S) rewards and values: (K, S, A)."""
+    return rewards[:, :, None] + discount * np.einsum("sat,kt->ksa", transition, values)
+
+
+def _greedy(q: np.ndarray) -> np.ndarray:
+    """Lowest action index within the tie margin of each row's maximum."""
+    return np.argmax(q >= q.max(axis=-1, keepdims=True) - _TIE_MARGIN, axis=-1)
+
+
+def batch_solve_optimal(transition: np.ndarray, rewards: np.ndarray, discount: float):
     """Optimal values and greedy actions for a batch of reward vectors.
 
-    ``rewards`` has shape (K, S); returns ``(values, actions)`` with shapes
-    (K, S) and (K, S).  Uses policy iteration with exact linear evaluation,
-    finishing with Bellman sweeps in the rare case the residual target is
-    not yet met.  Ties in the greedy step go to the lowest action index.
+    ``rewards`` has shape (K, S) or (S,); returns ``(values, actions)`` of
+    the same leading shape.  Policy iteration with exact linear evaluation,
+    starting from action 0 everywhere and switching a state's action only
+    where another beats it by more than the tie margin; it stops once no
+    state can improve.  Raises ``RuntimeError`` if no policy among the
+    first ``_MAX_POLICY_ITERATIONS`` evaluated is optimal.
     """
     rewards = np.asarray(rewards, dtype=float)
     squeeze = rewards.ndim == 1
@@ -389,35 +349,31 @@ def batch_solve_optimal(transition: np.ndarray, rewards: np.ndarray, discount: f
         raise ValueError(f"rewards must have {n_states} columns, got {rewards.shape}")
     if not np.all(np.isfinite(rewards)):
         raise ValueError("reward entries must be finite")
-    k = rewards.shape[0]
-    if discount == 0.0:
-        values = rewards.copy()
-        actions = np.zeros((k, n_states), dtype=np.int64)
-        return (values[0], actions[0]) if squeeze else (values, actions)
     eye = np.eye(n_states)
-    values = np.zeros((k, n_states))
-    prev_actions = None
-    for _ in range(200):
-        q = rewards[:, :, None] + discount * np.einsum("sat,kt->ksa", transition, values)
-        actions = q.argmax(axis=2)
-        if prev_actions is not None and np.array_equal(actions, prev_actions):
-            break
-        rows = transition[np.arange(n_states)[None, :], actions]  # (K, S, S')
+    states = np.arange(n_states)[None, :]
+    actions = np.zeros(rewards.shape, dtype=np.int64)
+    for _ in range(_MAX_POLICY_ITERATIONS):
+        rows = transition[states, actions]  # (K, S, S')
         values = np.linalg.solve(eye[None] - discount * rows, rewards[:, :, None])[:, :, 0]
-        prev_actions = actions
-    # Safety net: polish with Bellman sweeps if any batch member still misses
-    # the residual target (exact policy iteration normally lands at ~1e-13).
-    stop = tolerance * (1.0 - discount)
-    while True:
-        bellman = (rewards[:, :, None]
-                   + discount * np.einsum("sat,kt->ksa", transition, values)).max(axis=2)
-        residual = float(np.max(np.abs(bellman - values)))
-        values = bellman
-        if residual <= stop:
-            break
-    q = rewards[:, :, None] + discount * np.einsum("sat,kt->ksa", transition, values)
-    actions = q.argmax(axis=2)
-    return (values[0], actions[0]) if squeeze else (values, actions)
+        q = _batch_q(transition, rewards, values, discount)
+        current = np.take_along_axis(q, actions[:, :, None], axis=2)[:, :, 0]
+        improvable = q.max(axis=2) - current > _TIE_MARGIN
+        if not improvable.any():
+            actions = _greedy(q)
+            return (values[0], actions[0]) if squeeze else (values, actions)
+        actions = np.where(improvable, _greedy(q), actions)
+    raise RuntimeError(
+        f"policy iteration did not converge within {_MAX_POLICY_ITERATIONS} iterations"
+    )
+
+
+def solve_optimal(mdp: Mdp):
+    """Optimal values and the deterministic greedy policy of one MDP.
+
+    Ties go to the lowest action index (see ``batch_solve_optimal``).
+    """
+    values, actions = batch_solve_optimal(mdp.cmp.transition, mdp.reward.values, mdp.discount)
+    return values, StationaryPolicy.from_actions(actions, mdp.cmp.n_actions)
 
 
 def batch_policy_values(transition: np.ndarray, rewards: np.ndarray,

@@ -25,8 +25,9 @@ from .mdp import (
     StationaryPolicy,
     batch_policy_values,
     batch_solve_optimal,
-    value_iteration,
+    solve_optimal,
 )
+from .mtpp import _json_safe
 from .priors import OptimalityPrior, PolicyDirichletPrior, policy_posterior, sample_policies
 from .seeding import substream
 
@@ -139,17 +140,17 @@ def _policies_to_array(policies, cmp: Cmp) -> np.ndarray:
     return arr
 
 
-def build_loss_matrix(cmp: Cmp, discount: float, policies, hypotheses: RewardHypothesisSet,
-                      tolerance: float = 1e-9) -> LossMatrix:
+def build_loss_matrix(cmp: Cmp, discount: float, policies,
+                      hypotheses: RewardHypothesisSet) -> LossMatrix:
     """Sup-norm value losses of each policy under each hypothesis.
 
     Entry (i, j) is ``max_s V*_j(s) - V^{pi_i}_j(s)``, clamped at zero (the
-    gap can dip a hair negative at solver tolerance).
+    gap can dip a hair negative at float precision).
     """
     if hypotheses.n_states != cmp.n_states:
         raise ValueError("hypothesis set does not match the CMP's state count")
     arr = _policies_to_array(policies, cmp)
-    optimal, _ = batch_solve_optimal(cmp.transition, hypotheses.values, discount, tolerance)
+    optimal, _ = batch_solve_optimal(cmp.transition, hypotheses.values, discount)
     policy_values = batch_policy_values(cmp.transition, hypotheses.values, arr, discount)
     gaps = optimal[None, :, :] - policy_values  # (K, N, S)
     losses = np.maximum(gaps.max(axis=2), 0.0)
@@ -226,14 +227,13 @@ def reward_posterior(loss_matrix: LossMatrix, prior: OptimalityPrior,
 
 
 def posterior_value_estimate(posterior: RewardPosterior, hypotheses: RewardHypothesisSet,
-                             cmp: Cmp, discount: float, tolerance: float = 1e-9):
+                             cmp: Cmp, discount: float):
     """Optimal values and greedy policy for the posterior-mean reward."""
     probs = posterior.probabilities
     if probs.shape[0] != hypotheses.n_hypotheses:
         raise ValueError("posterior length does not match the hypothesis set")
     mean_reward = RewardFunction(np.clip(probs @ hypotheses.values, 0.0, 1.0))
-    values, policy = value_iteration(Mdp(cmp, mean_reward, discount), tolerance)
-    return values, policy
+    return solve_optimal(Mdp(cmp, mean_reward, discount))
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,19 +289,11 @@ class MtpoResult:
         )
 
 
-def _json_safe(value) -> bool:
-    try:
-        json.dumps(value)
-        return True
-    except TypeError:
-        return False
-
-
 def mtpo_mc(cmp: Cmp, demos, policy_prior: PolicyDirichletPrior, *,
             optimality_prior: OptimalityPrior = None, n_policy_samples: int = 100,
             hypotheses: RewardHypothesisSet = None, reward_prior=None,
             n_hypotheses: int = None, discount: float = 0.95, seed=0,
-            task_ids=None, tolerance: float = 1e-9) -> MtpoResult:
+            task_ids=None) -> MtpoResult:
     """Monte Carlo posterior over a reward hypothesis set, one per task.
 
     Either pass a ready ``hypotheses`` set, or a ``reward_prior`` plus
@@ -346,7 +338,7 @@ def mtpo_mc(cmp: Cmp, demos, policy_prior: PolicyDirichletPrior, *,
         rng = substream(seed, "mtpo-mc", "task", tid)
         task_posterior = policy_posterior(policy_prior, groups.get(tid, []))
         sampled = sample_policies(task_posterior, int(n_policy_samples), rng)
-        loss_matrix = build_loss_matrix(cmp, discount, sampled, hypotheses, tolerance)
+        loss_matrix = build_loss_matrix(cmp, discount, sampled, hypotheses)
         result = reward_posterior(loss_matrix, optimality_prior, hypotheses)
         posteriors.append(RewardPosterior(result.probabilities, task_id=tid))
     return MtpoResult(

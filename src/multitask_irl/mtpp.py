@@ -27,9 +27,10 @@ from .mdp import (
     Mdp,
     RewardFunction,
     StationaryPolicy,
-    batch_solve_optimal,
-    value_iteration,
+    _batch_q,
     _batch_softmax,
+    batch_solve_optimal,
+    solve_optimal,
 )
 from .priors import (
     BetaProductRewardPrior,
@@ -258,22 +259,17 @@ def _demo_log_lik_batch(policies: np.ndarray, demos) -> np.ndarray:
     return totals
 
 
-def _q_values(transition, rewards, values, discount):
-    """Action values for batched (rewards, optimal values): (K, S, A)."""
-    return rewards[:, :, None] + discount * np.einsum("sat,kt->ksa", transition, values)
-
-
-def _solve_q_batch(transition, rewards, discount, tolerance):
+def _solve_q_batch(transition, rewards, discount):
     """Optimal action values for (K, S) rewards, sharing solves across
     rewards that agree to 1e-12."""
     rounded = np.round(rewards, 12)
     unique, inverse = np.unique(rounded, axis=0, return_inverse=True)
-    values, _ = batch_solve_optimal(transition, unique, discount, tolerance)
-    return _q_values(transition, rewards, values[inverse], discount)
+    values, _ = batch_solve_optimal(transition, unique, discount)
+    return _batch_q(transition, rewards, values[inverse], discount)
 
 
-def mtpp_mc(cmp: Cmp, demos, hyperprior, n_samples: int, discount: float, seed,
-            *, tolerance: float = 1e-9) -> PosteriorEnsemble:
+def mtpp_mc(cmp: Cmp, demos, hyperprior, n_samples: int, discount: float,
+            seed) -> PosteriorEnsemble:
     """Importance-sampling posterior over every task's reward and temperature.
 
     Draws ``n_samples`` population-level samples, then per task a reward and
@@ -319,7 +315,7 @@ def mtpp_mc(cmp: Cmp, demos, hyperprior, n_samples: int, discount: float, seed,
             # tiny concentrations where normalized gamma draws would 0/0.
             rewards_m = np.stack([rng.dirichlet(conc[k]) for k in range(n_samples)])
             etas_m = rng.gamma(t_shapes) / t_rates
-        q = _solve_q_batch(transition, rewards_m, discount, tolerance)
+        q = _solve_q_batch(transition, rewards_m, discount)
         policies_m = _batch_softmax(q, etas_m)
         rewards[:, m, :] = rewards_m
         temperatures[:, m] = etas_m
@@ -344,35 +340,6 @@ def mtpp_mc(cmp: Cmp, demos, hyperprior, n_samples: int, discount: float, seed,
             "discount": float(discount),
         },
     )
-
-
-class _SolveCache:
-    """Memoizes optimal values per reward vector, at 1e-12 granularity."""
-
-    def __init__(self, transition, discount, tolerance, max_entries: int = 4096):
-        self.transition = transition
-        self.discount = discount
-        self.tolerance = tolerance
-        self.max_entries = max_entries
-        self._values = {}
-
-    def q_values_many(self, rewards: np.ndarray) -> np.ndarray:
-        """(M, S) rewards -> (M, S, A) optimal action values."""
-        keys = [np.round(r, 12).tobytes() for r in rewards]
-        missing = [i for i, key in enumerate(keys) if key not in self._values]
-        if missing:
-            values, _ = batch_solve_optimal(
-                self.transition, rewards[missing], self.discount, self.tolerance
-            )
-            for j, i in enumerate(missing):
-                while len(self._values) >= self.max_entries:
-                    self._values.pop(next(iter(self._values)))
-                self._values[keys[i]] = values[j]
-        stacked = np.stack([self._values[key] for key in keys])
-        return _q_values(self.transition, rewards, stacked, self.discount)
-
-    def q_values(self, reward: np.ndarray) -> np.ndarray:
-        return self.q_values_many(reward[None, :])[0]
 
 
 def _interior(prior, values: np.ndarray) -> np.ndarray:
@@ -435,7 +402,7 @@ def _propose_reward(prior, current: np.ndarray, rng, step: float):
 def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
             discount: float, seed, *, burn_in_fraction: float = 0.1,
             reward_step: float = 50.0, temperature_step: float = 0.25,
-            hyper_step: float = 0.25, tolerance: float = 1e-9) -> PosteriorEnsemble:
+            hyper_step: float = 0.25) -> PosteriorEnsemble:
     """Random-walk Metropolis-Hastings over the joint hierarchical state.
 
     The total iteration budget ``n_iterations`` is split evenly across
@@ -478,7 +445,6 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
     acceptance = []
     for chain in range(n_chains):
         rng = substream(seed, "mtpp-mh", "chain", chain)
-        cache = _SolveCache(cmp.transition, discount, tolerance)
         reward_prior, temp_prior = hyperprior.sample(rng)
         rho = np.empty((n_tasks, n_states))
         eta = np.empty(n_tasks)
@@ -487,7 +453,8 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
             # A tiny temperature shape can underflow the draw to exact zero,
             # where the log prior is -inf and multiplicative moves are stuck.
             eta[m] = max(temp_prior.sample(rng), 1e-12)
-        q = cache.q_values_many(rho)
+        values, _ = batch_solve_optimal(cmp.transition, rho, discount)
+        q = _batch_q(cmp.transition, rho, values, discount)
         pols = _batch_softmax(q, eta)
         log_lik = np.array(
             [_demo_log_lik(pols[m], demo_groups[m]) for m in range(n_tasks)]
@@ -530,7 +497,8 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
                 proposals[m], hastings[m] = _propose_reward(
                     reward_prior, rho[m], rng, reward_step
                 )
-            q_prop = cache.q_values_many(proposals)
+            values, _ = batch_solve_optimal(cmp.transition, proposals, discount)
+            q_prop = _batch_q(cmp.transition, proposals, values, discount)
             pols_prop = _batch_softmax(q_prop, eta)
             for m in range(n_tasks):
                 new_ll = _demo_log_lik(pols_prop[m], demo_groups[m])
@@ -619,8 +587,8 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
 
 
 def posterior_policy(ensemble: PosteriorEnsemble, task_id: int, cmp: Cmp,
-                     discount: float, tolerance: float = 1e-9) -> StationaryPolicy:
+                     discount: float) -> StationaryPolicy:
     """Greedy policy for the task's posterior-mean reward."""
     mean_reward = ensemble.posterior_mean_reward(task_id)
-    _, policy = value_iteration(Mdp(cmp, mean_reward, discount), tolerance)
+    _, policy = solve_optimal(Mdp(cmp, mean_reward, discount))
     return policy

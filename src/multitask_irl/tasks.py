@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import Cmp, Mdp, RewardFunction, StationaryPolicy, q_from_v, softmax_policy, value_iteration
+from .mdp import Cmp, Mdp, RewardFunction, StationaryPolicy, q_from_v, softmax_policy, solve_optimal
 from .seeding import as_generator
 
 __all__ = [
@@ -160,9 +160,9 @@ def make_random_mdp_population(spec: RandomMdpSpec, rng) -> RandomMdpPopulation:
 
 
 def make_demonstrator(kind: str, mdp: Mdp, *, eta: float = None,
-                      epsilon: float = None, tolerance: float = 1e-9) -> StationaryPolicy:
+                      epsilon: float = None) -> StationaryPolicy:
     """Expert policy for an MDP: ``softmax`` over Q* or ``eps_greedy``."""
-    values, greedy = value_iteration(mdp, tolerance)
+    values, greedy = solve_optimal(mdp)
     if kind == "softmax":
         if eta is None:
             raise ValueError("softmax demonstrator needs eta")

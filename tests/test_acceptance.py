@@ -46,9 +46,9 @@ from multitask_irl import (
     run_experiment,
     simulate,
     softmax_policy,
+    solve_optimal,
     substream,
     value_error_bound,
-    value_iteration,
 )
 from oracles import (
     batch_means_se,
@@ -255,7 +255,7 @@ def test_criterion_7_randomized_invariants(capsys):
         cmp = Cmp(rng.dirichlet(np.ones(n_states), size=(n_states, n_actions)))
         discount = float(rng.uniform(0.5, 0.9))
         mdp = Mdp(cmp, RewardFunction(rng.uniform(0, 1, size=n_states)), discount)
-        values, _ = value_iteration(mdp)
+        values, _ = solve_optimal(mdp)
         backup = np.max(q_from_v(mdp, values), axis=1)
         worst_residual = max(worst_residual, float(np.max(np.abs(values - backup))))
     if worst_residual > 1e-6:

@@ -17,13 +17,12 @@ from multitask_irl import (
     make_chain,
     make_demonstrator,
     mwal,
-    policy_evaluation,
     policy_transition,
     simulate,
+    solve_optimal,
     substream,
-    value_iteration,
 )
-from oracles import random_cmp
+from oracles import dense_policy_values, random_cmp
 
 DISCOUNT = 0.95
 
@@ -206,12 +205,13 @@ def test_mwal_mixture_approaches_demonstrated_value(chain_demos):
     # The mixture's value under the true reward should close most of the gap
     # to optimal, and more rounds should not make it worse.
     mdp, demos = chain_demos
-    optimal_values, _ = value_iteration(mdp)
+    optimal_values, _ = solve_optimal(mdp)
 
     def sup_gap(mixture):
-        component_values = np.stack(
-            [policy_evaluation(mdp, p) for p in mixture.policies]
-        )
+        component_values = np.stack([
+            dense_policy_values(mdp.cmp, mdp.reward.values, p.action_probs, mdp.discount)
+            for p in mixture.policies
+        ])
         return np.max(optimal_values - mixture.weights @ component_values)
 
     coarse = sup_gap(mwal(mdp.cmp, mdp.discount, demos, n_iterations=5))

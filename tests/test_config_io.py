@@ -76,8 +76,11 @@ def test_load_config_missing_file(tmp_path):
 def test_describe_keys_covers_everything():
     entries = describe_keys()
     assert [name for name, _ in entries] == sorted(CONFIG_KEYS)
-    assert len(entries) == 34
+    assert len(entries) == 33
     assert all(isinstance(text, str) and text for _, text in entries)
+    # Planning is exact, so there is no planner tolerance to set.
+    with pytest.raises(ConfigError, match="unknown key 'tolerance'"):
+        parse_config("tolerance = 1e-9")
 
 
 def test_write_then_read_demonstrations(tmp_path):

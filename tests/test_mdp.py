@@ -17,15 +17,15 @@ from multitask_irl import (
     batch_solve_optimal,
     log_likelihood,
     make_chain,
-    policy_evaluation,
+    mdp as mdp_module,
     policy_transition,
     q_from_v,
     simulate,
     softmax_policy,
+    solve_optimal,
     substream,
-    value_iteration,
 )
-from oracles import dense_policy_values, random_cmp
+from oracles import dense_policy_values, policy_evaluation, random_cmp, value_iteration
 
 # Hand-solved 3-state deterministic chain, discount 0.95, rewards (0.2, 0, 1):
 # advancing forever gives V = (18.25, 19, 20); always resetting gives
@@ -39,14 +39,20 @@ def chain3():
     return make_chain(ChainSpec(n_states=3, slip=0.0))
 
 
+def policy_values(mdp, policy):
+    return batch_policy_values(
+        mdp.cmp.transition, mdp.reward.values, policy.action_probs, mdp.discount
+    )[0, 0]
+
+
 def test_chain_optimal_values_match_hand_solution(chain3):
-    values, policy = value_iteration(chain3, 1e-10)
+    values, policy = solve_optimal(chain3)
     assert np.allclose(values, CHAIN3_OPTIMAL, atol=1e-7)
     assert np.array_equal(policy.greedy_actions(), [ADVANCE, ADVANCE, ADVANCE])
 
 
 def test_chain_q_values_match_hand_solution(chain3):
-    values, _ = value_iteration(chain3, 1e-10)
+    values, _ = solve_optimal(chain3)
     q = q_from_v(chain3, values)
     assert abs(q[0, ADVANCE] - 18.25) < 1e-7
     assert abs(q[0, RESET] - 17.5375) < 1e-7
@@ -54,11 +60,12 @@ def test_chain_q_values_match_hand_solution(chain3):
 
 def test_always_reset_value_matches_hand_solution(chain3):
     policy = StationaryPolicy.from_actions([RESET] * 3, 2)
-    values = policy_evaluation(chain3, policy, 1e-10)
+    values = policy_values(chain3, policy)
     assert np.allclose(values, CHAIN3_RESET, atol=1e-7)
 
 
 def test_policy_evaluation_matches_dense_solve():
+    # The two oracles for policy values (sweeps, dense solve) agree.
     rng = np.random.default_rng(42)
     for _ in range(5):
         cmp = random_cmp(rng, 4, 3)
@@ -74,7 +81,7 @@ def test_batch_solve_optimal_matches_value_iteration():
     rng = np.random.default_rng(7)
     cmp = random_cmp(rng, 5, 3)
     rewards = rng.random((6, 5))
-    values, actions = batch_solve_optimal(cmp.transition, rewards, 0.95, 1e-10)
+    values, actions = batch_solve_optimal(cmp.transition, rewards, 0.95)
     for k in range(6):
         expected, _ = value_iteration(Mdp(cmp, RewardFunction(rewards[k]), 0.95), 1e-10)
         assert np.allclose(values[k], expected, atol=1e-7)
@@ -118,20 +125,40 @@ def test_batch_policy_values_matches_policy_evaluation():
             assert np.allclose(out[k, n], expected, atol=1e-8)
 
 
-def test_value_iteration_zero_discount_returns_rewards(chain3):
+def test_solve_optimal_zero_discount_returns_rewards(chain3):
     mdp = Mdp(chain3.cmp, chain3.reward, 0.0)
-    values, _ = value_iteration(mdp)
+    values, _ = solve_optimal(mdp)
     assert np.array_equal(values, chain3.reward.values)
 
 
-def test_value_iteration_breaks_ties_toward_lowest_action():
+def test_solve_optimal_breaks_ties_toward_lowest_action():
     # Both actions share one kernel, so every state is a tie.
     kernel = np.zeros((3, 2, 3))
     kernel[:, 0] = np.eye(3)
     kernel[:, 1] = np.eye(3)
     mdp = Mdp(Cmp(kernel), RewardFunction([0.1, 0.5, 0.9]), 0.9)
-    _, policy = value_iteration(mdp)
+    _, policy = solve_optimal(mdp)
     assert np.array_equal(policy.greedy_actions(), [0, 0, 0])
+    # A constant reward ties every action on any kernel (the first mwal round
+    # plans for one); float noise in the values must not pick the action.
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        n_states, n_actions = int(rng.integers(3, 9)), int(rng.integers(2, 4))
+        cmp = random_cmp(rng, n_states, n_actions)
+        reward = np.full(n_states, rng.random())
+        _, policy = solve_optimal(Mdp(cmp, RewardFunction(reward), 0.95))
+        assert np.array_equal(policy.greedy_actions(), np.zeros(n_states))
+        _, actions = batch_solve_optimal(cmp.transition, np.stack([reward, reward]), 0.95)
+        assert np.array_equal(actions, np.zeros((2, n_states)))
+
+
+def test_batch_solve_optimal_raises_at_iteration_cap(monkeypatch):
+    # Action 0 (advance) is not optimal under this reward, so one policy
+    # evaluation cannot finish the solve.
+    mdp = make_chain(ChainSpec(n_states=3, slip=0.0, rewards=(1.0, 0.0, 0.0)))
+    monkeypatch.setattr(mdp_module, "_MAX_POLICY_ITERATIONS", 1)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        batch_solve_optimal(mdp.cmp.transition, mdp.reward.values, mdp.discount)
 
 
 def test_policy_transition_rows_are_distributions():
@@ -312,13 +339,13 @@ def mdp_instances(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(mdp_instances())
-def test_value_iteration_fixed_point_property(mdp):
-    values, policy = value_iteration(mdp, 1e-10)
+def test_solve_optimal_fixed_point_property(mdp):
+    values, policy = solve_optimal(mdp)
     backup = mdp.reward.values[:, None] + mdp.discount * mdp.cmp.transition @ values
     assert np.max(np.abs(backup.max(axis=1) - values)) <= 1e-9
     assert np.all(values >= -1e-9)
     assert np.all(values <= 1.0 / (1.0 - mdp.discount) + 1e-6)
-    achieved = policy_evaluation(mdp, policy, 1e-10)
+    achieved = policy_values(mdp, policy)
     assert np.allclose(achieved, values, atol=1e-6)
 
 
@@ -326,6 +353,6 @@ def test_value_iteration_fixed_point_property(mdp):
 @given(mdp_instances(), st.integers(0, 2 ** 16))
 def test_greedy_dominates_random_policy_property(mdp, policy_seed):
     rng = np.random.default_rng(policy_seed)
-    values, _ = value_iteration(mdp, 1e-10)
+    values, _ = solve_optimal(mdp)
     other = StationaryPolicy(rng.dirichlet(np.ones(mdp.cmp.n_actions), size=mdp.cmp.n_states))
-    assert np.all(policy_evaluation(mdp, other, 1e-10) <= values + 1e-6)
+    assert np.all(policy_values(mdp, other) <= values + 1e-6)

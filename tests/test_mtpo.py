@@ -26,9 +26,8 @@ from multitask_irl import (
     sample_hypotheses,
     simulate,
     substream,
-    value_iteration,
 )
-from oracles import midpoint_reference_posterior, quadrature_posterior
+from oracles import midpoint_reference_posterior, quadrature_posterior, value_iteration
 
 DISCOUNT = 0.95
 
@@ -76,7 +75,7 @@ def test_loss_matrix_hand_oracle_on_chain():
     mdp = make_chain(ChainSpec(n_states=3, slip=0.0))
     hypotheses = RewardHypothesisSet(mdp.reward.values[None, :])
     reset = StationaryPolicy.from_actions([1, 1, 1], 2)
-    _, optimal = value_iteration(mdp)
+    optimal = StationaryPolicy.from_actions([0, 0, 0], 2)  # always advance
     matrix = build_loss_matrix(mdp.cmp, DISCOUNT, [reset, optimal], hypotheses)
     assert matrix.n_policies == 2
     assert matrix.n_hypotheses == 1

@@ -24,9 +24,8 @@ from multitask_irl import (
     posterior_policy,
     simulate,
     substream,
-    value_iteration,
 )
-from oracles import batch_means_se, enumerate_atom_posterior, importance_se
+from oracles import batch_means_se, enumerate_atom_posterior, importance_se, value_iteration
 
 DISCOUNT = 0.95
 ATOMS = np.array([[1.0, 0.0], [0.0, 1.0]])

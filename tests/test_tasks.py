@@ -17,8 +17,8 @@ from multitask_irl import (
     q_from_v,
     softmax_policy,
     substream,
-    value_iteration,
 )
+from oracles import value_iteration
 
 
 def test_chain_transition_rows_are_distributions():
@@ -119,7 +119,7 @@ def test_population_demonstrators_are_softmax_experts():
     population = make_random_mdp_population(spec, substream(2, "pop"))
     for task in range(3):
         mdp = population.mdp(task)
-        values, _ = value_iteration(mdp, 1e-9)
+        values, _ = value_iteration(mdp)
         expected = softmax_policy(q_from_v(mdp, values), population.temperatures[task])
         assert np.allclose(
             population.demonstrators[task].action_probs,
@@ -159,7 +159,7 @@ def test_demonstrator_uniform_limits():
 def test_demonstrator_softmax_matches_direct_construction():
     mdp = make_chain(ChainSpec(n_states=4, slip=0.1))
     policy = make_demonstrator("softmax", mdp, eta=2.5)
-    values, _ = value_iteration(mdp, 1e-9)
+    values, _ = value_iteration(mdp)
     expected = softmax_policy(q_from_v(mdp, values), 2.5)
     assert np.allclose(policy.action_probs, expected.action_probs, atol=1e-9)
 
