@@ -18,6 +18,7 @@ import numpy as np
 from .baselines import MixedPolicy, imitator, mwal
 from .config import ConfigError
 from .mdp import (
+    Cmp,
     Demonstration,
     Mdp,
     RewardFunction,
@@ -26,14 +27,8 @@ from .mdp import (
     simulate,
     solve_optimal,
 )
-from .mtpo import (
-    RewardHypothesisSet,
-    build_loss_matrix,
-    mtpo_mc,
-    posterior_value_estimate,
-    reward_posterior,
-)
-from .mtpp import mtpp_mc, mtpp_mh, posterior_policy
+from .mtpo import RewardHypothesisSet, build_loss_matrix, mtpo_mc, reward_posterior
+from .mtpp import _group_demos, mtpp_mc, mtpp_mh, posterior_policy
 from .priors import (
     DirichletRewardPrior,
     GammaHyperprior,
@@ -54,6 +49,8 @@ from .tasks import (
 
 __all__ = [
     "EXPERIMENTS",
+    "METHODS",
+    "Environment",
     "l1_loss",
     "ResultRow",
     "ExperimentResult",
@@ -181,334 +178,294 @@ def _delta_start(n_states: int) -> np.ndarray:
     return start
 
 
-def _chain_mdp(cfg) -> Mdp:
-    spec = ChainSpec(
-        n_states=cfg.get("chain_states", 5),
-        slip=cfg.get("chain_slip", 0.2),
-        rewards=cfg.get("chain_rewards"),
-        discount=cfg.get("discount", 0.95),
-    )
-    return make_chain(spec)
+# --- methods ----------------------------------------------------------------
+#
+# A fit takes the environment, the demonstrations, the configuration, a
+# budget (None: the method's own budget key) and a seed, and returns one
+# policy per task in sorted task-id order plus the posterior it came from
+# (None for the baselines).  Each reads its model's keys here and only here.
+
+
+@dataclass(frozen=True, eq=False)
+class Environment:
+    """What a method may know of where the demonstrations came from."""
+
+    cmp: Cmp
+    start: np.ndarray = None    # initial-state law mwal plans against; None is uniform
+    demonstrators: tuple = ()   # the tasks' own policies, which "soft" returns
+
+
+def _discount(cfg) -> float:
+    return cfg.get("discount", 0.95)
 
 
 def _hyperprior(cfg, n_states: int) -> GammaHyperprior:
     return GammaHyperprior(n_states, concentration_law=(1.0, cfg.get("hyper_rate", 10.0)))
 
 
-def _policy_prior(cfg, n_states: int, n_actions: int) -> PolicyDirichletPrior:
-    return PolicyDirichletPrior.uniform(n_states, n_actions, cfg.get("policy_prior_strength", 1.0))
+def _policy_prior(cfg, cmp: Cmp) -> PolicyDirichletPrior:
+    return PolicyDirichletPrior.uniform(
+        cmp.n_states, cmp.n_actions, cfg.get("policy_prior_strength", 1.0)
+    )
 
 
-def _chain_demos(mdp, demonstrator, n_tasks, per_task, length, rng):
-    start = _delta_start(mdp.cmp.n_states)
+def _greedy(posterior, cmp: Cmp, cfg):
+    return [posterior_policy(posterior, tid, cmp, _discount(cfg)) for tid in posterior.task_ids]
+
+
+def _fit_imitator(env, demos, cfg, budget, seed):
+    prior = _policy_prior(cfg, env.cmp)
+    return [imitator(group, prior) for group in _group_demos(demos, env.cmp)[1]], None
+
+
+def _fit_soft(env, demos, cfg, budget, seed):
+    return list(env.demonstrators), None
+
+
+def _fit_mwal(env, demos, cfg, budget, seed):
+    rounds = cfg.get("mwal_iterations", 100) if budget is None else budget
+    return [
+        mwal(env.cmp, _discount(cfg), group, n_iterations=rounds, initial_state_probs=env.start)
+        for group in _group_demos(demos, env.cmp)[1]
+    ], None
+
+
+def _fit_mtpp_mc(env, demos, cfg, budget, seed):
+    n_samples = cfg.get("mc_samples", 1000) if budget is None else budget
+    ensemble = mtpp_mc(env.cmp, demos, _hyperprior(cfg, env.cmp.n_states), n_samples,
+                       _discount(cfg), seed)
+    return _greedy(ensemble, env.cmp, cfg), ensemble
+
+
+def _fit_mtpp_mh(env, demos, cfg, budget, seed):
+    ensemble = mtpp_mh(
+        env.cmp, demos, _hyperprior(cfg, env.cmp.n_states),
+        cfg.get("mh_iterations", 2000) if budget is None else budget,
+        cfg.get("mh_chains", 1), _discount(cfg), seed,
+        burn_in_fraction=cfg.get("burn_in_fraction", 0.1),
+        reward_step=cfg.get("reward_step", 50.0),
+        temperature_step=cfg.get("temperature_step", 0.25),
+        hyper_step=cfg.get("hyper_step", 0.25),
+    )
+    return _greedy(ensemble, env.cmp, cfg), ensemble
+
+
+def _fit_mtpp_mh_flat(env, demos, cfg, budget, seed):
+    """The flat ablation: every demonstration pooled into one task."""
+    task_ids, _ = _group_demos(demos, env.cmp)
+    pooled = [Demonstration(task_id=0, states=d.states, actions=d.actions) for d in demos]
+    (shared,), ensemble = _fit_mtpp_mh(env, pooled, cfg, budget, seed)
+    return [shared] * len(task_ids), ensemble
+
+
+def _fit_mtpo_mc(env, demos, cfg, budget, seed):
+    cmp = env.cmp
+    result = mtpo_mc(
+        cmp, demos, _policy_prior(cfg, cmp),
+        optimality_prior=OptimalityPrior(cfg.get("optimality_rate", 1.0)),
+        n_policy_samples=cfg.get("mc_samples", 1000) if budget is None else budget,
+        reward_prior=DirichletRewardPrior(np.ones(cmp.n_states)),
+        n_hypotheses=cfg.get("n_hypotheses", 64),
+        discount=_discount(cfg), seed=seed,
+    )
+    return _greedy(result, cmp, cfg), result
+
+
+# name -> (fit, seed-path tag); the baselines draw no randomness.
+METHODS = {
+    "imitator": (_fit_imitator, None),
+    "soft": (_fit_soft, None),
+    "mwal": (_fit_mwal, None),
+    "mtpp-mc": (_fit_mtpp_mc, ("mc",)),
+    "mtpp-mh": (_fit_mtpp_mh, ("mh",)),
+    "mtpp-mh-flat": (_fit_mtpp_mh_flat, ("mh-flat",)),
+    "mtpo-mc": (_fit_mtpo_mc, ("mtpo",)),
+}
+
+
+def _resolve(method: str, cfg):
+    """(fit, config, seed-path tag) of a method; ``mtpp-mh-N`` is ``mtpp-mh``
+    with ``mh_chains = N`` and N in its seed path."""
+    base, _, chains = method.rpartition("-")
+    if method not in METHODS and base == "mtpp-mh" and chains.isdigit():
+        return METHODS[base][0], dict(cfg, mh_chains=int(chains)), ("mh", int(chains))
+    fit, tag = METHODS[method]
+    return fit, cfg, tag
+
+
+# --- templates --------------------------------------------------------------
+#
+# A template is data: its default (and permitted) methods, its default
+# replication count, and how it builds each replication's sweep points.
+
+
+@dataclass(frozen=True)
+class _Point:
+    """One sweep point of one replication."""
+
+    x: float
+    key: int                 # names the point in the methods' seed paths
+    budget: int              # None: each method's own budget key
+    env: Environment
+    demos: list
+    true_mdps: list          # one per task, scored by l1_loss
+
+
+@dataclass(frozen=True)
+class _Template:
+    methods: tuple
+    replications: int
+    points: object           # (seed, rep) -> iterable of _Point
+
+
+def _chain_mdp(cfg) -> Mdp:
+    spec = ChainSpec(
+        n_states=cfg.get("chain_states", 5),
+        slip=cfg.get("chain_slip", 0.2),
+        rewards=cfg.get("chain_rewards"),
+        discount=_discount(cfg),
+    )
+    return make_chain(spec)
+
+
+def _chain_demos(mdps, demonstrators, per_task, length, rng):
+    start = _delta_start(mdps[0].cmp.n_states)
     return [
         simulate(mdp, demonstrator, length, rng, task_id=m, initial_state_probs=start)
-        for m in range(n_tasks)
+        for m, (mdp, demonstrator) in enumerate(zip(mdps, demonstrators))
         for _ in range(per_task)
     ]
 
 
-def _mtpp_task_losses(ensemble, true_mdps):
-    return tuple(
-        l1_loss(mdp, posterior_policy(ensemble, task_id, mdp.cmp, mdp.discount))
-        for task_id, mdp in zip(ensemble.task_ids, true_mdps)
-    )
-
-
-def _run_sampler_comparison(cfg, seed):
-    name = "sampler-comparison"
-    replications = cfg.get("replications", 100)
-    budgets = cfg.get("sample_budgets", (100, 300, 1000, 3000))
-    chain_counts = cfg.get("mh_chain_counts", (1, 2, 4, 8))
-    n_tasks = cfg.get("n_tasks", 1)
-    length = cfg.get("demo_length", 50)
+def _chain_budget_sweep(cfg, name, methods, n_tasks, length, budgets) -> _Template:
+    """Near-greedy demonstrations on the chain, swept over inference budgets."""
     mdp = _chain_mdp(cfg)
-    discount = mdp.discount
     demonstrator = make_demonstrator("eps_greedy", mdp, epsilon=cfg.get("demo_epsilon", 0.01))
-    hyper = _hyperprior(cfg, mdp.cmp.n_states)
+    env = Environment(mdp.cmp, start=_delta_start(mdp.cmp.n_states))
     true_mdps = [mdp] * n_tasks
-    rows = []
-    for rep in range(replications):
-        demos = _chain_demos(
-            mdp, demonstrator, n_tasks, 1, length, substream(seed, name, "rep", rep, "demos")
-        )
+    length = cfg.get("demo_length", length)
+    budgets = cfg.get("sample_budgets", budgets)
+
+    def points(seed, rep):
+        demos = _chain_demos(true_mdps, [demonstrator] * n_tasks, 1, length,
+                             substream(seed, name, "rep", rep, "demos"))
         for budget in budgets:
-            ensemble = mtpp_mc(
-                mdp.cmp, demos, hyper, budget, discount,
-                subseed(seed, name, "rep", rep, "mc", budget),
-            )
-            rows.append(ResultRow(name, rep, "mtpp-mc", float(budget),
-                                  _mtpp_task_losses(ensemble, true_mdps)))
-            for n_chains in chain_counts:
-                ensemble = mtpp_mh(
-                    mdp.cmp, demos, hyper, budget, n_chains, discount,
-                    subseed(seed, name, "rep", rep, "mh", n_chains, budget),
-                )
-                rows.append(ResultRow(name, rep, f"mtpp-mh-{n_chains}", float(budget),
-                                      _mtpp_task_losses(ensemble, true_mdps)))
-    return rows, {"n_tasks": n_tasks, "demo_length": length, "budgets": list(budgets)}
+            yield _Point(float(budget), budget, budget, env, demos, true_mdps)
+
+    return _Template(methods, 100, points)
 
 
-def _run_model_comparison(cfg, seed):
-    name = "model-comparison"
-    replications = cfg.get("replications", 100)
-    budgets = cfg.get("sample_budgets", (100, 300, 1000, 3000))
-    n_tasks = cfg.get("n_tasks", 1)
-    length = cfg.get("demo_length", 50)
-    n_hypotheses = cfg.get("n_hypotheses", 64)
-    mdp = _chain_mdp(cfg)
-    discount = mdp.discount
-    n_states = mdp.cmp.n_states
-    demonstrator = make_demonstrator("eps_greedy", mdp, epsilon=cfg.get("demo_epsilon", 0.01))
-    hyper = _hyperprior(cfg, n_states)
-    reward_prior = DirichletRewardPrior(np.ones(n_states))
-    policy_prior = _policy_prior(cfg, n_states, mdp.cmp.n_actions)
-    optimality = OptimalityPrior(cfg.get("optimality_rate", 1.0))
-    true_mdps = [mdp] * n_tasks
-    rows = []
-    for rep in range(replications):
-        demos = _chain_demos(
-            mdp, demonstrator, n_tasks, 1, length, substream(seed, name, "rep", rep, "demos")
-        )
-        for budget in budgets:
-            ensemble = mtpp_mc(
-                mdp.cmp, demos, hyper, budget, discount,
-                subseed(seed, name, "rep", rep, "mc", budget),
-            )
-            rows.append(ResultRow(name, rep, "mtpp-mc", float(budget),
-                                  _mtpp_task_losses(ensemble, true_mdps)))
-            result = mtpo_mc(
-                mdp.cmp, demos, policy_prior,
-                optimality_prior=optimality, n_policy_samples=budget,
-                reward_prior=reward_prior, n_hypotheses=n_hypotheses,
-                discount=discount, seed=subseed(seed, name, "rep", rep, "mtpo", budget),
-            )
-            losses = []
-            for m, task_id in enumerate(result.task_ids):
-                _, policy = posterior_value_estimate(
-                    result.posterior(task_id), result.hypotheses, mdp.cmp, discount
-                )
-                losses.append(l1_loss(true_mdps[m], policy))
-            rows.append(ResultRow(name, rep, "mtpo-mc", float(budget), tuple(losses)))
-    return rows, {"n_tasks": n_tasks, "demo_length": length, "n_hypotheses": n_hypotheses}
+def _sampler_comparison(cfg, name):
+    counts = cfg.get("mh_chain_counts", (1, 2, 4, 8))
+    methods = ("mtpp-mc",) + tuple(f"mtpp-mh-{n}" for n in counts)
+    return _chain_budget_sweep(cfg, name, methods, cfg.get("n_tasks", 1), 50,
+                               (100, 300, 1000, 3000))
 
 
-def _run_multitask_gain(cfg, seed):
-    name = "multitask-gain"
-    replications = cfg.get("replications", 100)
+def _model_comparison(cfg, name):
+    return _chain_budget_sweep(cfg, name, ("mtpp-mc", "mtpo-mc"), cfg.get("n_tasks", 1), 50,
+                               (100, 300, 1000, 3000))
+
+
+def _data_efficiency(cfg, name):
+    return _chain_budget_sweep(cfg, name, ("imitator", "mwal", "mtpp-mc", "mtpo-mc"), 1,
+                               1000, (100, 1000, 10000))
+
+
+def _multitask_gain(cfg, name):
+    """A fixed demonstration budget split across more and more chain tasks."""
     task_counts = cfg.get("task_counts", (1, 2, 5, 10))
     total_demos = cfg.get("total_demos", 10)
-    length = cfg.get("demo_length", 20)
-    eta = cfg.get("demo_eta", 5.0)
-    n_samples = cfg.get("mc_samples", 1000)
-    n_states = cfg.get("chain_states", 5)
-    discount = cfg.get("discount", 0.95)
-    hyper_rate = cfg.get("hyper_rate", 10.0)
-    cmp = chain_transition(n_states, cfg.get("chain_slip", 0.2))
-    hyper = _hyperprior(cfg, n_states)
-    policy_prior = _policy_prior(cfg, n_states, cmp.n_actions)
-    start = _delta_start(n_states)
     for count in task_counts:
         if total_demos % count != 0:
             raise ConfigError(
                 f"total_demos ({total_demos}) must be divisible by every task count, not {count}"
             )
-    rows = []
-    for rep in range(replications):
+    length = cfg.get("demo_length", 20)
+    eta = cfg.get("demo_eta", 5.0)
+    n_states = cfg.get("chain_states", 5)
+    hyper_rate = cfg.get("hyper_rate", 10.0)
+    cmp = chain_transition(n_states, cfg.get("chain_slip", 0.2))
+    env = Environment(cmp, start=_delta_start(n_states))
+
+    def points(seed, rep):
         for count in task_counts:
             env_rng = substream(seed, name, "rep", rep, "env", count)
             concentration = env_rng.gamma(1.0, 1.0 / hyper_rate, size=n_states)
             rewards = env_rng.dirichlet(concentration, size=count)
-            true_mdps = [Mdp(cmp, RewardFunction(rewards[m]), discount) for m in range(count)]
+            true_mdps = [Mdp(cmp, RewardFunction(r), _discount(cfg)) for r in rewards]
             demonstrators = [make_demonstrator("softmax", t, eta=eta) for t in true_mdps]
-            demo_rng = substream(seed, name, "rep", rep, "demos", count)
-            demos = []
-            for m in range(count):
-                for _ in range(total_demos // count):
-                    demos.append(simulate(true_mdps[m], demonstrators[m], length, demo_rng,
-                                          task_id=m, initial_state_probs=start))
-            ensemble = mtpp_mc(
-                cmp, demos, hyper, n_samples, discount,
-                subseed(seed, name, "rep", rep, "mc", count),
-            )
-            rows.append(ResultRow(name, rep, "mtpp-mc", float(count),
-                                  _mtpp_task_losses(ensemble, true_mdps)))
-            losses = []
-            for m in range(count):
-                policy = imitator([d for d in demos if d.task_id == m], policy_prior)
-                losses.append(l1_loss(true_mdps[m], policy))
-            rows.append(ResultRow(name, rep, "imitator", float(count), tuple(losses)))
-    meta = {"total_demos": total_demos, "demo_eta": eta,
-            "note": "per-run gain = total_loss(imitator) - total_loss(mtpp-mc) at equal x"}
-    return rows, meta
+            demos = _chain_demos(true_mdps, demonstrators, total_demos // count, length,
+                                 substream(seed, name, "rep", rep, "demos", count))
+            yield _Point(float(count), count, None, env, demos, true_mdps)
+
+    return _Template(("mtpp-mc", "imitator"), 100, points)
 
 
-def _run_data_efficiency(cfg, seed):
-    name = "data-efficiency"
-    replications = cfg.get("replications", 100)
-    budgets = cfg.get("sample_budgets", (100, 1000, 10000))
-    methods = cfg.get("methods", ("imitator", "mwal", "mtpp-mc", "mtpo-mc"))
-    length = cfg.get("demo_length", 1000)
-    n_hypotheses = cfg.get("n_hypotheses", 64)
-    mdp = _chain_mdp(cfg)
-    discount = mdp.discount
-    n_states = mdp.cmp.n_states
-    demonstrator = make_demonstrator("eps_greedy", mdp, epsilon=cfg.get("demo_epsilon", 0.01))
-    hyper = _hyperprior(cfg, n_states)
-    reward_prior = DirichletRewardPrior(np.ones(n_states))
-    policy_prior = _policy_prior(cfg, n_states, mdp.cmp.n_actions)
-    optimality = OptimalityPrior(cfg.get("optimality_rate", 1.0))
-    start = _delta_start(n_states)
-    rows = []
-    for rep in range(replications):
-        demo = simulate(mdp, demonstrator, length,
-                        substream(seed, name, "rep", rep, "demos"),
-                        task_id=0, initial_state_probs=start)
-        demos = [demo]
-        for method in methods:
-            if method == "imitator":
-                loss = l1_loss(mdp, imitator(demos, policy_prior))
-                for budget in budgets:
-                    rows.append(ResultRow(name, rep, "imitator", float(budget), (loss,)))
-                continue
-            for budget in budgets:
-                if method == "mwal":
-                    mixture = mwal(mdp.cmp, discount, demos, n_iterations=budget,
-                                   initial_state_probs=start)
-                    loss = l1_loss(mdp, mixture)
-                elif method == "mtpp-mc":
-                    ensemble = mtpp_mc(
-                        mdp.cmp, demos, hyper, budget, discount,
-                        subseed(seed, name, "rep", rep, "mc", budget),
-                    )
-                    policy = posterior_policy(ensemble, 0, mdp.cmp, discount)
-                    loss = l1_loss(mdp, policy)
-                elif method == "mtpo-mc":
-                    result = mtpo_mc(
-                        mdp.cmp, demos, policy_prior,
-                        optimality_prior=optimality, n_policy_samples=budget,
-                        reward_prior=reward_prior, n_hypotheses=n_hypotheses,
-                        discount=discount,
-                        seed=subseed(seed, name, "rep", rep, "mtpo", budget),
-                    )
-                    _, policy = posterior_value_estimate(
-                        result.posterior(0), result.hypotheses, mdp.cmp, discount
-                    )
-                    loss = l1_loss(mdp, policy)
-                else:
-                    raise ConfigError(f"unknown method {method!r} for {name}")
-                rows.append(ResultRow(name, rep, method, float(budget), (loss,)))
-    return rows, {"demo_length": length, "n_hypotheses": n_hypotheses, "methods": list(methods)}
-
-
-def _population_subset(population, count):
-    mdps = [population.mdp(m) for m in range(count)]
-    demonstrators = population.demonstrators[:count]
-    return mdps, demonstrators
-
-
-def _run_random_mdp_sweep(cfg, seed, sweep: str):
-    if sweep == "temperature":
-        name = "random-mdp-temperature-sweep"
+def _random_mdp_sweep(cfg, name):
+    """Random-MDP populations swept over demonstrator temperature or task count."""
+    if name == "random-mdp-temperature-sweep":
         x_values = cfg.get("temperature_values", (2.0, 4.0, 6.0, 8.0))
         task_counts = [cfg.get("n_tasks", 20)] * len(x_values)
         temperatures = list(x_values)
     else:
-        name = "random-mdp-task-sweep"
         x_values = cfg.get("task_counts", (5, 10, 20))
         task_counts = [int(v) for v in x_values]
         temperatures = [cfg.get("demo_eta", 8.0)] * len(x_values)
-    replications = cfg.get("replications", 30)
-    methods = cfg.get("methods", ("soft", "imitator", "mwal", "mtpp-mh", "mtpp-mh-flat"))
     length = cfg.get("demo_length", 50)
-    mh_iterations = cfg.get("mh_iterations", 2000)
-    mh_chains = cfg.get("mh_chains", 1)
-    mwal_iterations = cfg.get("mwal_iterations", 100)
-    discount = cfg.get("discount", 0.95)
-    max_tasks = max(task_counts)
-    rows = []
-    for rep in range(replications):
-        for index, x in enumerate(x_values):
-            count = task_counts[index]
-            # Re-deriving the same env stream per sweep point pairs the
-            # comparisons: dynamics and rewards agree across x within a rep.
-            spec = RandomMdpSpec(
-                n_states=cfg.get("mdp_states", 8),
-                n_actions=cfg.get("mdp_actions", 2),
-                n_tasks=max_tasks,
-                transition_concentration=cfg.get("transition_concentration", 1.0),
-                reward_concentration_mean=1.0 / cfg.get("hyper_rate", 10.0),
-                temperature_range=(temperatures[index], temperatures[index]),
-                discount=discount,
-            )
-            population = make_random_mdp_population(
-                spec, substream(seed, name, "rep", rep, "env")
-            )
-            true_mdps, demonstrators = _population_subset(population, count)
-            cmp = population.cmp
-            hyper = _hyperprior(cfg, cmp.n_states)
-            policy_prior = _policy_prior(cfg, cmp.n_states, cmp.n_actions)
+
+    def population(seed, rep, temperature):
+        spec = RandomMdpSpec(
+            n_states=cfg.get("mdp_states", 8),
+            n_actions=cfg.get("mdp_actions", 2),
+            n_tasks=max(task_counts),
+            transition_concentration=cfg.get("transition_concentration", 1.0),
+            reward_concentration_mean=1.0 / cfg.get("hyper_rate", 10.0),
+            temperature_range=(temperature, temperature),
+            discount=_discount(cfg),
+        )
+        return make_random_mdp_population(spec, substream(seed, name, "rep", rep, "env"))
+
+    def points(seed, rep):
+        # Every population of a replication comes from the same env stream,
+        # which pairs the comparisons: dynamics and rewards agree across x.
+        # So one population per distinct temperature serves every x.
+        populations = {}
+        for index, (x, count, temperature) in enumerate(zip(x_values, task_counts, temperatures)):
+            if temperature not in populations:
+                populations[temperature] = population(seed, rep, temperature)
+            pop = populations[temperature]
+            true_mdps = [pop.mdp(m) for m in range(count)]
+            demonstrators = pop.demonstrators[:count]
             demo_rng = substream(seed, name, "rep", rep, "demos", index)
             demos = [
                 simulate(true_mdps[m], demonstrators[m], length, demo_rng, task_id=m)
                 for m in range(count)
             ]
-            for method in methods:
-                if method == "soft":
-                    losses = tuple(
-                        l1_loss(true_mdps[m], demonstrators[m]) for m in range(count)
-                    )
-                elif method == "imitator":
-                    losses = tuple(
-                        l1_loss(true_mdps[m], imitator([demos[m]], policy_prior))
-                        for m in range(count)
-                    )
-                elif method == "mwal":
-                    losses = tuple(
-                        l1_loss(true_mdps[m], mwal(cmp, discount, [demos[m]],
-                                                   n_iterations=mwal_iterations))
-                        for m in range(count)
-                    )
-                elif method == "mtpp-mh":
-                    ensemble = mtpp_mh(
-                        cmp, demos, hyper, mh_iterations, mh_chains, discount,
-                        subseed(seed, name, "rep", rep, "mh", index),
-                    )
-                    losses = _mtpp_task_losses(ensemble, true_mdps)
-                elif method == "mtpp-mh-flat":
-                    flat = [
-                        Demonstration(task_id=0, states=d.states, actions=d.actions)
-                        for d in demos
-                    ]
-                    ensemble = mtpp_mh(
-                        cmp, flat, hyper, mh_iterations, mh_chains, discount,
-                        subseed(seed, name, "rep", rep, "mh-flat", index),
-                    )
-                    shared = posterior_policy(ensemble, 0, cmp, discount)
-                    losses = tuple(l1_loss(true_mdps[m], shared) for m in range(count))
-                else:
-                    raise ConfigError(f"unknown method {method!r} for {name}")
-                rows.append(ResultRow(name, rep, method, float(x), losses))
-    meta = {"methods": list(methods), "mh_iterations": mh_iterations,
-            "demo_length": length, "sweep": sweep}
-    return rows, meta
+            env = Environment(pop.cmp, demonstrators=demonstrators)
+            yield _Point(float(x), index, None, env, demos, true_mdps)
+
+    return _Template(("soft", "imitator", "mwal", "mtpp-mh", "mtpp-mh-flat"), 30, points)
 
 
 _TEMPLATES = {
-    "sampler-comparison": _run_sampler_comparison,
-    "model-comparison": _run_model_comparison,
-    "multitask-gain": _run_multitask_gain,
-    "data-efficiency": _run_data_efficiency,
-    "random-mdp-temperature-sweep": lambda cfg, seed: _run_random_mdp_sweep(cfg, seed, "temperature"),
-    "random-mdp-task-sweep": lambda cfg, seed: _run_random_mdp_sweep(cfg, seed, "tasks"),
+    "sampler-comparison": _sampler_comparison,
+    "model-comparison": _model_comparison,
+    "multitask-gain": _multitask_gain,
+    "data-efficiency": _data_efficiency,
+    "random-mdp-temperature-sweep": _random_mdp_sweep,
+    "random-mdp-task-sweep": _random_mdp_sweep,
 }
 
 
 def run_experiment(config) -> ExperimentResult:
     """Run a named experiment template from a parsed configuration mapping.
 
-    Writes ``<name>-runs.csv`` and ``<name>-aggregate.csv`` into
-    ``out_dir`` when the configuration names one.
+    Every method named by ``methods`` (default: the template's list) is
+    fitted at every sweep point of every replication, and scored per task
+    with :func:`l1_loss`.  Writes ``<name>-runs.csv`` and
+    ``<name>-aggregate.csv`` into ``out_dir`` when the configuration names
+    one.
     """
     cfg = dict(config)
     name = cfg.get("experiment")
@@ -518,13 +475,32 @@ def run_experiment(config) -> ExperimentResult:
         )
     seed = cfg.get("seed", 0)
     started = time.perf_counter()
-    rows, meta = _TEMPLATES[name](cfg, seed)
-    meta.update({
+    template = _TEMPLATES[name](cfg, name)
+    methods = tuple(cfg.get("methods", template.methods))
+    for method in methods:
+        if method not in template.methods:
+            raise ConfigError(
+                f"unknown method {method!r} for {name}; expected some of "
+                + ", ".join(template.methods)
+            )
+    fits = [(method, *_resolve(method, cfg)) for method in methods]
+    rows = []
+    for rep in range(cfg.get("replications", template.replications)):
+        for point in template.points(seed, rep):
+            for method, fit, method_cfg, tag in fits:
+                method_seed = None if tag is None else subseed(
+                    seed, name, "rep", rep, *tag, point.key
+                )
+                policies, _ = fit(point.env, point.demos, method_cfg, point.budget, method_seed)
+                losses = tuple(l1_loss(mdp, p) for mdp, p in zip(point.true_mdps, policies))
+                rows.append(ResultRow(name, rep, method, point.x, losses))
+    meta = {
         "experiment": name,
+        "methods": list(methods),
         "seed": int(seed),
         "replications": cfg.get("replications"),
         "wall_clock_seconds": time.perf_counter() - started,
-    })
+    }
     result = ExperimentResult(name=name, rows=tuple(rows), metadata=meta)
     out_dir = cfg.get("out_dir")
     if out_dir:

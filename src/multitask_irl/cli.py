@@ -11,21 +11,12 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .baselines import imitator
-from .bench import EXPERIMENTS, l1_loss, run_experiment
+from .bench import EXPERIMENTS, METHODS, Environment, l1_loss, run_experiment
 from .config import ConfigError, load_config
 from .io import DataError, read_demonstrations
 from .mdp import DegeneratePosteriorError, Mdp, RewardFunction
-from .mtpo import MtpoResult, mtpo_mc, posterior_value_estimate
-from .mtpp import PosteriorEnsemble, mtpp_mc, mtpp_mh, posterior_policy
-from .priors import (
-    DirichletRewardPrior,
-    GammaHyperprior,
-    OptimalityPrior,
-    PolicyDirichletPrior,
-)
+from .mtpo import MtpoResult
+from .mtpp import PosteriorEnsemble
 from .tasks import ChainSpec, chain_transition
 
 EXIT_OK = 0
@@ -116,56 +107,25 @@ def _cmd_infer(args) -> int:
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     n_states, n_actions, demos = read_demonstrations(args.demos)
     cmp, spec = _infer_environment(config, n_states, n_actions)
-    discount = spec.discount
     os.makedirs(args.out, exist_ok=True)
     posterior_path = os.path.join(args.out, "posterior.jsonl")
-    truth = Mdp(cmp, RewardFunction(spec.reward_values()), discount)
-    policy_prior = PolicyDirichletPrior.uniform(
-        n_states, n_actions, config.get("policy_prior_strength", 1.0)
-    )
-    task_ids = sorted({demo.task_id for demo in demos})
+    truth = Mdp(cmp, RewardFunction(spec.reward_values()), spec.discount)
+    env = Environment(cmp)
+    fit, _ = METHODS[args.model]
+    policies, posterior = fit(env, demos, config, None, seed)
+    posterior.to_jsonl(posterior_path)
+    baselines, _ = METHODS["imitator"][0](env, demos, config, None, None)
+    task_ids = posterior.task_ids
     summary = {"model": args.model, "seed": int(seed), "task_ids": [int(t) for t in task_ids],
                "posterior_file": posterior_path, "tasks": {}}
-
-    if args.model in ("mtpp-mc", "mtpp-mh"):
-        hyper = GammaHyperprior(n_states, concentration_law=(1.0, config.get("hyper_rate", 10.0)))
-        if args.model == "mtpp-mc":
-            ensemble = mtpp_mc(cmp, demos, hyper, config.get("mc_samples", 1000),
-                               discount, seed)
-        else:
-            ensemble = mtpp_mh(
-                cmp, demos, hyper,
-                config.get("mh_iterations", 2000), config.get("mh_chains", 1),
-                discount, seed,
-                burn_in_fraction=config.get("burn_in_fraction", 0.1),
-                reward_step=config.get("reward_step", 50.0),
-                temperature_step=config.get("temperature_step", 0.25),
-                hyper_step=config.get("hyper_step", 0.25),
-            )
-        ensemble.to_jsonl(posterior_path)
-        for tid in task_ids:
-            policy = posterior_policy(ensemble, tid, cmp, discount)
-            summary["tasks"][str(tid)] = _task_summary(
-                ensemble.posterior_mean_reward(tid).values, policy, truth, demos, tid,
-                policy_prior,
-            )
-    else:
-        result = mtpo_mc(
-            cmp, demos, policy_prior,
-            optimality_prior=OptimalityPrior(config.get("optimality_rate", 1.0)),
-            n_policy_samples=config.get("mc_samples", 1000),
-            reward_prior=DirichletRewardPrior(np.ones(n_states)),
-            n_hypotheses=config.get("n_hypotheses", 64),
-            discount=discount, seed=seed,
-        )
-        result.to_jsonl(posterior_path)
-        for tid in task_ids:
-            posterior = result.posterior(tid)
-            mean_reward = posterior.probabilities @ result.hypotheses.values
-            _, policy = posterior_value_estimate(posterior, result.hypotheses, cmp, discount)
-            summary["tasks"][str(tid)] = _task_summary(
-                mean_reward, policy, truth, demos, tid, policy_prior,
-            )
+    for tid, policy, baseline in zip(task_ids, policies, baselines):
+        mean_reward = posterior.posterior_mean_reward(tid).values
+        summary["tasks"][str(tid)] = {
+            "posterior_mean_reward": [float(v) for v in mean_reward],
+            "greedy_actions": [int(a) for a in policy.greedy_actions()],
+            "loss_vs_config_env": l1_loss(truth, policy),
+            "imitator_loss_vs_config_env": l1_loss(truth, baseline),
+        }
 
     summary_path = os.path.join(args.out, "summary.json")
     with open(summary_path, "w", encoding="utf-8") as handle:
@@ -177,17 +137,6 @@ def _cmd_infer(args) -> int:
               f"(imitator {entry['imitator_loss_vs_config_env']:.4f})")
     print(f"wrote {posterior_path} and {summary_path}")
     return EXIT_OK
-
-
-def _task_summary(mean_reward, policy, truth, demos, task_id, policy_prior):
-    task_demos = [d for d in demos if d.task_id == task_id]
-    baseline = imitator(task_demos, policy_prior)
-    return {
-        "posterior_mean_reward": [float(v) for v in mean_reward],
-        "greedy_actions": [int(a) for a in policy.greedy_actions()],
-        "loss_vs_config_env": l1_loss(truth, policy),
-        "imitator_loss_vs_config_env": l1_loss(truth, baseline),
-    }
 
 
 def _cmd_validate(args) -> int:
@@ -210,24 +159,18 @@ def _cmd_show(args) -> int:
         raise DataError(f"cannot read posterior file {args.path}: {error}")
     kind = header.get("format")
     if kind == "mtpp-ensemble":
-        ensemble = PosteriorEnsemble.from_jsonl(args.path)
-        print(f"reward-and-temperature posterior: {ensemble.n_samples} samples, "
-              f"tasks {list(ensemble.task_ids)}")
-        for tid in ensemble.task_ids:
-            reward = ensemble.posterior_mean_reward(tid).values
-            print(f"  task {tid} mean reward: "
-                  + " ".join(f"{v:.4f}" for v in reward))
+        result = PosteriorEnsemble.from_jsonl(args.path)
+        print(f"reward-and-temperature posterior: {result.n_samples} samples, "
+              f"tasks {list(result.task_ids)}")
     elif kind == "mtpo-posterior":
         result = MtpoResult.from_jsonl(args.path)
         print(f"policy-optimality posterior: {result.hypotheses.n_hypotheses} hypotheses, "
               f"tasks {list(result.task_ids)}")
-        for tid in result.task_ids:
-            posterior = result.posterior(tid)
-            mean_reward = posterior.probabilities @ result.hypotheses.values
-            print(f"  task {tid} mean reward: "
-                  + " ".join(f"{v:.4f}" for v in mean_reward))
     else:
         raise DataError(f"{args.path}: unrecognized posterior format {kind!r}")
+    for tid in result.task_ids:
+        reward = result.posterior_mean_reward(tid).values
+        print(f"  task {tid} mean reward: " + " ".join(f"{v:.4f}" for v in reward))
     return EXIT_OK
 
 

@@ -252,6 +252,11 @@ class MtpoResult:
             raise KeyError(f"task {task_id} is not in this result (tasks: {self.task_ids})")
         return self.posteriors[index]
 
+    def posterior_mean_reward(self, task_id: int) -> RewardFunction:
+        """Posterior mean of the task's reward over the hypothesis set."""
+        mean = self.posterior(task_id).probabilities @ self.hypotheses.values
+        return RewardFunction(np.clip(mean, 0.0, 1.0))
+
     def to_jsonl(self, path) -> None:
         """Write hypothesis set plus one posterior line per task."""
         header = {

@@ -259,15 +259,6 @@ def _demo_log_lik_batch(policies: np.ndarray, demos) -> np.ndarray:
     return totals
 
 
-def _solve_q_batch(transition, rewards, discount):
-    """Optimal action values for (K, S) rewards, sharing solves across
-    rewards that agree to 1e-12."""
-    rounded = np.round(rewards, 12)
-    unique, inverse = np.unique(rounded, axis=0, return_inverse=True)
-    values, _ = batch_solve_optimal(transition, unique, discount)
-    return _batch_q(transition, rewards, values[inverse], discount)
-
-
 def mtpp_mc(cmp: Cmp, demos, hyperprior, n_samples: int, discount: float,
             seed) -> PosteriorEnsemble:
     """Importance-sampling posterior over every task's reward and temperature.
@@ -315,7 +306,8 @@ def mtpp_mc(cmp: Cmp, demos, hyperprior, n_samples: int, discount: float,
             # tiny concentrations where normalized gamma draws would 0/0.
             rewards_m = np.stack([rng.dirichlet(conc[k]) for k in range(n_samples)])
             etas_m = rng.gamma(t_shapes) / t_rates
-        q = _solve_q_batch(transition, rewards_m, discount)
+        values, _ = batch_solve_optimal(transition, rewards_m, discount)
+        q = _batch_q(transition, rewards_m, values, discount)
         policies_m = _batch_softmax(q, etas_m)
         rewards[:, m, :] = rewards_m
         temperatures[:, m] = etas_m
@@ -586,9 +578,12 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
     )
 
 
-def posterior_policy(ensemble: PosteriorEnsemble, task_id: int, cmp: Cmp,
-                     discount: float) -> StationaryPolicy:
-    """Greedy policy for the task's posterior-mean reward."""
+def posterior_policy(ensemble, task_id: int, cmp: Cmp, discount: float) -> StationaryPolicy:
+    """Greedy policy for the task's posterior-mean reward.
+
+    ``ensemble`` is a :class:`PosteriorEnsemble` or an ``MtpoResult``; both
+    give the mean through ``posterior_mean_reward(task_id)``.
+    """
     mean_reward = ensemble.posterior_mean_reward(task_id)
     _, policy = solve_optimal(Mdp(cmp, mean_reward, discount))
     return policy

@@ -25,10 +25,7 @@ __all__ = [
     "FixedHyperprior",
     "PolicyDirichletPrior",
     "OptimalityPrior",
-    "sample_reward",
-    "sample_hyper",
     "policy_posterior",
-    "sample_policy",
     "sample_policies",
     "exp_interval_mass",
 ]
@@ -354,12 +351,6 @@ def policy_posterior(prior: PolicyDirichletPrior, demos) -> PolicyDirichletPrior
     return PolicyDirichletPrior(prior.concentration + counts)
 
 
-def sample_policy(posterior: PolicyDirichletPrior, rng) -> StationaryPolicy:
-    """Draw one policy: each state's action row from its Dirichlet."""
-    rows = np.stack([rng.dirichlet(row) for row in posterior.concentration])
-    return StationaryPolicy(rows)
-
-
 def sample_policies(posterior: PolicyDirichletPrior, k: int, rng) -> np.ndarray:
     """Draw ``k`` policies at once; returns a ``(k, S, A)`` array."""
     out = np.empty((k, posterior.n_states, posterior.n_actions))
@@ -395,12 +386,3 @@ def exp_interval_mass(rate: float, a, b):
     result = np.exp(-rate * a) - np.exp(-rate * b)  # exp(-inf) is exactly 0
     return float(result) if result.ndim == 0 else result
 
-
-def sample_reward(prior, rng) -> RewardFunction:
-    """Draw one reward function from any reward prior."""
-    return prior.sample(rng)
-
-
-def sample_hyper(hyperprior, rng):
-    """Draw (reward prior, temperature prior) from a hyperprior."""
-    return hyperprior.sample(rng)

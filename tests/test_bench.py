@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from multitask_irl import (
+    EXPERIMENTS,
     ChainSpec,
     ConfigError,
     ExperimentResult,
@@ -18,6 +19,7 @@ from multitask_irl import (
     l1_loss,
     make_chain,
     make_demonstrator,
+    make_random_mdp_population,
     mtpp_mc,
     posterior_policy,
     run_experiment,
@@ -26,6 +28,7 @@ from multitask_irl import (
     substream,
     value_error_bound,
 )
+from multitask_irl import bench
 
 TINY_SAMPLER_CONFIG = {
     "experiment": "sampler-comparison",
@@ -118,17 +121,80 @@ def test_run_experiment_unknown_template():
         run_experiment({})
 
 
-def test_data_efficiency_unknown_method():
+def test_data_efficiency_unknown_method(monkeypatch):
+    # The method list is checked before the first replication: a bad name
+    # late in the list stops the run before any method is fitted.
+    fitted = []
+    monkeypatch.setattr(bench, "imitator", lambda *args: fitted.append(args))
     cfg = {
         "experiment": "data-efficiency",
         "replications": 1,
         "sample_budgets": (5,),
-        "methods": ("bogus",),
+        "methods": ("imitator", "bogus"),
         "demo_length": 5,
         "chain_states": 3,
     }
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="bogus"):
         run_experiment(cfg)
+    assert fitted == []
+
+
+# Each template at a tiny scale, with its default method list.
+TINY_TEMPLATES = {
+    "sampler-comparison": (
+        {"sample_budgets": (20, 40), "mh_chain_counts": (1, 2), "demo_length": 5,
+         "chain_states": 3},
+        ("mtpp-mc", "mtpp-mh-1", "mtpp-mh-2"), (20, 40)),
+    "model-comparison": (
+        {"sample_budgets": (20, 40), "n_hypotheses": 4, "demo_length": 5, "chain_states": 3},
+        ("mtpp-mc", "mtpo-mc"), (20, 40)),
+    "multitask-gain": (
+        {"task_counts": (1, 2), "total_demos": 2, "demo_length": 5, "mc_samples": 20,
+         "chain_states": 3},
+        ("mtpp-mc", "imitator"), (1, 2)),
+    "data-efficiency": (
+        {"sample_budgets": (3, 6), "n_hypotheses": 4, "demo_length": 20, "chain_states": 3},
+        ("imitator", "mwal", "mtpp-mc", "mtpo-mc"), (3, 6)),
+    "random-mdp-temperature-sweep": (
+        {"temperature_values": (2.0, 8.0), "n_tasks": 2, "demo_length": 5,
+         "mh_iterations": 20, "mwal_iterations": 3, "mdp_states": 3},
+        ("soft", "imitator", "mwal", "mtpp-mh", "mtpp-mh-flat"), (2.0, 8.0)),
+    "random-mdp-task-sweep": (
+        {"task_counts": (1, 3), "demo_length": 5, "mh_iterations": 20,
+         "mwal_iterations": 3, "mdp_states": 3},
+        ("soft", "imitator", "mwal", "mtpp-mh", "mtpp-mh-flat"), (1, 3)),
+}
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_template_fills_its_method_grid(name):
+    overrides, methods, x_values = TINY_TEMPLATES[name]
+    cfg = dict(overrides, experiment=name, seed=1, replications=2)
+    result = run_experiment(cfg)
+    grid = sorted((row.method, row.x, row.seed) for row in result.rows)
+    assert grid == sorted((m, float(x), rep) for m in methods for x in x_values
+                          for rep in range(2))
+    for row in result.rows:
+        swept = name in ("multitask-gain", "random-mdp-task-sweep")
+        assert len(row.task_losses) == (int(row.x) if swept else cfg.get("n_tasks", 1))
+        assert all(np.isfinite(v) and v >= 0.0 for v in row.task_losses)
+    with pytest.raises(ConfigError, match="bogus"):
+        run_experiment(dict(cfg, methods=methods + ("bogus",)))
+
+
+def test_run_passes_mh_step_keys_to_the_sampler(monkeypatch):
+    seen = []
+    real = bench.mtpp_mh
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "mtpp_mh", spy)
+    steps = {"burn_in_fraction": 0.5, "reward_step": 20.0, "temperature_step": 0.5,
+             "hyper_step": 0.125}
+    run_experiment(dict(TINY_SAMPLER_CONFIG, **steps))
+    assert seen and all(kwargs == steps for kwargs in seen)
 
 
 def test_multitask_gain_divisibility_check():
@@ -217,9 +283,17 @@ def test_multitask_gain_rows_reconstructable_from_documented_streams():
     assert by_method["imitator"].task_losses == pytest.approx(expected_imitator, abs=1e-12)
 
 
-def test_random_mdp_task_sweep_is_paired_across_counts():
+def test_random_mdp_task_sweep_is_paired_across_counts(monkeypatch):
     # The environment stream ignores the sweep index, so the first tasks of a
-    # larger count reuse exactly the smaller count's ground truth.
+    # larger count reuse exactly the smaller count's ground truth, and one
+    # population per replication serves every count.
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return make_random_mdp_population(*args)
+
+    monkeypatch.setattr(bench, "make_random_mdp_population", counting)
     cfg = {
         "experiment": "random-mdp-task-sweep",
         "seed": 6,
@@ -232,6 +306,7 @@ def test_random_mdp_task_sweep_is_paired_across_counts():
     result = run_experiment(cfg)
     by_x = {row.x: row for row in result.rows}
     assert by_x[2.0].task_losses == by_x[3.0].task_losses[:2]
+    assert len(built) == 1
 
 
 def test_value_error_bound_reference_point():

@@ -21,6 +21,7 @@ from multitask_irl import (
     make_chain,
     make_demonstrator,
     mtpo_mc,
+    posterior_policy,
     posterior_value_estimate,
     reward_posterior,
     sample_hypotheses,
@@ -280,8 +281,16 @@ def test_mtpo_mc_shares_hypotheses_and_separates_tasks():
     assert result.task_ids == (0, 1)
     assert result.posterior(0).probabilities[0] > 0.6
     assert result.posterior(1).probabilities[1] > 0.6
+    for tid in result.task_ids:
+        mean = result.posterior(tid).probabilities @ hypotheses.values
+        assert np.allclose(result.posterior_mean_reward(tid).values, mean, atol=1e-15)
+        _, expected = posterior_value_estimate(result.posterior(tid), hypotheses, cmp, DISCOUNT)
+        policy = posterior_policy(result, tid, cmp, DISCOUNT)
+        assert np.array_equal(policy.action_probs, expected.action_probs)
     with pytest.raises(KeyError):
         result.posterior(9)
+    with pytest.raises(KeyError):
+        result.posterior_mean_reward(9)
 
 
 def test_mtpo_mc_deterministic_and_metadata():

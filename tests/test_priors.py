@@ -15,10 +15,7 @@ from multitask_irl import (
     TemperaturePrior,
     exp_interval_mass,
     policy_posterior,
-    sample_hyper,
     sample_policies,
-    sample_policy,
-    sample_reward,
     substream,
 )
 
@@ -205,8 +202,6 @@ def test_sample_policies_shape_and_mean():
     assert draws.shape == (2000, 2, 2)
     assert np.allclose(draws.sum(axis=2), 1.0, atol=1e-9)
     assert np.allclose(draws.mean(axis=0), prior.mean().action_probs, atol=5e-2)
-    single = sample_policy(prior, substream(0, "pol"))
-    assert single.action_probs.shape == (2, 2)
 
 
 def test_exponential_interval_mass_known_values():
@@ -235,10 +230,3 @@ def test_exponential_interval_validation():
     with pytest.raises(ValueError):
         OptimalityPrior(-1.0)
 
-
-def test_sampler_helpers_delegate():
-    prior = DirichletRewardPrior([1.0, 1.0])
-    reward = sample_reward(prior, substream(0, "sr"))
-    assert abs(reward.values.sum() - 1.0) < 1e-9
-    hyper = FixedHyperprior(prior, FixedTemperature(1.0))
-    assert sample_hyper(hyper, None) == (prior, FixedTemperature(1.0))
