@@ -78,6 +78,12 @@ def l1_loss(mdp: Mdp, policy) -> float:
     one-component mixture); per-state gaps are clamped at zero before
     summing, so float noise on an optimal policy cannot go negative.
     """
+    optimal, _ = solve_optimal(mdp)
+    return _l1_loss(mdp, policy, optimal)
+
+
+def _l1_loss(mdp: Mdp, policy, optimal: np.ndarray) -> float:
+    """:func:`l1_loss` against the MDP's optimal values, solved beforehand."""
     if not isinstance(policy, MixedPolicy):
         policy = MixedPolicy.uniform([policy])
     stacked = np.stack([p.action_probs for p in policy.policies])
@@ -89,8 +95,15 @@ def l1_loss(mdp: Mdp, policy) -> float:
     values = batch_policy_values(
         mdp.cmp.transition, mdp.reward.values[None, :], distinct, mdp.discount
     )[:, 0, :]
-    optimal, _ = solve_optimal(mdp)
     return float(np.maximum(optimal - weights @ values, 0.0).sum())
+
+
+def _true_optima(mdps) -> np.ndarray:
+    """Optimal values of a sweep point's true MDPs, (M, S), in one batched
+    solve; the MDPs of a point share one CMP and one discount."""
+    rewards = np.stack([mdp.reward.values for mdp in mdps])
+    values, _ = batch_solve_optimal(mdps[0].cmp.transition, rewards, mdps[0].discount)
+    return values
 
 
 @dataclass(frozen=True)
@@ -215,7 +228,8 @@ def _greedy(posterior, cmp: Cmp, cfg):
 
 def _fit_imitator(env, demos, cfg, budget, seed):
     prior = _policy_prior(cfg, env.cmp)
-    return [imitator(group, prior) for group in _group_demos(demos, env.cmp)[1]], None
+    _, groups, _ = _group_demos(demos, env.cmp)
+    return [imitator(group, prior) for group in groups], None
 
 
 def _fit_soft(env, demos, cfg, budget, seed):
@@ -224,9 +238,10 @@ def _fit_soft(env, demos, cfg, budget, seed):
 
 def _fit_mwal(env, demos, cfg, budget, seed):
     rounds = cfg.get("mwal_iterations", 100) if budget is None else budget
+    _, groups, _ = _group_demos(demos, env.cmp)
     return [
         mwal(env.cmp, _discount(cfg), group, n_iterations=rounds, initial_state_probs=env.start)
-        for group in _group_demos(demos, env.cmp)[1]
+        for group in groups
     ], None
 
 
@@ -252,7 +267,7 @@ def _fit_mtpp_mh(env, demos, cfg, budget, seed):
 
 def _fit_mtpp_mh_flat(env, demos, cfg, budget, seed):
     """The flat ablation: every demonstration pooled into one task."""
-    task_ids, _ = _group_demos(demos, env.cmp)
+    task_ids, _, _ = _group_demos(demos, env.cmp)
     pooled = [Demonstration(task_id=0, states=d.states, actions=d.actions) for d in demos]
     (shared,), ensemble = _fit_mtpp_mh(env, pooled, cfg, budget, seed)
     return [shared] * len(task_ids), ensemble
@@ -442,7 +457,9 @@ def _random_mdp_sweep(cfg, name):
                 simulate(true_mdps[m], demonstrators[m], length, demo_rng, task_id=m)
                 for m in range(count)
             ]
-            env = Environment(pop.cmp, demonstrators=demonstrators)
+            # The demonstrations start at state 0, simulate's default.
+            env = Environment(pop.cmp, start=_delta_start(pop.cmp.n_states),
+                              demonstrators=demonstrators)
             yield _Point(float(x), index, None, env, demos, true_mdps)
 
     return _Template(("soft", "imitator", "mwal", "mtpp-mh", "mtpp-mh-flat"), 30, points)
@@ -487,12 +504,16 @@ def run_experiment(config) -> ExperimentResult:
     rows = []
     for rep in range(cfg.get("replications", template.replications)):
         for point in template.points(seed, rep):
+            optima = _true_optima(point.true_mdps)
             for method, fit, method_cfg, tag in fits:
                 method_seed = None if tag is None else subseed(
                     seed, name, "rep", rep, *tag, point.key
                 )
                 policies, _ = fit(point.env, point.demos, method_cfg, point.budget, method_seed)
-                losses = tuple(l1_loss(mdp, p) for mdp, p in zip(point.true_mdps, policies))
+                losses = tuple(
+                    _l1_loss(mdp, policy, optimal)
+                    for mdp, policy, optimal in zip(point.true_mdps, policies, optima)
+                )
                 rows.append(ResultRow(name, rep, method, point.x, losses))
     meta = {
         "experiment": name,

@@ -29,6 +29,8 @@ __all__ = [
     "q_from_v",
     "softmax_policy",
     "simulate",
+    "demo_counts",
+    "counts_log_likelihood",
     "log_likelihood",
     "batch_solve_optimal",
     "solve_optimal",
@@ -299,13 +301,42 @@ def simulate(
     return Demonstration(task_id=task_id, states=states, actions=actions)
 
 
+def demo_counts(demos, n_states: int, n_actions: int) -> np.ndarray:
+    """``(S, A)`` matrix counting the (state, action) pairs of ``demos``.
+
+    A task's likelihood, its imitator and its conjugate policy posterior
+    depend on its demonstrations only through this matrix.
+    """
+    counts = np.zeros(n_states * n_actions)
+    for demo in demos:
+        if not isinstance(demo, Demonstration):
+            raise TypeError(f"expected Demonstration, got {type(demo).__name__}")
+        demo.check_bounds(n_states, n_actions)
+        counts += np.bincount(demo.states * n_actions + demo.actions,
+                              minlength=n_states * n_actions)
+    return counts.reshape(n_states, n_actions)
+
+
+def counts_log_likelihood(counts: np.ndarray, action_probs: np.ndarray):
+    """``sum_{s,a} N[s, a] log pi(a | s)`` over leading batch axes.
+
+    ``counts`` (..., S, A) and ``action_probs`` (..., S, A) broadcast against
+    each other; the result has their broadcast leading shape (a float for
+    one matrix against one policy).  An observed pair that the policy gives
+    probability at most zero makes the entry ``LOG_ZERO``.
+    """
+    positive = action_probs > 0.0
+    log_probs = np.log(np.where(positive, action_probs, 1.0))
+    total = np.einsum("...sa,...sa->...", counts, log_probs)
+    dead = np.any((counts > 0) & ~positive, axis=(-2, -1))
+    total = np.where(dead, LOG_ZERO, total)
+    return float(total) if total.ndim == 0 else total
+
+
 def log_likelihood(policy: StationaryPolicy, demo: Demonstration) -> float:
     """``sum_t log pi(a_t | s_t)``; ``LOG_ZERO`` if any step is impossible."""
-    demo.check_bounds(policy.n_states, policy.n_actions)
-    probs = policy.action_probs[demo.states, demo.actions]
-    if np.any(probs <= 0.0):
-        return LOG_ZERO
-    return float(np.log(probs).sum())
+    counts = demo_counts([demo], policy.n_states, policy.n_actions)
+    return counts_log_likelihood(counts, policy.action_probs)
 
 
 # ---------------------------------------------------------------------------

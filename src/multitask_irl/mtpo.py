@@ -27,7 +27,7 @@ from .mdp import (
     batch_solve_optimal,
     solve_optimal,
 )
-from .mtpp import _json_safe
+from .mtpp import _group_demos, _json_safe
 from .priors import OptimalityPrior, PolicyDirichletPrior, policy_posterior, sample_policies
 from .seeding import substream
 
@@ -324,24 +324,11 @@ def mtpo_mc(cmp: Cmp, demos, policy_prior: PolicyDirichletPrior, *,
     if hypotheses.n_states != cmp.n_states:
         raise ValueError("hypothesis set does not match the CMP's state count")
 
-    groups = {}
-    for demo in demos:
-        demo.check_bounds(cmp.n_states, cmp.n_actions)
-        groups.setdefault(demo.task_id, []).append(demo)
-    if task_ids is None:
-        resolved = tuple(sorted(groups))
-        if not resolved:
-            raise ValueError("no demonstrations and no explicit task_ids")
-    else:
-        resolved = tuple(sorted(int(t) for t in task_ids))
-        missing = set(groups) - set(resolved)
-        if missing:
-            raise ValueError(f"demonstrations reference tasks outside task_ids: {sorted(missing)}")
-
+    resolved, groups, _ = _group_demos(demos, cmp, task_ids)
     posteriors = []
-    for tid in resolved:
+    for tid, group in zip(resolved, groups):
         rng = substream(seed, "mtpo-mc", "task", tid)
-        task_posterior = policy_posterior(policy_prior, groups.get(tid, []))
+        task_posterior = policy_posterior(policy_prior, group)
         sampled = sample_policies(task_posterior, int(n_policy_samples), rng)
         loss_matrix = build_loss_matrix(cmp, discount, sampled, hypotheses)
         result = reward_posterior(loss_matrix, optimality_prior, hypotheses)

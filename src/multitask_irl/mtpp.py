@@ -30,6 +30,8 @@ from .mdp import (
     _batch_q,
     _batch_softmax,
     batch_solve_optimal,
+    counts_log_likelihood,
+    demo_counts,
     solve_optimal,
 )
 from .priors import (
@@ -40,6 +42,7 @@ from .priors import (
     FixedTemperature,
     GammaHyperprior,
     TemperaturePrior,
+    _dirichlet_log_pdf,
 )
 from .seeding import substream
 
@@ -83,11 +86,21 @@ def importance_weights(log_likelihoods) -> np.ndarray:
     return weights / weights.sum()
 
 
-def metropolis_accept(log_ratio: float, rng) -> bool:
-    """One Metropolis-Hastings accept/reject decision."""
-    if log_ratio >= 0:
-        return True
-    return bool(rng.random() < np.exp(log_ratio))
+def metropolis_accept(log_ratio, rng):
+    """Metropolis-Hastings accept/reject decisions.
+
+    A scalar log-ratio gives one bool, an array gives a bool array.  A
+    ratio at or above zero is accepted outright; each other one (nan
+    included) draws one uniform, in array order, so an array decision
+    consumes the stream exactly as the same scalar decisions in turn.
+    """
+    ratios = np.asarray(log_ratio, dtype=float)
+    accept = np.atleast_1d(ratios >= 0)
+    undecided = ~accept
+    accept[undecided] = rng.random(int(undecided.sum())) < np.exp(
+        np.atleast_1d(ratios)[undecided]
+    )
+    return bool(accept[0]) if ratios.ndim == 0 else accept
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,40 +236,29 @@ def _json_safe(value) -> bool:
         return False
 
 
-def _group_demos(demos, cmp: Cmp):
-    """Validate demos against the CMP and group them by sorted task id."""
-    if not demos:
-        raise ValueError("need at least one demonstration")
+def _group_demos(demos, cmp: Cmp, task_ids=None):
+    """Validate demos against the CMP and group them by sorted task id.
+
+    Returns the task ids, each task's demonstrations, and their ``(M, S, A)``
+    state-action count matrix.  ``task_ids`` lists the tasks explicitly,
+    tasks without demonstrations included; by default the tasks are the
+    ids the demonstrations carry.
+    """
     groups = {}
     for demo in demos:
-        demo.check_bounds(cmp.n_states, cmp.n_actions)
         groups.setdefault(demo.task_id, []).append(demo)
-    task_ids = tuple(sorted(groups))
-    return task_ids, [groups[tid] for tid in task_ids]
-
-
-def _demo_log_lik(action_probs: np.ndarray, demos) -> float:
-    """Joint log-likelihood of one task's demonstrations under one policy."""
-    total = 0.0
-    for demo in demos:
-        probs = action_probs[demo.states, demo.actions]
-        if np.any(probs <= 0.0):
-            return LOG_ZERO
-        total += float(np.log(probs).sum())
-    return total
-
-
-def _demo_log_lik_batch(policies: np.ndarray, demos) -> np.ndarray:
-    """Joint log-likelihood of one task's demonstrations under (K, S, A) policies."""
-    k = policies.shape[0]
-    totals = np.zeros(k)
-    dead = np.zeros(k, dtype=bool)
-    for demo in demos:
-        probs = policies[:, demo.states, demo.actions]  # (K, T)
-        dead |= np.any(probs <= 0.0, axis=1)
-        totals += np.log(np.maximum(probs, 1e-320)).sum(axis=1)
-    totals[dead] = LOG_ZERO
-    return totals
+    if task_ids is None:
+        if not groups:
+            raise ValueError("need at least one demonstration")
+        resolved = tuple(sorted(groups))
+    else:
+        resolved = tuple(sorted(int(t) for t in task_ids))
+        missing = set(groups) - set(resolved)
+        if missing:
+            raise ValueError(f"demonstrations reference tasks outside task_ids: {sorted(missing)}")
+    grouped = [groups.get(tid, []) for tid in resolved]
+    counts = np.stack([demo_counts(group, cmp.n_states, cmp.n_actions) for group in grouped])
+    return resolved, grouped, counts
 
 
 def mtpp_mc(cmp: Cmp, demos, hyperprior, n_samples: int, discount: float,
@@ -275,7 +277,7 @@ def mtpp_mc(cmp: Cmp, demos, hyperprior, n_samples: int, discount: float,
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if not (0.0 <= discount < 1.0):
         raise ValueError(f"discount must lie in [0, 1), got {discount}")
-    task_ids, demo_groups = _group_demos(demos, cmp)
+    task_ids, _, counts = _group_demos(demos, cmp)
     transition = cmp.transition
     n_tasks = len(task_ids)
 
@@ -296,7 +298,7 @@ def mtpp_mc(cmp: Cmp, demos, hyperprior, n_samples: int, discount: float,
     temperatures = np.empty((n_samples, n_tasks))
     policies = np.empty((n_samples, n_tasks, cmp.n_states, cmp.n_actions))
     log_liks = np.empty((n_samples, n_tasks))
-    for m, (tid, group) in enumerate(zip(task_ids, demo_groups)):
+    for m, tid in enumerate(task_ids):
         rng = substream(seed, "mtpp-mc", "task", tid)
         if fixed:
             rewards_m = hyperprior.reward_prior.sample_batch(rng, n_samples)
@@ -312,7 +314,7 @@ def mtpp_mc(cmp: Cmp, demos, hyperprior, n_samples: int, discount: float,
         rewards[:, m, :] = rewards_m
         temperatures[:, m] = etas_m
         policies[:, m] = policies_m
-        log_liks[:, m] = _demo_log_lik_batch(policies_m, group)
+        log_liks[:, m] = counts_log_likelihood(counts[m], policies_m)
 
     weights = importance_weights(log_liks)
     return PosteriorEnsemble(
@@ -350,42 +352,44 @@ def _interior(prior, values: np.ndarray) -> np.ndarray:
     return (1.0 - eps) * values + eps / values.shape[0]
 
 
-def _dirichlet_log_pdf(values: np.ndarray, concentration: np.ndarray) -> float:
-    from scipy.special import gammaln, xlogy
-
-    log_norm = gammaln(concentration.sum()) - gammaln(concentration).sum()
-    return float(log_norm + xlogy(concentration - 1.0, values).sum())
-
-
 _PROPOSAL_FLOOR = 0.1
 
 
-def _propose_reward(prior, current: np.ndarray, rng, step: float):
-    """Propose a new reward for one task; returns (proposal, log_hastings).
+def _propose_rewards(prior, current: np.ndarray, rng, step: float):
+    """Propose a new reward for every task; returns (proposals, log_hastings).
 
+    ``current`` is ``(M, S)``; the results are ``(M, S)`` and ``(M,)``.
     Simplex supports use a Dirichlet proposal centered at the current point
     (precision ``step``, with a small concentration floor so parameters stay
     positive at sparse points) and the exact Hastings correction; box
     supports use a logit-normal random walk of scale ``1/sqrt(step)``;
-    discrete grids resample an atom uniformly.
+    discrete grids resample an atom uniformly.  Each family draws its
+    proposals with one array call that consumes the stream as one
+    single-task draw per task in task order.
     """
+    n_tasks = current.shape[0]
     if isinstance(prior, DiscreteRewardPrior):
-        return prior.atoms[rng.integers(prior.n_atoms)], 0.0
+        return prior.atoms[rng.integers(prior.n_atoms, size=n_tasks)], np.zeros(n_tasks)
     if isinstance(prior, BetaProductRewardPrior):
         scale = 1.0 / np.sqrt(step)
         logit = np.log(current) - np.log1p(-current)
-        proposal = 1.0 / (1.0 + np.exp(-(logit + scale * rng.standard_normal(current.shape[0]))))
+        proposal = 1.0 / (1.0 + np.exp(-(logit + scale * rng.standard_normal(current.shape))))
         proposal = np.clip(proposal, 1e-300, 1.0 - 1e-16)
-        log_hastings = float(
-            (np.log(proposal) + np.log1p(-proposal) - np.log(current) - np.log1p(-current)).sum()
-        )
+        log_hastings = (
+            np.log(proposal) + np.log1p(-proposal) - np.log(current) - np.log1p(-current)
+        ).sum(axis=1)
         return proposal, log_hastings
     forward = step * current + _PROPOSAL_FLOOR
-    proposal = rng.dirichlet(forward)
+    # Generator.dirichlet with every concentration >= 0.1 draws one standard
+    # gamma per coordinate and scales each row by the reciprocal of its
+    # left-to-right sum; cumsum reproduces that sum, so these are the
+    # proposals of one rng.dirichlet(forward[m]) per task.
+    gammas = rng.standard_gamma(forward)
+    proposal = gammas * (1.0 / np.cumsum(gammas, axis=1)[:, -1:])
     # Tiny concentrations can underflow a coordinate to exact zero; keep the
     # chain state interior so both Hastings densities stay finite.
     proposal = np.clip(proposal, 1e-300, None)
-    proposal = proposal / proposal.sum()
+    proposal = proposal / proposal.sum(axis=1, keepdims=True)
     reverse = step * proposal + _PROPOSAL_FLOOR
     log_hastings = _dirichlet_log_pdf(current, reverse) - _dirichlet_log_pdf(proposal, forward)
     return proposal, log_hastings
@@ -403,6 +407,12 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
     reward proposal per task, and a temperature proposal per task (skipped
     for fixed temperatures).  The first ``burn_in_fraction`` of each chain
     is discarded and the remainder pooled with uniform weights.
+
+    Each task's likelihood reads its demonstrations through their (state,
+    action) count matrix, and each block of a sweep moves every task with
+    array operations.  The hyper and reward blocks draw the same random
+    numbers as a task-by-task sweep; the temperature block draws all its
+    normals before its uniforms.
     """
     n_iterations = int(n_iterations)
     n_chains = int(n_chains)
@@ -419,7 +429,7 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
         raise ValueError(f"discount must lie in [0, 1), got {discount}")
     if reward_step <= 0 or temperature_step <= 0 or hyper_step <= 0:
         raise ValueError("proposal step parameters must be positive")
-    task_ids, demo_groups = _group_demos(demos, cmp)
+    task_ids, _, counts = _group_demos(demos, cmp)
     if not isinstance(hyperprior, (GammaHyperprior, FixedHyperprior)):
         raise TypeError(
             f"hyperprior must be GammaHyperprior or FixedHyperprior, got {type(hyperprior).__name__}"
@@ -448,11 +458,9 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
         values, _ = batch_solve_optimal(cmp.transition, rho, discount)
         q = _batch_q(cmp.transition, rho, values, discount)
         pols = _batch_softmax(q, eta)
-        log_lik = np.array(
-            [_demo_log_lik(pols[m], demo_groups[m]) for m in range(n_tasks)]
-        )
-        log_prior_rho = np.array([reward_prior.log_pdf(rho[m]) for m in range(n_tasks)])
-        log_prior_eta = np.array([temp_prior.log_pdf(eta[m]) for m in range(n_tasks)])
+        log_lik = counts_log_likelihood(counts, pols)
+        log_prior_rho = reward_prior.log_pdf(rho)
+        log_prior_eta = temp_prior.log_pdf(eta)
 
         rec_rewards = np.empty((per_chain, n_tasks, n_states))
         rec_temps = np.empty((per_chain, n_tasks))
@@ -461,15 +469,17 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
         rec_conc = np.empty((per_chain, n_states)) if track_hyper else None
         rec_tsh = np.empty(per_chain) if track_hyper else None
         rec_trt = np.empty(per_chain) if track_hyper else None
-        counts = {"hyper": [0, 0], "reward": [0, 0], "temperature": [0, 0]}
+        moves = {"hyper": [0, 0], "reward": [0, 0], "temperature": [0, 0]}
 
         temp_moves = not isinstance(temp_prior, FixedTemperature)
         for it in range(per_chain):
+            # Given the population draw the tasks are independent, so each
+            # block below moves all of them at once.
             move = hyperprior.propose((reward_prior, temp_prior), rng, hyper_step)
             if move is not None:
                 (new_rp, new_tp), log_hastings = move
-                new_prior_rho = np.array([new_rp.log_pdf(rho[m]) for m in range(n_tasks)])
-                new_prior_eta = np.array([new_tp.log_pdf(eta[m]) for m in range(n_tasks)])
+                new_prior_rho = new_rp.log_pdf(rho)
+                new_prior_eta = new_tp.log_pdf(eta)
                 delta = (
                     hyperprior.log_pdf(new_rp, new_tp)
                     - hyperprior.log_pdf(reward_prior, temp_prior)
@@ -477,55 +487,52 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
                     + new_prior_eta.sum() - log_prior_eta.sum()
                     + log_hastings
                 )
-                counts["hyper"][1] += 1
+                moves["hyper"][1] += 1
                 if metropolis_accept(delta, rng):
-                    counts["hyper"][0] += 1
+                    moves["hyper"][0] += 1
                     reward_prior, temp_prior = new_rp, new_tp
                     log_prior_rho, log_prior_eta = new_prior_rho, new_prior_eta
 
-            proposals = np.empty_like(rho)
-            hastings = np.empty(n_tasks)
-            for m in range(n_tasks):
-                proposals[m], hastings[m] = _propose_reward(
-                    reward_prior, rho[m], rng, reward_step
-                )
+            proposals, hastings = _propose_rewards(reward_prior, rho, rng, reward_step)
             values, _ = batch_solve_optimal(cmp.transition, proposals, discount)
             q_prop = _batch_q(cmp.transition, proposals, values, discount)
             pols_prop = _batch_softmax(q_prop, eta)
-            for m in range(n_tasks):
-                new_ll = _demo_log_lik(pols_prop[m], demo_groups[m])
-                new_lp = reward_prior.log_pdf(proposals[m])
-                delta = new_lp - log_prior_rho[m] + new_ll - log_lik[m] + hastings[m]
-                counts["reward"][1] += 1
-                if metropolis_accept(delta, rng):
-                    counts["reward"][0] += 1
-                    rho[m] = proposals[m]
-                    q[m] = q_prop[m]
-                    pols[m] = pols_prop[m]
-                    log_lik[m] = new_ll
-                    log_prior_rho[m] = new_lp
+            new_ll = counts_log_likelihood(counts, pols_prop)
+            new_lp = reward_prior.log_pdf(proposals)
+            accepted = metropolis_accept(
+                new_lp - log_prior_rho + new_ll - log_lik + hastings, rng
+            )
+            moves["reward"][0] += int(accepted.sum())
+            moves["reward"][1] += n_tasks
+            rho[accepted] = proposals[accepted]
+            q[accepted] = q_prop[accepted]
+            pols[accepted] = pols_prop[accepted]
+            log_lik[accepted] = new_ll[accepted]
+            log_prior_rho[accepted] = new_lp[accepted]
 
             if temp_moves:
-                for m in range(n_tasks):
-                    new_eta = eta[m] * np.exp(temperature_step * rng.standard_normal())
-                    if not (np.isfinite(new_eta) and new_eta > 0.0):
-                        counts["temperature"][1] += 1
-                        continue
-                    new_pol = _batch_softmax(q[m][None], np.asarray(new_eta))[0]
-                    new_ll = _demo_log_lik(new_pol, demo_groups[m])
-                    new_lp = temp_prior.log_pdf(new_eta)
-                    delta = (
-                        new_lp - log_prior_eta[m]
-                        + new_ll - log_lik[m]
-                        + np.log(new_eta) - np.log(eta[m])
-                    )
-                    counts["temperature"][1] += 1
-                    if metropolis_accept(delta, rng):
-                        counts["temperature"][0] += 1
-                        eta[m] = new_eta
-                        pols[m] = new_pol
-                        log_lik[m] = new_ll
-                        log_prior_eta[m] = new_lp
+                # All normals first, then the uniforms: the one block whose
+                # stream differs from a task-by-task sweep.  A non-finite or
+                # non-positive proposal is rejected without a uniform.
+                new_eta = eta * np.exp(temperature_step * rng.standard_normal(n_tasks))
+                movable = np.flatnonzero(np.isfinite(new_eta) & (new_eta > 0.0))
+                new_eta = new_eta[movable]
+                new_pols = _batch_softmax(q[movable], new_eta)
+                new_ll = counts_log_likelihood(counts[movable], new_pols)
+                new_lp = temp_prior.log_pdf(new_eta)
+                delta = (
+                    new_lp - log_prior_eta[movable]
+                    + new_ll - log_lik[movable]
+                    + np.log(new_eta) - np.log(eta[movable])
+                )
+                accepted = metropolis_accept(delta, rng)
+                moves["temperature"][0] += int(accepted.sum())
+                moves["temperature"][1] += n_tasks
+                moved = movable[accepted]
+                eta[moved] = new_eta[accepted]
+                pols[moved] = new_pols[accepted]
+                log_lik[moved] = new_ll[accepted]
+                log_prior_eta[moved] = new_lp[accepted]
 
             rec_rewards[it] = rho
             rec_temps[it] = eta
@@ -547,7 +554,7 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
         acceptance.append(
             {
                 name: (hits / max(total, 1))
-                for name, (hits, total) in counts.items()
+                for name, (hits, total) in moves.items()
                 if total > 0
             }
         )

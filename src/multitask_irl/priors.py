@@ -3,7 +3,10 @@
 The reward priors share a small duck-typed surface used by the samplers:
 ``sample(rng)`` returning a :class:`~multitask_irl.mdp.RewardFunction`,
 ``sample_batch(rng, k)`` returning a ``(k, n_states)`` array, and
-``log_pdf(values)`` for the Metropolis-Hastings target.
+``log_pdf(values)`` for the Metropolis-Hastings target, which takes one
+``(n_states,)`` vector (returning a float) or an ``(M, n_states)`` batch
+(returning ``(M,)``).  The temperature priors' ``log_pdf`` likewise takes a
+float or an array.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaln, gammaln, xlogy
 
-from .mdp import Demonstration, RewardFunction, StationaryPolicy
+from .mdp import RewardFunction, StationaryPolicy, demo_counts
 
 __all__ = [
     "DirichletRewardPrior",
@@ -46,6 +49,26 @@ def _gamma_log_pdf(x, shape: float, rate: float):
     return shape * np.log(rate) - gammaln(shape) + xlogy(shape - 1.0, x) - rate * x
 
 
+def _dirichlet_log_pdf(values, concentration):
+    """Dirichlet log-density of ``values`` (..., S) under ``concentration``
+    (..., S), over the last axis."""
+    # xlogy keeps alpha = 1 coordinates finite at the simplex boundary.
+    log_norm = gammaln(concentration.sum(axis=-1)) - gammaln(concentration).sum(axis=-1)
+    return log_norm + xlogy(concentration - 1.0, values).sum(axis=-1)
+
+
+def _batch_result(values):
+    """A float for a 0-d result, else the array."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def _reward_batch(values, n_states: int) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.ndim not in (1, 2) or values.shape[-1] != n_states:
+        raise ValueError("reward vector has the wrong length for this prior")
+    return values
+
+
 @dataclass(frozen=True)
 class DirichletRewardPrior:
     """Dirichlet distribution over reward vectors on the probability simplex."""
@@ -70,13 +93,9 @@ class DirichletRewardPrior:
     def mean(self) -> np.ndarray:
         return self.concentration / self.concentration.sum()
 
-    def log_pdf(self, values) -> float:
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.concentration.shape:
-            raise ValueError("reward vector has the wrong length for this prior")
-        # xlogy keeps alpha = 1 coordinates finite at the simplex boundary.
-        log_norm = gammaln(self.concentration.sum()) - gammaln(self.concentration).sum()
-        return float(log_norm + xlogy(self.concentration - 1.0, values).sum())
+    def log_pdf(self, values):
+        values = _reward_batch(values, self.n_states)
+        return _batch_result(_dirichlet_log_pdf(values, self.concentration))
 
 
 @dataclass(frozen=True)
@@ -107,16 +126,14 @@ class BetaProductRewardPrior:
     def mean(self) -> np.ndarray:
         return self.alpha / (self.alpha + self.beta)
 
-    def log_pdf(self, values) -> float:
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.alpha.shape:
-            raise ValueError("reward vector has the wrong length for this prior")
+    def log_pdf(self, values):
+        values = _reward_batch(values, self.n_states)
         terms = (
             xlogy(self.alpha - 1.0, values)
             + xlogy(self.beta - 1.0, 1.0 - values)
             - betaln(self.alpha, self.beta)
         )
-        return float(terms.sum())
+        return _batch_result(terms.sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -162,15 +179,18 @@ class DiscreteRewardPrior:
     def sample_batch(self, rng, k: int) -> np.ndarray:
         return self.atoms[rng.choice(self.n_atoms, size=k, p=self.weights)]
 
-    def atom_index(self, values) -> int:
-        """Index of the atom matching ``values`` within 1e-12, or -1."""
-        values = np.asarray(values, dtype=float)
-        hits = np.nonzero(np.all(np.abs(self.atoms - values[None, :]) <= 1e-12, axis=1))[0]
-        return int(hits[0]) if hits.size else -1
+    def atom_index(self, values):
+        """Index of the atom matching ``values`` within 1e-12, or -1; an
+        ``(M, n_states)`` batch gives an ``(M,)`` array."""
+        values = _reward_batch(values, self.n_states)
+        hits = np.all(np.abs(self.atoms - values[..., None, :]) <= 1e-12, axis=-1)
+        index = np.where(hits.any(axis=-1), hits.argmax(axis=-1), -1)
+        return int(index) if index.ndim == 0 else index
 
-    def log_pdf(self, values) -> float:
+    def log_pdf(self, values):
         index = self.atom_index(values)
-        return float(np.log(self.weights[index])) if index >= 0 else -np.inf
+        logs = np.where(index >= 0, np.log(self.weights)[index], -np.inf)
+        return _batch_result(logs)
 
 
 @dataclass(frozen=True)
@@ -196,10 +216,13 @@ class TemperaturePrior:
     def mean(self) -> float:
         return self.shape / self.rate
 
-    def log_pdf(self, eta: float) -> float:
-        if eta <= 0:
-            return -np.inf
-        return float(_gamma_log_pdf(eta, self.shape, self.rate))
+    def log_pdf(self, eta):
+        eta = np.asarray(eta, dtype=float)
+        positive = eta > 0
+        logs = np.where(
+            positive, _gamma_log_pdf(np.where(positive, eta, 1.0), self.shape, self.rate), -np.inf
+        )
+        return _batch_result(logs)
 
 
 @dataclass(frozen=True)
@@ -223,10 +246,10 @@ class FixedTemperature:
     def mean(self) -> float:
         return self.value
 
-    def log_pdf(self, eta: float) -> float:
+    def log_pdf(self, eta):
         # Density w.r.t. counting measure on the single atom; only ever
         # evaluated at the atom itself because the value is never moved.
-        return 0.0
+        return _batch_result(np.zeros(np.shape(eta)))
 
 
 @dataclass(frozen=True)
@@ -342,12 +365,7 @@ def policy_posterior(prior: PolicyDirichletPrior, demos) -> PolicyDirichletPrior
     Rows of states never visited keep the prior concentration; an empty
     demonstration list returns the prior unchanged.
     """
-    counts = np.zeros_like(prior.concentration)
-    for demo in demos:
-        if not isinstance(demo, Demonstration):
-            raise TypeError(f"expected Demonstration, got {type(demo).__name__}")
-        demo.check_bounds(prior.n_states, prior.n_actions)
-        np.add.at(counts, (demo.states, demo.actions), 1.0)
+    counts = demo_counts(demos, prior.n_states, prior.n_actions)
     return PolicyDirichletPrior(prior.concentration + counts)
 
 

@@ -7,15 +7,25 @@ so agreement between the two routes is evidence rather than tautology.
 
 import numpy as np
 
+import math
+
+from scipy.special import gammaln, xlogy
+
 from multitask_irl import (
+    LOG_ZERO,
     Cmp,
+    DirichletRewardPrior,
+    DiscreteRewardPrior,
+    FixedHyperprior,
+    FixedTemperature,
     Mdp,
     RewardFunction,
     StationaryPolicy,
+    batch_solve_optimal,
     exp_interval_mass,
-    log_likelihood,
     q_from_v,
     softmax_policy,
+    substream,
 )
 
 # Sweep cap for the Bellman references; the tightest tolerance the tests ask
@@ -68,12 +78,99 @@ def dense_policy_values(cmp, reward_values, action_probs, discount):
     return np.linalg.solve(np.eye(cmp.n_states) - discount * kernel, reward_values)
 
 
+def per_step_log_lik(action_probs, demos):
+    """``sum_t log pi(a_t | s_t)`` over every step of every demonstration,
+    one step at a time; ``LOG_ZERO`` as soon as a step is impossible."""
+    total = 0.0
+    for demo in demos:
+        for state, action in zip(demo.states, demo.actions):
+            prob = float(action_probs[state, action])
+            if prob <= 0.0:
+                return LOG_ZERO
+            total += math.log(prob)
+    return total
+
+
 def softmax_demo_log_lik(cmp, reward, eta, discount, demos):
     """Log-likelihood of demos under the softmax policy for one reward."""
     mdp = Mdp(cmp, RewardFunction(reward), discount)
     values, _ = value_iteration(mdp, 1e-12)
     policy = softmax_policy(q_from_v(mdp, values), eta)
-    return sum(log_likelihood(policy, d) for d in demos)
+    return per_step_log_lik(policy.action_probs, demos)
+
+
+def _dirichlet_log_density(values, concentration):
+    log_norm = gammaln(concentration.sum()) - gammaln(concentration).sum()
+    return float(log_norm + xlogy(concentration - 1.0, values).sum())
+
+
+def task_by_task_mh(cmp, demos, hyperprior, n_iterations, n_chains, discount, seed,
+                    burn_in_fraction=0.1, reward_step=50.0):
+    """Reward-only Metropolis-Hastings, one task at a time.
+
+    The loop the hierarchical sampler ran before its sweeps became array
+    operations, for a known reward prior and a fixed temperature: each
+    task draws its own proposal (one ``rng.dirichlet`` or ``rng.integers``),
+    is scored with the per-step likelihood and accepted with its own
+    uniform, in task order.  Returns the kept rewards (K, M, S) and
+    log-likelihoods (K, M) pooled over chains, and each chain's reward
+    acceptance rate.
+    """
+    if not (isinstance(hyperprior, FixedHyperprior)
+            and isinstance(hyperprior.temperature_prior, FixedTemperature)
+            and isinstance(hyperprior.reward_prior, (DirichletRewardPrior, DiscreteRewardPrior))):
+        raise TypeError("the reference covers known Dirichlet or discrete reward priors "
+                        "at a fixed temperature")
+    prior, eta = hyperprior.reward_prior, hyperprior.temperature_prior.value
+    task_ids = sorted({demo.task_id for demo in demos})
+    groups = [[d for d in demos if d.task_id == tid] for tid in task_ids]
+    n_states = cmp.n_states
+    per_chain = n_iterations // n_chains
+    burn = int(np.floor(burn_in_fraction * per_chain))
+
+    def policy_for(reward):
+        mdp = Mdp(cmp, RewardFunction(reward), discount)
+        values, _ = batch_solve_optimal(cmp.transition, reward, discount)
+        return softmax_policy(q_from_v(mdp, values), eta).action_probs
+
+    kept_rewards, kept_lls, rates = [], [], []
+    for chain in range(n_chains):
+        rng = substream(seed, "mtpp-mh", "chain", chain)
+        rho, log_lik, log_prior = [], [], []
+        for group in groups:
+            reward = prior.sample(rng).values
+            if isinstance(prior, DirichletRewardPrior):
+                reward = (1.0 - 1e-3) * reward + 1e-3 / n_states
+            rho.append(reward)
+            log_lik.append(per_step_log_lik(policy_for(reward), group))
+            log_prior.append(prior.log_pdf(reward))
+        accepted = 0
+        for it in range(per_chain):
+            proposals, hastings = [], []
+            for current in rho:
+                if isinstance(prior, DiscreteRewardPrior):
+                    proposals.append(prior.atoms[rng.integers(prior.n_atoms)])
+                    hastings.append(0.0)
+                    continue
+                forward = reward_step * current + 0.1
+                proposal = np.clip(rng.dirichlet(forward), 1e-300, None)
+                proposal = proposal / proposal.sum()
+                reverse = reward_step * proposal + 0.1
+                proposals.append(proposal)
+                hastings.append(_dirichlet_log_density(current, reverse)
+                                - _dirichlet_log_density(proposal, forward))
+            for m, group in enumerate(groups):
+                new_ll = per_step_log_lik(policy_for(proposals[m]), group)
+                new_lp = prior.log_pdf(proposals[m])
+                delta = new_lp - log_prior[m] + new_ll - log_lik[m] + hastings[m]
+                if delta >= 0 or rng.random() < np.exp(delta):
+                    accepted += 1
+                    rho[m], log_lik[m], log_prior[m] = proposals[m], new_ll, new_lp
+            if it >= burn:
+                kept_rewards.append(np.array(rho))
+                kept_lls.append(np.array(log_lik))
+        rates.append(accepted / (per_chain * len(groups)))
+    return np.array(kept_rewards), np.array(kept_lls), rates
 
 
 def enumerate_atom_posterior(cmp, demos, atoms, weights, eta, discount):

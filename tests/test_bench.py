@@ -13,6 +13,7 @@ from multitask_irl import (
     ResultRow,
     RewardFunction,
     StationaryPolicy,
+    batch_solve_optimal,
     bound_check,
     chain_transition,
     imitator,
@@ -294,6 +295,16 @@ def test_random_mdp_task_sweep_is_paired_across_counts(monkeypatch):
         return make_random_mdp_population(*args)
 
     monkeypatch.setattr(bench, "make_random_mdp_population", counting)
+    # The true optima of a point are solved once, in one batch, and l1_loss
+    # never re-solves them.
+    solves = []
+
+    def batch_solving(transition, rewards, discount):
+        solves.append(np.shape(rewards))
+        return batch_solve_optimal(transition, rewards, discount)
+
+    monkeypatch.setattr(bench, "batch_solve_optimal", batch_solving)
+    monkeypatch.setattr(bench, "solve_optimal", None)
     cfg = {
         "experiment": "random-mdp-task-sweep",
         "seed": 6,
@@ -307,6 +318,20 @@ def test_random_mdp_task_sweep_is_paired_across_counts(monkeypatch):
     by_x = {row.x: row for row in result.rows}
     assert by_x[2.0].task_losses == by_x[3.0].task_losses[:2]
     assert len(built) == 1
+    assert solves == [(2, 4), (3, 4)]
+
+
+@pytest.mark.parametrize("name", ["random-mdp-task-sweep", "random-mdp-temperature-sweep"])
+def test_random_mdp_points_plan_from_the_demonstrations_start_law(name):
+    # simulate starts every demonstration in state 0, so mwal must plan from
+    # that state too.
+    cfg = {"experiment": name, "seed": 2, "task_counts": (2, 3), "n_tasks": 2,
+           "temperature_values": (2.0, 4.0), "demo_length": 5, "mdp_states": 4}
+    points = list(bench._TEMPLATES[name](cfg, name).points(2, 0))
+    assert len(points) == 2
+    for point in points:
+        assert np.array_equal(point.env.start, [1.0, 0.0, 0.0, 0.0])
+        assert {int(demo.states[0]) for demo in point.demos} == {0}
 
 
 def test_value_error_bound_reference_point():

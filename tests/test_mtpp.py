@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from multitask_irl import (
+    LOG_ZERO,
     Demonstration,
     DegeneratePosteriorError,
     DirichletRewardPrior,
@@ -16,6 +17,7 @@ from multitask_irl import (
     RewardFunction,
     TemperaturePrior,
     chain_transition,
+    counts_log_likelihood,
     importance_weights,
     make_demonstrator,
     metropolis_accept,
@@ -25,7 +27,16 @@ from multitask_irl import (
     simulate,
     substream,
 )
-from oracles import batch_means_se, enumerate_atom_posterior, importance_se, value_iteration
+from multitask_irl.mtpp import _group_demos
+from oracles import (
+    batch_means_se,
+    enumerate_atom_posterior,
+    importance_se,
+    per_step_log_lik,
+    random_cmp,
+    task_by_task_mh,
+    value_iteration,
+)
 
 DISCOUNT = 0.95
 ATOMS = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -92,6 +103,23 @@ def test_metropolis_accept_shortcut_and_rejection():
     assert abs(hits / 20000 - 0.25) < 0.01
 
 
+def test_metropolis_accept_array_draws_one_uniform_per_negative_ratio():
+    ratios = np.array([0.0, -0.5, 2.0, np.log(0.9), -3.0, np.nan, -1e-3])
+    array_rng, scalar_rng, uniform_rng = (substream(4, "accept") for _ in range(3))
+    decisions = metropolis_accept(ratios, array_rng)
+    assert decisions.dtype == bool and decisions.shape == ratios.shape
+    assert decisions.tolist() == [metropolis_accept(r, scalar_rng) for r in ratios]
+    undecided = ~(ratios >= 0)
+    uniforms = uniform_rng.random(int(undecided.sum()))
+    assert np.array_equal(decisions[undecided], uniforms < np.exp(ratios[undecided]))
+    assert np.all(decisions[~undecided])
+    assert array_rng.random() == scalar_rng.random() == uniform_rng.random()
+    # Ratios at or above zero draw nothing.
+    quiet, fresh = substream(5, "accept"), substream(5, "accept")
+    assert metropolis_accept(np.array([0.0, 1.5]), quiet).all()
+    assert quiet.random() == fresh.random()
+
+
 def test_metropolis_chain_reaches_target_distribution():
     # Two-state flip chain targeting (0.3, 0.7).
     target = np.array([0.3, 0.7])
@@ -104,6 +132,41 @@ def test_metropolis_chain_reaches_target_distribution():
             state = other
         visits[state] += 1
     assert abs(visits[1] / visits.sum() - 0.7) < 0.01
+
+
+def test_counts_log_likelihood_matches_per_step_oracle():
+    rng = np.random.default_rng(41)
+    n_states, n_actions = 5, 3
+    demos = [
+        Demonstration(m, rng.integers(n_states, size=length), rng.integers(n_actions, size=length))
+        for m in range(3) for length in rng.integers(1, 40, size=m + 1)
+    ]
+    policies = rng.dirichlet(np.full(n_actions, 0.7), size=(6, n_states))
+    cmp = random_cmp(rng, n_states, n_actions)
+    task_ids, groups, counts = _group_demos(demos, cmp)
+    assert task_ids == (0, 1, 2) and [len(g) for g in groups] == [1, 2, 3]
+    # Multi-demo tasks, and every demonstration pooled into one task.
+    cases = [(counts[m], group) for m, group in enumerate(groups)]
+    cases.append((_group_demos([Demonstration(0, d.states, d.actions) for d in demos], cmp)[2][0],
+                  demos))
+    for task_counts, group in cases:
+        batch = counts_log_likelihood(task_counts, policies)
+        reference = np.array([per_step_log_lik(p, group) for p in policies])
+        assert np.allclose(batch, reference, rtol=1e-12, atol=0.0)
+    joint = counts_log_likelihood(counts, policies[:, None])  # (6, 3)
+    assert joint.shape == (6, 3)
+    assert np.allclose(joint[2], [per_step_log_lik(policies[2], g) for g in groups],
+                       rtol=1e-12, atol=0.0)
+    # An impossible observed step gives LOG_ZERO; an unobserved zero does not.
+    blocked = policies[0].copy()
+    state, action = demos[0].states[0], demos[0].actions[0]
+    blocked[state] = 0.0
+    blocked[state, (action + 1) % n_actions] = 1.0
+    assert per_step_log_lik(blocked, groups[0]) == LOG_ZERO
+    assert counts_log_likelihood(counts[0], blocked) == LOG_ZERO
+    unseen = counts[0].copy()
+    unseen[state] = 0.0
+    assert counts_log_likelihood(unseen, blocked) > LOG_ZERO / 2
 
 
 def test_mtpp_mc_matches_enumerated_posterior():
@@ -222,6 +285,32 @@ def test_mtpp_mh_hierarchical_chains_and_acceptance_rates():
     for chain_rates in rates:
         assert set(chain_rates) == {"hyper", "reward", "temperature"}
         assert all(0.0 <= rate <= 1.0 for rate in chain_rates.values())
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "discrete"])
+def test_mtpp_mh_matches_task_by_task_loop(kind):
+    # At a fixed temperature the sweep draws exactly the task-by-task loop's
+    # random numbers, so every reward of every kept sample is the same.
+    rng = np.random.default_rng(17)
+    cmp = random_cmp(rng, 5, 3)
+    truths = rng.dirichlet(np.full(5, 0.5), size=3)
+    demos = []
+    for m, reward in enumerate(truths):
+        mdp = Mdp(cmp, RewardFunction(reward), DISCOUNT)
+        teacher = make_demonstrator("softmax", mdp, eta=3.0)
+        demos += [simulate(mdp, teacher, 20, substream(4, "demo", m, j), task_id=m)
+                  for j in range(m + 1)]
+    if kind == "dirichlet":
+        prior = DirichletRewardPrior(np.full(5, 0.6))
+    else:
+        prior = DiscreteRewardPrior(np.vstack([truths, rng.dirichlet(np.ones(5), size=3)]))
+    hyper = FixedHyperprior(prior, FixedTemperature(3.0))
+    ensemble = mtpp_mh(cmp, demos, hyper, 300, 2, DISCOUNT, 8)
+    rewards, log_liks, rates = task_by_task_mh(cmp, demos, hyper, 300, 2, DISCOUNT, 8)
+    assert np.array_equal(ensemble.rewards, rewards)
+    assert np.allclose(ensemble.log_likelihoods, log_liks, rtol=1e-12, atol=0.0)
+    assert [r["reward"] for r in ensemble.metadata["acceptance_rates"]] == rates
+    assert all(0.0 < rate < 1.0 for rate in rates)
 
 
 def test_mtpp_mh_degenerate_hyperprior_skips_fixed_blocks():

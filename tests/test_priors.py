@@ -112,6 +112,28 @@ def test_fixed_temperature_is_a_point_mass():
         FixedTemperature(-1.0)
 
 
+def test_log_pdfs_score_a_batch_row_by_row():
+    # The sampler scores every task at once: a batch log_pdf must equal the
+    # single-vector log_pdf of each row.
+    rng = np.random.default_rng(3)
+    atoms = rng.dirichlet(np.ones(3), size=4)
+    cases = [
+        (DirichletRewardPrior([0.4, 1.0, 2.5]), rng.dirichlet(np.ones(3), size=6)),
+        (BetaProductRewardPrior([0.5, 2.0, 1.0], [2.0, 0.7, 1.0]), rng.uniform(size=(6, 3))),
+        (DiscreteRewardPrior(atoms, weights=[1.0, 2.0, 3.0, 4.0]),
+         np.vstack([atoms[[2, 0, 3]], rng.dirichlet(np.ones(3), size=2)])),
+    ]
+    for prior, batch in cases:
+        scores = prior.log_pdf(batch)
+        assert scores.shape == (batch.shape[0],)
+        assert np.allclose(scores, [prior.log_pdf(row) for row in batch], rtol=1e-14, atol=0.0)
+    assert np.array_equal(cases[2][0].atom_index(cases[2][1]), [2, 0, 3, -1, -1])
+    etas = np.array([0.3, 0.0, 2.0, -1.0])
+    gamma = TemperaturePrior(2.0, 4.0)
+    assert np.array_equal(gamma.log_pdf(etas), [gamma.log_pdf(eta) for eta in etas])
+    assert np.array_equal(FixedTemperature(3.5).log_pdf(etas), np.zeros(4))
+
+
 def test_gamma_hyperprior_sample_and_batch_laws():
     hyper = GammaHyperprior(3)
     rng = substream(0, "hyper")
