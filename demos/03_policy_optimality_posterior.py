@@ -20,7 +20,7 @@ from multitask_irl import (
     l1_loss,
     make_demonstrator,
     mtpo_mc,
-    posterior_value_estimate,
+    posterior_policy,
     reward_posterior,
     sample_policies,
     simulate,
@@ -63,8 +63,7 @@ def main():
         post = result.posterior(0)
         print(f"  {horizon:>4} steps: {np.round(post.probabilities, 3)}")
         if horizon == 200:
-            estimate, greedy = posterior_value_estimate(
-                post, hypotheses, cmp, DISCOUNT)
+            greedy = posterior_policy(result, 0, cmp, DISCOUNT)
             print(f"        posterior-mean-reward plan loss on the truth: "
                   f"{l1_loss(truth, greedy):.4f}")
     print("\nmass moves to the far-state hypothesis (last entry) as evidence")

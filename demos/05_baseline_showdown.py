@@ -19,7 +19,6 @@ from multitask_irl import (
     mtpp_mc,
     mwal,
     posterior_policy,
-    posterior_value_estimate,
     simulate,
     substream,
 )
@@ -51,9 +50,8 @@ def main():
                      reward_prior=DirichletRewardPrior(np.ones(n)),
                      n_hypotheses=64, n_policy_samples=200,
                      discount=DISCOUNT, seed=1)
-    _, greedy = posterior_value_estimate(result.posterior(0), result.hypotheses,
-                                         cmp, DISCOUNT)
-    scores["mtpo-mc (policy optimality)"] = l1_loss(truth, greedy)
+    scores["mtpo-mc (policy optimality)"] = l1_loss(
+        truth, posterior_policy(result, 0, cmp, DISCOUNT))
 
     for name, loss in sorted(scores.items(), key=lambda kv: kv[1]):
         print(f"  {name:<32} loss {loss:8.4f}")

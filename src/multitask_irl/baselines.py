@@ -90,10 +90,6 @@ class MixedPolicy:
         policies = tuple(policies)
         return cls(policies, np.full(len(policies), 1.0 / len(policies)))
 
-    def mean_action_probs(self) -> np.ndarray:
-        stacked = np.stack([p.action_probs for p in self.policies])
-        return np.einsum("k,ksa->sa", self.weights, stacked)
-
 
 def imitator(demos, policy_prior: PolicyDirichletPrior) -> StationaryPolicy:
     """Posterior mean policy given the demonstrations' action counts."""
@@ -137,8 +133,7 @@ def demo_feature_expectations(demos, features: FeatureMap, discount: float) -> n
 
 
 def mwal(cmp: Cmp, discount: float, demos, features: FeatureMap = None,
-         n_iterations: int = 100, *, initial_state_probs=None,
-         return_details: bool = False):
+         n_iterations: int = 100, *, initial_state_probs=None) -> MixedPolicy:
     """Feature matching by multiplicative weights against exact best responses.
 
     Each round the reward player's simplex weights define a reward; the
@@ -159,7 +154,6 @@ def mwal(cmp: Cmp, discount: float, demos, features: FeatureMap = None,
     log_beta = -np.log1p(np.sqrt(2.0 * np.log(k) / n_iterations)) if k > 1 else 0.0
     log_w = np.zeros(k)
     responses = []
-    gains = []
     for _ in range(n_iterations):
         shifted = log_w - log_w.max()
         weights = np.exp(shifted)
@@ -171,8 +165,4 @@ def mwal(cmp: Cmp, discount: float, demos, features: FeatureMap = None,
         gain = ((1.0 - discount) * (mu - mu_demo) + 2.0) / 4.0
         log_w = log_w + log_beta * gain
         responses.append(policy)
-        gains.append(gain)
-    mixture = MixedPolicy.uniform(responses)
-    if return_details:
-        return mixture, {"gains": np.stack(gains), "demo_features": mu_demo}
-    return mixture
+    return MixedPolicy.uniform(responses)

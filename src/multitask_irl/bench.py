@@ -27,7 +27,7 @@ from .mdp import (
     simulate,
     solve_optimal,
 )
-from .mtpo import RewardHypothesisSet, build_loss_matrix, mtpo_mc, reward_posterior
+from .mtpo import RewardHypothesisSet, _loss_matrix, mtpo_mc, reward_posterior
 from .mtpp import _group_demos, mtpp_mc, mtpp_mh, posterior_policy
 from .priors import (
     DirichletRewardPrior,
@@ -566,7 +566,7 @@ def bound_check(k_values=(10, 100, 1000), replications: int = 100, *, seed=0,
 
     def estimate(n_policies, rng):
         policies = sample_policies(posterior, n_policies, rng)
-        matrix = build_loss_matrix(cmp, discount, policies, hypotheses)
+        matrix = _loss_matrix(cmp, discount, policies, hypotheses, optimal_values)
         probs = reward_posterior(matrix, prior, hypotheses).probabilities
         return probs @ optimal_values
 

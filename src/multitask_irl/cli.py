@@ -157,7 +157,7 @@ def _cmd_show(args) -> int:
         header = json.loads(first)
     except (OSError, json.JSONDecodeError) as error:
         raise DataError(f"cannot read posterior file {args.path}: {error}")
-    kind = header.get("format")
+    kind = header.get("format") if isinstance(header, dict) else None
     if kind == "mtpp-ensemble":
         result = PosteriorEnsemble.from_jsonl(args.path)
         print(f"reward-and-temperature posterior: {result.n_samples} samples, "

@@ -20,14 +20,12 @@ import numpy as np
 
 from .mdp import (
     Cmp,
-    Mdp,
     RewardFunction,
     StationaryPolicy,
     batch_policy_values,
     batch_solve_optimal,
-    solve_optimal,
 )
-from .mtpp import _group_demos, _json_safe
+from .mtpp import _group_demos, _json_safe, _read_jsonl
 from .priors import OptimalityPrior, PolicyDirichletPrior, policy_posterior, sample_policies
 from .seeding import substream
 
@@ -38,9 +36,7 @@ __all__ = [
     "MtpoResult",
     "sample_hypotheses",
     "build_loss_matrix",
-    "eps_optimal_conditional",
     "reward_posterior",
-    "posterior_value_estimate",
     "mtpo_mc",
 ]
 
@@ -95,24 +91,18 @@ def sample_hypotheses(reward_prior, n: int, rng) -> RewardHypothesisSet:
 class LossMatrix:
     """``losses[i, j]``: sup-norm value loss of policy i under hypothesis j."""
 
-    losses: np.ndarray          # (K, N), non-negative
-    optimal_values: np.ndarray  # (N, S)
+    losses: np.ndarray  # (K, N), non-negative
 
     def __post_init__(self):
         losses = np.array(self.losses, dtype=float)
-        optimal = np.array(self.optimal_values, dtype=float)
         if losses.ndim != 2:
             raise ValueError(
                 f"losses must have shape (n_policies, n_hypotheses), got {losses.shape}"
             )
         if not np.all(np.isfinite(losses)) or np.any(losses < 0):
             raise ValueError("losses must be finite and non-negative")
-        if optimal.ndim != 2 or optimal.shape[0] != losses.shape[1]:
-            raise ValueError("optimal_values must carry one row per hypothesis")
         losses.setflags(write=False)
-        optimal.setflags(write=False)
         object.__setattr__(self, "losses", losses)
-        object.__setattr__(self, "optimal_values", optimal)
 
     @property
     def n_policies(self) -> int:
@@ -149,30 +139,17 @@ def build_loss_matrix(cmp: Cmp, discount: float, policies,
     """
     if hypotheses.n_states != cmp.n_states:
         raise ValueError("hypothesis set does not match the CMP's state count")
-    arr = _policies_to_array(policies, cmp)
     optimal, _ = batch_solve_optimal(cmp.transition, hypotheses.values, discount)
+    return _loss_matrix(cmp, discount, policies, hypotheses, optimal)
+
+
+def _loss_matrix(cmp: Cmp, discount: float, policies, hypotheses: RewardHypothesisSet,
+                 optimal: np.ndarray) -> LossMatrix:
+    """:func:`build_loss_matrix` given the hypotheses' ``(N, S)`` optimal values."""
+    arr = _policies_to_array(policies, cmp)
     policy_values = batch_policy_values(cmp.transition, hypotheses.values, arr, discount)
     gaps = optimal[None, :, :] - policy_values  # (K, N, S)
-    losses = np.maximum(gaps.max(axis=2), 0.0)
-    return LossMatrix(losses=losses, optimal_values=optimal)
-
-
-def eps_optimal_conditional(losses_for_policy: np.ndarray, eps: float,
-                            hypotheses: RewardHypothesisSet) -> np.ndarray:
-    """Normalized measure over hypotheses whose loss is strictly below ``eps``.
-
-    Returns the zero vector when no hypothesis qualifies (the conditional is
-    undefined there and contributes nothing downstream).
-    """
-    losses = np.asarray(losses_for_policy, dtype=float)
-    if losses.shape != (hypotheses.n_hypotheses,):
-        raise ValueError("loss vector length does not match the hypothesis set")
-    mask = losses < eps
-    weighted = np.where(mask, hypotheses.measure, 0.0)
-    total = weighted.sum()
-    if total == 0.0:
-        return np.zeros(hypotheses.n_hypotheses)
-    return weighted / total
+    return LossMatrix(np.maximum(gaps.max(axis=2), 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,16 +203,6 @@ def reward_posterior(loss_matrix: LossMatrix, prior: OptimalityPrior,
     return RewardPosterior(accumulated / total)
 
 
-def posterior_value_estimate(posterior: RewardPosterior, hypotheses: RewardHypothesisSet,
-                             cmp: Cmp, discount: float):
-    """Optimal values and greedy policy for the posterior-mean reward."""
-    probs = posterior.probabilities
-    if probs.shape[0] != hypotheses.n_hypotheses:
-        raise ValueError("posterior length does not match the hypothesis set")
-    mean_reward = RewardFunction(np.clip(probs @ hypotheses.values, 0.0, 1.0))
-    return solve_optimal(Mdp(cmp, mean_reward, discount))
-
-
 @dataclass(frozen=True, eq=False)
 class MtpoResult:
     """Per-task reward posteriors over one shared hypothesis set."""
@@ -274,20 +241,25 @@ class MtpoResult:
 
     @classmethod
     def from_jsonl(cls, path) -> "MtpoResult":
-        with open(path, "r", encoding="utf-8") as handle:
-            header = json.loads(handle.readline())
-            if header.get("format") != "mtpo-posterior":
-                raise ValueError(f"{path} is not an mtpo posterior file")
-            records = [json.loads(line) for line in handle if line.strip()]
-        hypotheses = RewardHypothesisSet(
-            np.array(header["hypotheses"]), np.array(header["measure"])
-        )
-        posteriors = tuple(
-            RewardPosterior(np.array(r["probabilities"]), task_id=int(r["task_id"]))
-            for r in records
-        )
+        header, records = _read_jsonl(path, "mtpo-posterior")
+        try:
+            task_ids = tuple(header["task_ids"])
+            found = tuple(r["task_id"] for r in records)
+            if found != task_ids:
+                raise ValueError(
+                    f"{path}: header lists tasks {list(task_ids)}, records are for {list(found)}"
+                )
+            hypotheses = RewardHypothesisSet(
+                np.array(header["hypotheses"]), np.array(header["measure"])
+            )
+            posteriors = tuple(
+                RewardPosterior(np.array(r["probabilities"]), task_id=int(r["task_id"]))
+                for r in records
+            )
+        except KeyError as error:
+            raise ValueError(f"{path}: missing key {error}") from None
         return cls(
-            task_ids=tuple(header["task_ids"]),
+            task_ids=task_ids,
             posteriors=posteriors,
             hypotheses=hypotheses,
             metadata=dict(header.get("metadata", {})),
@@ -325,12 +297,14 @@ def mtpo_mc(cmp: Cmp, demos, policy_prior: PolicyDirichletPrior, *,
         raise ValueError("hypothesis set does not match the CMP's state count")
 
     resolved, groups, _ = _group_demos(demos, cmp, task_ids)
+    # One hypothesis set serves every task, so its optima are solved once.
+    optimal, _ = batch_solve_optimal(cmp.transition, hypotheses.values, discount)
     posteriors = []
     for tid, group in zip(resolved, groups):
         rng = substream(seed, "mtpo-mc", "task", tid)
         task_posterior = policy_posterior(policy_prior, group)
         sampled = sample_policies(task_posterior, int(n_policy_samples), rng)
-        loss_matrix = build_loss_matrix(cmp, discount, sampled, hypotheses)
+        loss_matrix = _loss_matrix(cmp, discount, sampled, hypotheses, optimal)
         result = reward_posterior(loss_matrix, optimality_prior, hypotheses)
         posteriors.append(RewardPosterior(result.probabilities, task_id=tid))
     return MtpoResult(

@@ -36,18 +36,15 @@ from .mdp import (
 )
 from .priors import (
     BetaProductRewardPrior,
-    DirichletRewardPrior,
     DiscreteRewardPrior,
     FixedHyperprior,
     FixedTemperature,
     GammaHyperprior,
-    TemperaturePrior,
     _dirichlet_log_pdf,
 )
 from .seeding import substream
 
 __all__ = [
-    "MtppSample",
     "PosteriorEnsemble",
     "mtpp_mc",
     "mtpp_mh",
@@ -104,18 +101,6 @@ def metropolis_accept(log_ratio, rng):
 
 
 @dataclass(frozen=True, eq=False)
-class MtppSample:
-    """One joint posterior sample across all tasks."""
-
-    hyper: tuple
-    rewards: np.ndarray            # (M, S)
-    temperatures: np.ndarray       # (M,)
-    policies: np.ndarray           # (M, S, A) or None after deserialization
-    log_likelihoods: np.ndarray    # (M,)
-    weight: float
-
-
-@dataclass(frozen=True, eq=False)
 class PosteriorEnsemble:
     """Weighted joint samples over the tasks' rewards and temperatures.
 
@@ -128,7 +113,6 @@ class PosteriorEnsemble:
     rewards: np.ndarray                     # (K, M, S)
     temperatures: np.ndarray                # (K, M)
     log_likelihoods: np.ndarray             # (K, M)
-    policies: np.ndarray = None             # (K, M, S, A) or None
     hyper_concentrations: np.ndarray = None  # (K, S) or None
     hyper_temperature_shapes: np.ndarray = None  # (K,) or None
     hyper_temperature_rates: np.ndarray = None   # (K,) or None
@@ -159,35 +143,12 @@ class PosteriorEnsemble:
         mean = self.weights @ self.rewards[:, m, :]
         return RewardFunction(np.clip(mean, 0.0, 1.0))
 
-    def sample(self, k: int) -> MtppSample:
-        hyper = None
-        if self.hyper_concentrations is not None:
-            hyper = (
-                DirichletRewardPrior(self.hyper_concentrations[k]),
-                TemperaturePrior(
-                    self.hyper_temperature_shapes[k], self.hyper_temperature_rates[k]
-                ),
-            )
-        return MtppSample(
-            hyper=hyper,
-            rewards=self.rewards[k],
-            temperatures=self.temperatures[k],
-            policies=None if self.policies is None else self.policies[k],
-            log_likelihoods=self.log_likelihoods[k],
-            weight=float(self.weights[k]),
-        )
-
-    @property
-    def samples(self):
-        return [self.sample(k) for k in range(self.n_samples)]
-
     def to_jsonl(self, path) -> None:
         """Write the ensemble as JSON lines.
 
         The first line is a header object; each following line is one sample
         with its weight, per-task reward vectors, temperatures and per-task
-        log-likelihoods.  Policies and population-level draws are not stored
-        (policies are reconstructable from rewards and temperatures).
+        log-likelihoods.  Population-level draws are not stored.
         """
         header = {
             "format": "mtpp-ensemble",
@@ -209,23 +170,35 @@ class PosteriorEnsemble:
 
     @classmethod
     def from_jsonl(cls, path) -> "PosteriorEnsemble":
-        with open(path, "r", encoding="utf-8") as handle:
-            header = json.loads(handle.readline())
-            if header.get("format") != "mtpp-ensemble":
-                raise ValueError(f"{path} is not an mtpp ensemble file")
-            records = [json.loads(line) for line in handle if line.strip()]
-        if len(records) != header["n_samples"]:
-            raise ValueError(
-                f"{path}: header promises {header['n_samples']} samples, found {len(records)}"
+        header, records = _read_jsonl(path, "mtpp-ensemble")
+        try:
+            if len(records) != header["n_samples"]:
+                raise ValueError(
+                    f"{path}: header promises {header['n_samples']} samples, "
+                    f"found {len(records)}"
+                )
+            return cls(
+                task_ids=tuple(header["task_ids"]),
+                weights=np.array([r["weight"] for r in records]),
+                rewards=np.array([r["rewards"] for r in records]),
+                temperatures=np.array([r["temperatures"] for r in records]),
+                log_likelihoods=np.array([r["log_likelihoods"] for r in records]),
+                metadata=dict(header.get("metadata", {})),
             )
-        return cls(
-            task_ids=tuple(header["task_ids"]),
-            weights=np.array([r["weight"] for r in records]),
-            rewards=np.array([r["rewards"] for r in records]),
-            temperatures=np.array([r["temperatures"] for r in records]),
-            log_likelihoods=np.array([r["log_likelihoods"] for r in records]),
-            metadata=dict(header.get("metadata", {})),
-        )
+        except KeyError as error:
+            raise ValueError(f"{path}: missing key {error}") from None
+
+
+def _read_jsonl(path, kind: str):
+    """Header and records of a JSON-lines posterior file of format ``kind``."""
+    with open(path, "r", encoding="utf-8") as handle:
+        header = json.loads(handle.readline())
+        if not isinstance(header, dict) or header.get("format") != kind:
+            raise ValueError(f"{path} is not an {kind} file")
+        records = [json.loads(line) for line in handle if line.strip()]
+    if not all(isinstance(record, dict) for record in records):
+        raise ValueError(f"{path}: every record must be a JSON object")
+    return header, records
 
 
 def _json_safe(value) -> bool:
@@ -296,7 +269,6 @@ def mtpp_mc(cmp: Cmp, demos, hyperprior, n_samples: int, discount: float,
 
     rewards = np.empty((n_samples, n_tasks, cmp.n_states))
     temperatures = np.empty((n_samples, n_tasks))
-    policies = np.empty((n_samples, n_tasks, cmp.n_states, cmp.n_actions))
     log_liks = np.empty((n_samples, n_tasks))
     for m, tid in enumerate(task_ids):
         rng = substream(seed, "mtpp-mc", "task", tid)
@@ -310,11 +282,9 @@ def mtpp_mc(cmp: Cmp, demos, hyperprior, n_samples: int, discount: float,
             etas_m = rng.gamma(t_shapes) / t_rates
         values, _ = batch_solve_optimal(transition, rewards_m, discount)
         q = _batch_q(transition, rewards_m, values, discount)
-        policies_m = _batch_softmax(q, etas_m)
         rewards[:, m, :] = rewards_m
         temperatures[:, m] = etas_m
-        policies[:, m] = policies_m
-        log_liks[:, m] = counts_log_likelihood(counts[m], policies_m)
+        log_liks[:, m] = counts_log_likelihood(counts[m], _batch_softmax(q, etas_m))
 
     weights = importance_weights(log_liks)
     return PosteriorEnsemble(
@@ -323,7 +293,6 @@ def mtpp_mc(cmp: Cmp, demos, hyperprior, n_samples: int, discount: float,
         rewards=rewards,
         temperatures=temperatures,
         log_likelihoods=log_liks,
-        policies=policies,
         hyper_concentrations=conc,
         hyper_temperature_shapes=t_shapes,
         hyper_temperature_rates=t_rates,
@@ -437,12 +406,12 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
     if isinstance(hyperprior, GammaHyperprior) and hyperprior.n_states != cmp.n_states:
         raise ValueError("hyperprior n_states does not match the CMP")
     n_tasks = len(task_ids)
-    n_states, n_actions = cmp.n_states, cmp.n_actions
+    n_states = cmp.n_states
     burn = int(np.floor(burn_in_fraction * per_chain))
     kept_per_chain = per_chain - burn
     track_hyper = isinstance(hyperprior, GammaHyperprior)
 
-    chains_rewards, chains_temps, chains_pols, chains_lls = [], [], [], []
+    chains_rewards, chains_temps, chains_lls = [], [], []
     chains_conc, chains_tsh, chains_trt = [], [], []
     acceptance = []
     for chain in range(n_chains):
@@ -457,14 +426,12 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
             eta[m] = max(temp_prior.sample(rng), 1e-12)
         values, _ = batch_solve_optimal(cmp.transition, rho, discount)
         q = _batch_q(cmp.transition, rho, values, discount)
-        pols = _batch_softmax(q, eta)
-        log_lik = counts_log_likelihood(counts, pols)
+        log_lik = counts_log_likelihood(counts, _batch_softmax(q, eta))
         log_prior_rho = reward_prior.log_pdf(rho)
         log_prior_eta = temp_prior.log_pdf(eta)
 
         rec_rewards = np.empty((per_chain, n_tasks, n_states))
         rec_temps = np.empty((per_chain, n_tasks))
-        rec_pols = np.empty((per_chain, n_tasks, n_states, n_actions))
         rec_lls = np.empty((per_chain, n_tasks))
         rec_conc = np.empty((per_chain, n_states)) if track_hyper else None
         rec_tsh = np.empty(per_chain) if track_hyper else None
@@ -496,8 +463,7 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
             proposals, hastings = _propose_rewards(reward_prior, rho, rng, reward_step)
             values, _ = batch_solve_optimal(cmp.transition, proposals, discount)
             q_prop = _batch_q(cmp.transition, proposals, values, discount)
-            pols_prop = _batch_softmax(q_prop, eta)
-            new_ll = counts_log_likelihood(counts, pols_prop)
+            new_ll = counts_log_likelihood(counts, _batch_softmax(q_prop, eta))
             new_lp = reward_prior.log_pdf(proposals)
             accepted = metropolis_accept(
                 new_lp - log_prior_rho + new_ll - log_lik + hastings, rng
@@ -506,7 +472,6 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
             moves["reward"][1] += n_tasks
             rho[accepted] = proposals[accepted]
             q[accepted] = q_prop[accepted]
-            pols[accepted] = pols_prop[accepted]
             log_lik[accepted] = new_ll[accepted]
             log_prior_rho[accepted] = new_lp[accepted]
 
@@ -517,8 +482,9 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
                 new_eta = eta * np.exp(temperature_step * rng.standard_normal(n_tasks))
                 movable = np.flatnonzero(np.isfinite(new_eta) & (new_eta > 0.0))
                 new_eta = new_eta[movable]
-                new_pols = _batch_softmax(q[movable], new_eta)
-                new_ll = counts_log_likelihood(counts[movable], new_pols)
+                new_ll = counts_log_likelihood(
+                    counts[movable], _batch_softmax(q[movable], new_eta)
+                )
                 new_lp = temp_prior.log_pdf(new_eta)
                 delta = (
                     new_lp - log_prior_eta[movable]
@@ -530,13 +496,11 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
                 moves["temperature"][1] += n_tasks
                 moved = movable[accepted]
                 eta[moved] = new_eta[accepted]
-                pols[moved] = new_pols[accepted]
                 log_lik[moved] = new_ll[accepted]
                 log_prior_eta[moved] = new_lp[accepted]
 
             rec_rewards[it] = rho
             rec_temps[it] = eta
-            rec_pols[it] = pols
             rec_lls[it] = log_lik
             if track_hyper:
                 rec_conc[it] = reward_prior.concentration
@@ -545,7 +509,6 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
 
         chains_rewards.append(rec_rewards[burn:])
         chains_temps.append(rec_temps[burn:])
-        chains_pols.append(rec_pols[burn:])
         chains_lls.append(rec_lls[burn:])
         if track_hyper:
             chains_conc.append(rec_conc[burn:])
@@ -566,7 +529,6 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
         rewards=np.concatenate(chains_rewards),
         temperatures=np.concatenate(chains_temps),
         log_likelihoods=np.concatenate(chains_lls),
-        policies=np.concatenate(chains_pols),
         hyper_concentrations=np.concatenate(chains_conc) if track_hyper else None,
         hyper_temperature_shapes=np.concatenate(chains_tsh) if track_hyper else None,
         hyper_temperature_rates=np.concatenate(chains_trt) if track_hyper else None,

@@ -119,7 +119,7 @@ def test_criterion_2_quadrature_agreement(capsys):
         measure = rng.uniform(0.2, 2.0, size=n)
         rate = float(rng.uniform(0.5, 2.0))
         hyp = RewardHypothesisSet(np.zeros((n, 2)), measure=measure)
-        matrix = LossMatrix(losses, np.zeros((n, 2)))
+        matrix = LossMatrix(losses)
         ours = reward_posterior(matrix, OptimalityPrior(rate), hyp).probabilities
         ref = quadrature_posterior(losses, measure, rate, total_points=1_000_000)
         worst = max(worst, float(np.max(np.abs(ours - ref))))

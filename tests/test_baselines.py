@@ -57,9 +57,6 @@ def test_mixed_policy_uniform_and_mean():
     mixture = MixedPolicy.uniform([a, b])
     assert mixture.n_components == 2
     assert np.allclose(mixture.weights, [0.5, 0.5])
-    assert np.allclose(mixture.mean_action_probs(), 0.5)
-    skewed = MixedPolicy((a, b), np.array([0.75, 0.25]))
-    assert np.allclose(skewed.mean_action_probs()[:, 0], 0.75)
 
 
 def test_mixed_policy_validation():
@@ -167,21 +164,6 @@ def test_mwal_structure_and_determinism(chain_demos):
     assert np.allclose(a.weights, 1.0 / 20.0)
     for pa, pb in zip(a.policies, b.policies):
         assert np.array_equal(pa.action_probs, pb.action_probs)
-
-
-def test_mwal_gains_bounded_and_features_recorded(chain_demos):
-    mdp, demos = chain_demos
-    features = FeatureMap.state_indicators(5)
-    mixture, details = mwal(mdp.cmp, mdp.discount, demos, features,
-                            n_iterations=15, return_details=True)
-    assert details["gains"].shape == (15, 5)
-    assert np.all(details["gains"] >= 0.0)
-    assert np.all(details["gains"] <= 1.0)
-    assert np.allclose(
-        details["demo_features"],
-        demo_feature_expectations(demos, features, mdp.discount),
-        atol=1e-12,
-    )
 
 
 def test_mwal_single_feature_edge_case(chain_demos):

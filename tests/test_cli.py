@@ -199,6 +199,30 @@ def test_show_error_paths(tmp_path, capsys):
     assert main(["show", str(wrong)]) == 3
 
 
+MTPO_HEADER = {"format": "mtpo-posterior", "hypotheses": [[1.0, 0.0], [0.0, 1.0]],
+               "measure": [1.0, 1.0], "metadata": {}}
+MTPP_HEADER = {"format": "mtpp-ensemble", "task_ids": [0], "n_samples": 1, "n_states": 2,
+               "metadata": {}}
+
+
+@pytest.mark.parametrize("lines", [
+    [dict(MTPO_HEADER, task_ids=[0, 1]), {"task_id": 0, "probabilities": [0.5, 0.5]}],
+    [dict(MTPO_HEADER, task_ids=[0]), {"task_id": 7, "probabilities": [0.5, 0.5]}],
+    [MTPP_HEADER, {"weight": 1.0, "rewards": [[0.5, 0.5]], "temperatures": [1.0]}],
+    [[MTPP_HEADER]],
+    [dict(MTPO_HEADER, task_ids=[0]), 7],
+], ids=["missing-record", "unlisted-task", "missing-key", "header-not-object",
+        "record-not-object"])
+def test_show_rejects_malformed_posterior_files(tmp_path, capsys, lines):
+    path = tmp_path / "malformed.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    assert main(["show", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error:")
+    assert str(path) in captured.err
+    assert "task 7" not in captured.out
+
+
 def test_console_script_help_runs():
     completed = subprocess.run(
         [sys.executable, "-m", "multitask_irl.cli", "--help"],

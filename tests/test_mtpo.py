@@ -16,16 +16,17 @@ from multitask_irl import (
     StationaryPolicy,
     build_loss_matrix,
     chain_transition,
-    eps_optimal_conditional,
     exp_interval_mass,
     make_chain,
     make_demonstrator,
     mtpo_mc,
+    policy_posterior,
     posterior_policy,
-    posterior_value_estimate,
     reward_posterior,
     sample_hypotheses,
+    sample_policies,
     simulate,
+    solve_optimal,
     substream,
 )
 from oracles import midpoint_reference_posterior, quadrature_posterior, value_iteration
@@ -39,8 +40,7 @@ def random_loss_matrix(rng, n_policies, n_hypotheses, with_ties=False):
         losses[:, 1] = losses[:, 0]
         if n_policies >= 2:
             losses[1, :] = losses[0, :]
-    optimal = np.zeros((n_hypotheses, 2))
-    return LossMatrix(losses=losses, optimal_values=optimal)
+    return LossMatrix(losses=losses)
 
 
 def test_hypothesis_set_validation_and_accessors():
@@ -82,7 +82,6 @@ def test_loss_matrix_hand_oracle_on_chain():
     assert matrix.n_hypotheses == 1
     assert abs(matrix.losses[0, 0] - 15.2) < 1e-6
     assert abs(matrix.losses[1, 0]) < 1e-6
-    assert np.allclose(matrix.optimal_values[0], [18.25, 19.0, 20.0], atol=1e-6)
 
 
 def test_loss_matrix_accepts_policy_arrays_and_validates():
@@ -107,29 +106,11 @@ def test_loss_matrix_accepts_policy_arrays_and_validates():
         build_loss_matrix(cmp, DISCOUNT, [StationaryPolicy.uniform(2, 2)], bad_set)
 
 
-def test_eps_optimal_conditional_cases():
-    hypotheses = RewardHypothesisSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    losses = np.array([0.1, 0.5])
-    assert np.array_equal(eps_optimal_conditional(losses, 0.0, hypotheses), [0.0, 0.0])
-    assert np.array_equal(eps_optimal_conditional(losses, 0.3, hypotheses), [1.0, 0.0])
-    assert np.allclose(eps_optimal_conditional(losses, 9.0, hypotheses), [0.5, 0.5])
-    weighted = RewardHypothesisSet(np.array([[1.0, 0.0], [0.0, 1.0]]), measure=[2.0, 1.0])
-    assert np.allclose(
-        eps_optimal_conditional(losses, 9.0, weighted), [2.0 / 3.0, 1.0 / 3.0]
-    )
-    # Membership is strict: a loss exactly at eps is excluded.
-    assert np.array_equal(eps_optimal_conditional(losses, 0.1, hypotheses), [0.0, 0.0])
-    with pytest.raises(ValueError):
-        eps_optimal_conditional(np.array([0.1]), 0.5, hypotheses)
-
-
 def test_reward_posterior_two_hypothesis_closed_form():
     # One policy, losses l1 < l2, rate c: below l1 nothing qualifies; on
     # [l1, l2) only the first hypothesis; past l2 both share equally.
     l1, l2, rate = 0.4, 1.3, 1.7
-    matrix = LossMatrix(
-        losses=np.array([[l1, l2]]), optimal_values=np.zeros((2, 2))
-    )
+    matrix = LossMatrix(losses=np.array([[l1, l2]]))
     hypotheses = RewardHypothesisSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
     posterior = reward_posterior(matrix, OptimalityPrior(rate), hypotheses)
     first = (np.exp(-rate * l1) - np.exp(-rate * l2)) + 0.5 * np.exp(-rate * l2)
@@ -166,7 +147,7 @@ def test_quadrature_oracle_agrees_with_midpoint_reference():
 
 def test_reward_posterior_tied_hypotheses_share_mass():
     losses = np.array([[0.7, 0.7, 1.4]])
-    matrix = LossMatrix(losses=losses, optimal_values=np.zeros((3, 2)))
+    matrix = LossMatrix(losses=losses)
     hypotheses = RewardHypothesisSet(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     posterior = reward_posterior(matrix, OptimalityPrior(1.0), hypotheses)
     assert abs(posterior.probabilities[0] - posterior.probabilities[1]) < 1e-12
@@ -178,27 +159,27 @@ def test_reward_posterior_raising_a_loss_lowers_its_mass():
     losses = rng.random((4, 5)) * 2.0
     hypotheses = RewardHypothesisSet(rng.random((5, 2)))
     base = reward_posterior(
-        LossMatrix(losses=losses, optimal_values=np.zeros((5, 2))),
+        LossMatrix(losses=losses),
         OptimalityPrior(1.0), hypotheses,
     )
     bumped_losses = losses.copy()
     bumped_losses[:, 2] += 0.9
     bumped = reward_posterior(
-        LossMatrix(losses=bumped_losses, optimal_values=np.zeros((5, 2))),
+        LossMatrix(losses=bumped_losses),
         OptimalityPrior(1.0), hypotheses,
     )
     assert bumped.probabilities[2] < base.probabilities[2] + 1e-12
 
 
 def test_reward_posterior_single_cell():
-    matrix = LossMatrix(losses=np.array([[2.0]]), optimal_values=np.zeros((1, 2)))
+    matrix = LossMatrix(losses=np.array([[2.0]]))
     hypotheses = RewardHypothesisSet(np.array([[0.5, 0.5]]))
     posterior = reward_posterior(matrix, OptimalityPrior(1.0), hypotheses)
     assert np.array_equal(posterior.probabilities, [1.0])
 
 
 def test_reward_posterior_shape_mismatch():
-    matrix = LossMatrix(losses=np.ones((2, 3)), optimal_values=np.zeros((3, 2)))
+    matrix = LossMatrix(losses=np.ones((2, 3)))
     hypotheses = RewardHypothesisSet(np.array([[0.5, 0.5]]))
     with pytest.raises(ValueError):
         reward_posterior(matrix, OptimalityPrior(1.0), hypotheses)
@@ -217,23 +198,19 @@ def test_reward_posterior_validation_object():
 
 def test_loss_matrix_validation():
     with pytest.raises(ValueError):
-        LossMatrix(losses=np.array([[-0.1]]), optimal_values=np.zeros((1, 2)))
+        LossMatrix(losses=np.array([[-0.1]]))
     with pytest.raises(ValueError):
-        LossMatrix(losses=np.ones((2,)), optimal_values=np.zeros((1, 2)))
+        LossMatrix(losses=np.ones((2,)))
 
 
-def test_posterior_value_estimate_point_mass():
+def test_posterior_policy_point_mass():
     mdp = make_chain(ChainSpec(n_states=3, slip=0.0))
     other = RewardFunction(np.array([1.0, 0.0, 0.0]))
     hypotheses = RewardHypothesisSet(np.stack([mdp.reward.values, other.values]))
-    point = RewardPosterior(np.array([1.0, 0.0]))
-    values, policy = posterior_value_estimate(point, hypotheses, mdp.cmp, DISCOUNT)
-    expected, expected_policy = value_iteration(mdp)
-    assert np.allclose(values, expected, atol=1e-8)
+    point = MtpoResult((0,), (RewardPosterior(np.array([1.0, 0.0])),), hypotheses)
+    policy = posterior_policy(point, 0, mdp.cmp, DISCOUNT)
+    _, expected_policy = value_iteration(mdp)
     assert np.array_equal(policy.greedy_actions(), expected_policy.greedy_actions())
-    with pytest.raises(ValueError):
-        posterior_value_estimate(RewardPosterior(np.array([1.0])), hypotheses,
-                                 mdp.cmp, DISCOUNT)
 
 
 def test_mtpo_mc_prior_only_task_is_symmetric():
@@ -284,13 +261,38 @@ def test_mtpo_mc_shares_hypotheses_and_separates_tasks():
     for tid in result.task_ids:
         mean = result.posterior(tid).probabilities @ hypotheses.values
         assert np.allclose(result.posterior_mean_reward(tid).values, mean, atol=1e-15)
-        _, expected = posterior_value_estimate(result.posterior(tid), hypotheses, cmp, DISCOUNT)
+        _, expected = solve_optimal(Mdp(cmp, RewardFunction(mean), DISCOUNT))
         policy = posterior_policy(result, tid, cmp, DISCOUNT)
         assert np.array_equal(policy.action_probs, expected.action_probs)
     with pytest.raises(KeyError):
         result.posterior(9)
     with pytest.raises(KeyError):
         result.posterior_mean_reward(9)
+
+
+def test_mtpo_mc_matches_public_per_task_route():
+    # mtpo_mc solves the shared hypotheses' optima once for all tasks; the
+    # public route re-solves them per task.  Both must give the same floats,
+    # including for a listed task (2) that has no demonstrations.
+    cmp = chain_transition(3, 0.1)
+    prior = PolicyDirichletPrior.uniform(3, 2)
+    hypotheses = sample_hypotheses(DirichletRewardPrior(np.ones(3)), 12, substream(4, "hyp"))
+    demos = []
+    for tid in (0, 1):
+        truth = Mdp(cmp, hypotheses.reward(tid), DISCOUNT)
+        demos.append(simulate(truth, make_demonstrator("softmax", truth, eta=4.0), 30,
+                              substream(tid, "demo"), task_id=tid))
+    optimality = OptimalityPrior(0.7)
+    result = mtpo_mc(cmp, demos, prior, optimality_prior=optimality, hypotheses=hypotheses,
+                     n_policy_samples=50, discount=DISCOUNT, seed=8, task_ids=[0, 1, 2])
+    assert result.task_ids == (0, 1, 2)
+    for tid in result.task_ids:
+        task_demos = [d for d in demos if d.task_id == tid]
+        policies = sample_policies(policy_posterior(prior, task_demos), 50,
+                                   substream(8, "mtpo-mc", "task", tid))
+        matrix = build_loss_matrix(cmp, DISCOUNT, policies, hypotheses)
+        expected = reward_posterior(matrix, optimality, hypotheses)
+        assert np.array_equal(result.posterior(tid).probabilities, expected.probabilities)
 
 
 def test_mtpo_mc_deterministic_and_metadata():
