@@ -1,11 +1,12 @@
 """Single-task baselines: direct imitation and a feature-matching game.
 
 The imitator is the conjugate posterior mean policy around the observed
-action counts.  The feature-matching baseline plays a repeated game between
-a reward player running multiplicative weights over feature coordinates and
-a policy player responding with the exact optimal policy, and returns the
-uniform mixture of the responses.  Both are deterministic given the
-demonstrations.
+action counts.  The feature-matching baseline (MWAL, Syed & Schapire 2008)
+plays a repeated game over state-indicator features: a reward player runs
+multiplicative weights over the states, a policy player answers each
+round's reward with its exact optimal policy, and the result mixes the
+distinct responses, each weighted by the share of rounds it was played.
+Both are deterministic given the demonstrations.
 """
 
 from __future__ import annotations
@@ -14,51 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import Cmp, Mdp, RewardFunction, StationaryPolicy, policy_transition, solve_optimal
+from .mdp import Cmp, StationaryPolicy, batch_solve_optimal
 from .priors import PolicyDirichletPrior, policy_posterior
 
 __all__ = [
-    "FeatureMap",
     "MixedPolicy",
     "imitator",
-    "discounted_state_occupancy",
-    "feature_expectations",
-    "demo_feature_expectations",
     "mwal",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureMap:
-    """State features in [0, 1], one row per state."""
-
-    values: np.ndarray  # (S, F)
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        if values.ndim != 2 or values.shape[1] < 1:
-            raise ValueError(f"features must have shape (n_states, n_features), got {values.shape}")
-        if not np.all(np.isfinite(values)) or np.any(values < 0) or np.any(values > 1):
-            raise ValueError("feature values must be finite and lie in [0, 1]")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n_states(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.values.shape[1]
-
-    @classmethod
-    def state_indicators(cls, n_states: int) -> "FeatureMap":
-        return cls(np.eye(int(n_states)))
-
-    def reward(self, weights) -> RewardFunction:
-        """Reward ``w . phi(s)`` for simplex weights ``w``."""
-        weights = np.asarray(weights, dtype=float)
-        return RewardFunction(np.clip(self.values @ weights, 0.0, 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,73 +60,59 @@ def imitator(demos, policy_prior: PolicyDirichletPrior) -> StationaryPolicy:
     return policy_posterior(policy_prior, list(demos)).mean()
 
 
-def discounted_state_occupancy(cmp: Cmp, policy: StationaryPolicy, discount: float,
-                               initial_state_probs=None) -> np.ndarray:
-    """Unnormalized discounted visitation ``sum_t gamma^t P(s_t = s)``."""
-    n = cmp.n_states
-    if initial_state_probs is None:
-        p0 = np.full(n, 1.0 / n)
-    else:
-        p0 = np.asarray(initial_state_probs, dtype=float)
-        if p0.shape != (n,) or np.any(p0 < 0) or abs(p0.sum() - 1.0) > 1e-9:
-            raise ValueError("initial_state_probs must be a distribution over states")
-    kernel = policy_transition(cmp, policy)
-    return np.linalg.solve(np.eye(n) - discount * kernel.T, p0)
+def mwal(cmp: Cmp, discount: float, demos, n_iterations: int = 100, *,
+         initial_state_probs=None) -> MixedPolicy:
+    """Feature matching over states by multiplicative weights against exact best responses.
 
-
-def feature_expectations(cmp: Cmp, policy: StationaryPolicy, features: FeatureMap,
-                         discount: float, initial_state_probs=None) -> np.ndarray:
-    """Exact discounted feature expectations of a stationary policy."""
-    occupancy = discounted_state_occupancy(cmp, policy, discount, initial_state_probs)
-    return features.values.T @ occupancy
-
-
-def demo_feature_expectations(demos, features: FeatureMap, discount: float) -> np.ndarray:
-    """Empirical discounted feature sums, averaged over demonstrations."""
-    demos = list(demos)
-    if not demos:
-        raise ValueError("need at least one demonstration")
-    total = np.zeros(features.n_features)
-    for demo in demos:
-        states = demo.states
-        if states.max() >= features.n_states:
-            raise ValueError("demonstration visits a state outside the feature map")
-        weights = discount ** np.arange(states.shape[0])
-        total += weights @ features.values[states]
-    return total / len(demos)
-
-
-def mwal(cmp: Cmp, discount: float, demos, features: FeatureMap = None,
-         n_iterations: int = 100, *, initial_state_probs=None) -> MixedPolicy:
-    """Feature matching by multiplicative weights against exact best responses.
-
-    Each round the reward player's simplex weights define a reward; the
-    policy player answers with its exact optimal policy; the weight on each
-    feature is pushed toward coordinates where the response still trails the
-    demonstrations.  Returns the uniform mixture of the responses.
+    Each round the reward player's simplex weights over states are the
+    reward; the policy player answers with its exact optimal policy; the
+    weight on each state is pushed toward states where the response's
+    discounted visits (from ``initial_state_probs``, uniform by default)
+    still trail the demonstrations'.  Returns the distinct responses, each
+    weighted by the share of rounds it was played.
     """
-    if features is None:
-        features = FeatureMap.state_indicators(cmp.n_states)
-    if features.n_states != cmp.n_states:
-        raise ValueError("feature map does not match the CMP's state count")
     n_iterations = int(n_iterations)
     if n_iterations < 1:
         raise ValueError(f"n_iterations must be at least 1, got {n_iterations}")
-    k = features.n_features
-    mu_demo = demo_feature_expectations(demos, features, discount)
-    # beta = 1 / (1 + sqrt(2 ln k / T)); ln beta <= 0 shrinks lagging weights.
-    log_beta = -np.log1p(np.sqrt(2.0 * np.log(k) / n_iterations)) if k > 1 else 0.0
-    log_w = np.zeros(k)
-    responses = []
-    for _ in range(n_iterations):
-        shifted = log_w - log_w.max()
-        weights = np.exp(shifted)
+    demos = list(demos)
+    if not demos:
+        raise ValueError("need at least one demonstration")
+    n_states = cmp.n_states
+    if initial_state_probs is None:
+        p0 = np.full(n_states, 1.0 / n_states)
+    else:
+        p0 = np.asarray(initial_state_probs, dtype=float)
+        if p0.shape != (n_states,) or np.any(p0 < 0) or abs(p0.sum() - 1.0) > 1e-9:
+            raise ValueError("initial_state_probs must be a distribution over states")
+    # Demonstrated discounted visits sum_t gamma^t [s_t = s], averaged over demos.
+    mu_demo = np.zeros(n_states)
+    for demo in demos:
+        if demo.states.max() >= n_states:
+            raise ValueError("demonstration visits a state outside the CMP")
+        mu_demo += np.bincount(demo.states, discount ** np.arange(len(demo)), minlength=n_states)
+    mu_demo /= len(demos)
+
+    # beta = 1 / (1 + sqrt(2 ln S / T)); ln beta <= 0 shrinks lagging weights.
+    log_beta = -np.log1p(np.sqrt(2.0 * np.log(n_states) / n_iterations)) if n_states > 1 else 0.0
+    log_w = np.zeros(n_states)
+    states = np.arange(n_states)
+    eye = np.eye(n_states)
+    responses = np.empty((n_iterations, n_states), dtype=np.int64)
+    for t in range(n_iterations):
+        weights = np.exp(log_w - log_w.max())
         weights /= weights.sum()
-        reward = features.reward(weights)
-        _, policy = solve_optimal(Mdp(cmp, reward, discount))
-        mu = feature_expectations(cmp, policy, features, discount, initial_state_probs)
-        # G in [0, 1]: each feature expectation lies in [0, 1/(1-gamma)].
+        _, actions = batch_solve_optimal(cmp.transition, weights, discount)
+        kernel = cmp.transition[states, actions]  # (S, S') under the response
+        mu = np.linalg.solve(eye - discount * kernel.T, p0)
+        # G in [0, 1]: each state's discounted visits lie in [0, 1/(1-gamma)].
         gain = ((1.0 - discount) * (mu - mu_demo) + 2.0) / 4.0
         log_w = log_w + log_beta * gain
-        responses.append(policy)
-    return MixedPolicy.uniform(responses)
+        responses[t] = actions
+
+    # Distinct responses as flattened one-hot action tables, in sorted order.
+    tables = np.eye(cmp.n_actions)[responses].reshape(n_iterations, -1)
+    distinct, inverse = np.unique(tables, axis=0, return_inverse=True)
+    shares = np.zeros(distinct.shape[0])
+    np.add.at(shares, inverse, 1.0 / n_iterations)
+    policies = [StationaryPolicy(table.reshape(n_states, -1)) for table in distinct]
+    return MixedPolicy(policies, shares)

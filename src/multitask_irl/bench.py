@@ -87,15 +87,10 @@ def _l1_loss(mdp: Mdp, policy, optimal: np.ndarray) -> float:
     if not isinstance(policy, MixedPolicy):
         policy = MixedPolicy.uniform([policy])
     stacked = np.stack([p.action_probs for p in policy.policies])
-    flat = stacked.reshape(stacked.shape[0], -1)
-    unique, inverse = np.unique(flat, axis=0, return_inverse=True)
-    weights = np.zeros(unique.shape[0])
-    np.add.at(weights, inverse, policy.weights)
-    distinct = unique.reshape(-1, mdp.cmp.n_states, mdp.cmp.n_actions)
     values = batch_policy_values(
-        mdp.cmp.transition, mdp.reward.values[None, :], distinct, mdp.discount
+        mdp.cmp.transition, mdp.reward.values[None, :], stacked, mdp.discount
     )[:, 0, :]
-    return float(np.maximum(optimal - weights @ values, 0.0).sum())
+    return float(np.maximum(optimal - policy.weights @ values, 0.0).sum())
 
 
 def _true_optima(mdps) -> np.ndarray:

@@ -25,7 +25,7 @@ from .mdp import (
     batch_policy_values,
     batch_solve_optimal,
 )
-from .mtpp import _group_demos, _json_safe, _read_jsonl
+from .mtpp import _group_demos, _json_safe, _read_jsonl, _stack
 from .priors import OptimalityPrior, PolicyDirichletPrior, policy_posterior, sample_policies
 from .seeding import substream
 
@@ -154,10 +154,9 @@ def _loss_matrix(cmp: Cmp, discount: float, policies, hypotheses: RewardHypothes
 
 @dataclass(frozen=True, eq=False)
 class RewardPosterior:
-    """Probability vector over a hypothesis set, optionally tagged by task."""
+    """Probability vector over a hypothesis set."""
 
     probabilities: np.ndarray
-    task_id: int = None
 
     def __post_init__(self):
         probs = np.array(self.probabilities, dtype=float)
@@ -252,10 +251,9 @@ class MtpoResult:
             hypotheses = RewardHypothesisSet(
                 np.array(header["hypotheses"]), np.array(header["measure"])
             )
-            posteriors = tuple(
-                RewardPosterior(np.array(r["probabilities"]), task_id=int(r["task_id"]))
-                for r in records
-            )
+            probabilities = _stack(path, records, "probabilities",
+                                   (len(records), hypotheses.n_hypotheses))
+            posteriors = tuple(RewardPosterior(row) for row in probabilities)
         except KeyError as error:
             raise ValueError(f"{path}: missing key {error}") from None
         return cls(
@@ -305,8 +303,7 @@ def mtpo_mc(cmp: Cmp, demos, policy_prior: PolicyDirichletPrior, *,
         task_posterior = policy_posterior(policy_prior, group)
         sampled = sample_policies(task_posterior, int(n_policy_samples), rng)
         loss_matrix = _loss_matrix(cmp, discount, sampled, hypotheses, optimal)
-        result = reward_posterior(loss_matrix, optimality_prior, hypotheses)
-        posteriors.append(RewardPosterior(result.probabilities, task_id=tid))
+        posteriors.append(reward_posterior(loss_matrix, optimality_prior, hypotheses))
     return MtpoResult(
         task_ids=resolved,
         posteriors=tuple(posteriors),

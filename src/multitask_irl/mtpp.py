@@ -113,9 +113,6 @@ class PosteriorEnsemble:
     rewards: np.ndarray                     # (K, M, S)
     temperatures: np.ndarray                # (K, M)
     log_likelihoods: np.ndarray             # (K, M)
-    hyper_concentrations: np.ndarray = None  # (K, S) or None
-    hyper_temperature_shapes: np.ndarray = None  # (K,) or None
-    hyper_temperature_rates: np.ndarray = None   # (K,) or None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -148,7 +145,7 @@ class PosteriorEnsemble:
 
         The first line is a header object; each following line is one sample
         with its weight, per-task reward vectors, temperatures and per-task
-        log-likelihoods.  Population-level draws are not stored.
+        log-likelihoods.
         """
         header = {
             "format": "mtpp-ensemble",
@@ -177,12 +174,14 @@ class PosteriorEnsemble:
                     f"{path}: header promises {header['n_samples']} samples, "
                     f"found {len(records)}"
                 )
+            task_ids = tuple(header["task_ids"])
+            shape = (len(records), len(task_ids))
             return cls(
-                task_ids=tuple(header["task_ids"]),
-                weights=np.array([r["weight"] for r in records]),
-                rewards=np.array([r["rewards"] for r in records]),
-                temperatures=np.array([r["temperatures"] for r in records]),
-                log_likelihoods=np.array([r["log_likelihoods"] for r in records]),
+                task_ids=task_ids,
+                weights=_stack(path, records, "weight", shape[:1]),
+                rewards=_stack(path, records, "rewards", shape + (header["n_states"],)),
+                temperatures=_stack(path, records, "temperatures", shape),
+                log_likelihoods=_stack(path, records, "log_likelihoods", shape),
                 metadata=dict(header.get("metadata", {})),
             )
         except KeyError as error:
@@ -199,6 +198,17 @@ def _read_jsonl(path, kind: str):
     if not all(isinstance(record, dict) for record in records):
         raise ValueError(f"{path}: every record must be a JSON object")
     return header, records
+
+
+def _stack(path, records, key: str, shape: tuple) -> np.ndarray:
+    """Every record's ``key`` as one float array, which must have ``shape``."""
+    try:
+        values = np.array([record[key] for record in records], dtype=float)
+    except (TypeError, ValueError):
+        values = None
+    if values is None or values.shape != shape:
+        raise ValueError(f"{path}: {key!r} must have shape {shape} over the records")
+    return values
 
 
 def _json_safe(value) -> bool:
@@ -255,14 +265,12 @@ def mtpp_mc(cmp: Cmp, demos, hyperprior, n_samples: int, discount: float,
     n_tasks = len(task_ids)
 
     fixed = isinstance(hyperprior, FixedHyperprior)
-    if fixed:
-        conc = t_shapes = t_rates = None
-    elif isinstance(hyperprior, GammaHyperprior):
+    if isinstance(hyperprior, GammaHyperprior):
         if hyperprior.n_states != cmp.n_states:
             raise ValueError("hyperprior n_states does not match the CMP")
         hyper_rng = substream(seed, "mtpp-mc", "hyper")
         conc, t_shapes, t_rates = hyperprior.sample_batch(hyper_rng, n_samples)
-    else:
+    elif not fixed:
         raise TypeError(
             f"hyperprior must be GammaHyperprior or FixedHyperprior, got {type(hyperprior).__name__}"
         )
@@ -293,9 +301,6 @@ def mtpp_mc(cmp: Cmp, demos, hyperprior, n_samples: int, discount: float,
         rewards=rewards,
         temperatures=temperatures,
         log_likelihoods=log_liks,
-        hyper_concentrations=conc,
-        hyper_temperature_shapes=t_shapes,
-        hyper_temperature_rates=t_rates,
         metadata={
             "kind": "mtpp-mc",
             "seed": int(seed) if isinstance(seed, (int, np.integer)) else None,
@@ -409,10 +414,8 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
     n_states = cmp.n_states
     burn = int(np.floor(burn_in_fraction * per_chain))
     kept_per_chain = per_chain - burn
-    track_hyper = isinstance(hyperprior, GammaHyperprior)
 
     chains_rewards, chains_temps, chains_lls = [], [], []
-    chains_conc, chains_tsh, chains_trt = [], [], []
     acceptance = []
     for chain in range(n_chains):
         rng = substream(seed, "mtpp-mh", "chain", chain)
@@ -433,9 +436,6 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
         rec_rewards = np.empty((per_chain, n_tasks, n_states))
         rec_temps = np.empty((per_chain, n_tasks))
         rec_lls = np.empty((per_chain, n_tasks))
-        rec_conc = np.empty((per_chain, n_states)) if track_hyper else None
-        rec_tsh = np.empty(per_chain) if track_hyper else None
-        rec_trt = np.empty(per_chain) if track_hyper else None
         moves = {"hyper": [0, 0], "reward": [0, 0], "temperature": [0, 0]}
 
         temp_moves = not isinstance(temp_prior, FixedTemperature)
@@ -502,18 +502,10 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
             rec_rewards[it] = rho
             rec_temps[it] = eta
             rec_lls[it] = log_lik
-            if track_hyper:
-                rec_conc[it] = reward_prior.concentration
-                rec_tsh[it] = temp_prior.shape
-                rec_trt[it] = temp_prior.rate
 
         chains_rewards.append(rec_rewards[burn:])
         chains_temps.append(rec_temps[burn:])
         chains_lls.append(rec_lls[burn:])
-        if track_hyper:
-            chains_conc.append(rec_conc[burn:])
-            chains_tsh.append(rec_tsh[burn:])
-            chains_trt.append(rec_trt[burn:])
         acceptance.append(
             {
                 name: (hits / max(total, 1))
@@ -529,9 +521,6 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
         rewards=np.concatenate(chains_rewards),
         temperatures=np.concatenate(chains_temps),
         log_likelihoods=np.concatenate(chains_lls),
-        hyper_concentrations=np.concatenate(chains_conc) if track_hyper else None,
-        hyper_temperature_shapes=np.concatenate(chains_tsh) if track_hyper else None,
-        hyper_temperature_rates=np.concatenate(chains_trt) if track_hyper else None,
         metadata={
             "kind": "mtpp-mh",
             "seed": int(seed) if isinstance(seed, (int, np.integer)) else None,

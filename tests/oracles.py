@@ -78,6 +78,46 @@ def dense_policy_values(cmp, reward_values, action_probs, discount):
     return np.linalg.solve(np.eye(cmp.n_states) - discount * kernel, reward_values)
 
 
+def mwal_reference(cmp, discount, demos, n_iterations, initial_state_probs=None):
+    """The state-indicator feature-matching game, played slowly.
+
+    Each round's best response comes from ``value_iteration``, with ties
+    (action values within 1e-9 of the best) going to the lowest action as in
+    the package; its discounted state visits are summed forward,
+    ``sum_t gamma^t P(s_t)``, until the terms fall below 1e-15; the
+    demonstrations' visits are added one step at a time; the weights are
+    updated multiplicatively as ``w <- w * beta^G``.  Returns a dict from
+    each distinct response's action tuple to the share of rounds it won.
+    """
+    n_states = cmp.n_states
+    if initial_state_probs is None:
+        initial_state_probs = np.full(n_states, 1.0 / n_states)
+    mu_demo = np.zeros(n_states)
+    for demo in demos:
+        for t, state in enumerate(demo.states):
+            mu_demo[state] += discount ** t / len(demos)
+    n_terms = 1 if discount == 0 else math.ceil(math.log(1e-15) / math.log(discount))
+    beta = 1.0 / (1.0 + math.sqrt(2.0 * math.log(n_states) / n_iterations))
+    weights = np.ones(n_states)
+    shares = {}
+    for _ in range(n_iterations):
+        reward = weights / weights.sum()
+        values, _ = value_iteration(Mdp(cmp, RewardFunction(reward), discount))
+        q = reward[:, None] + discount * cmp.transition @ values
+        actions = tuple(int(np.flatnonzero(row >= row.max() - 1e-9)[0]) for row in q)
+        policy = StationaryPolicy.from_actions(actions, cmp.n_actions)
+        kernel = np.einsum("sa,sat->st", policy.action_probs, cmp.transition)
+        visits = np.zeros(n_states)
+        dist = np.array(initial_state_probs, dtype=float)
+        for t in range(n_terms):
+            visits += discount ** t * dist
+            dist = kernel.T @ dist
+        gain = ((1.0 - discount) * (visits - mu_demo) + 2.0) / 4.0
+        weights = weights * beta ** gain
+        shares[actions] = shares.get(actions, 0.0) + 1.0 / n_iterations
+    return shares
+
+
 def per_step_log_lik(action_probs, demos):
     """``sum_t log pi(a_t | s_t)`` over every step of every demonstration,
     one step at a time; ``LOG_ZERO`` as soon as a step is impossible."""

@@ -203,6 +203,8 @@ MTPO_HEADER = {"format": "mtpo-posterior", "hypotheses": [[1.0, 0.0], [0.0, 1.0]
                "measure": [1.0, 1.0], "metadata": {}}
 MTPP_HEADER = {"format": "mtpp-ensemble", "task_ids": [0], "n_samples": 1, "n_states": 2,
                "metadata": {}}
+MTPP_RECORD = {"weight": 1.0, "rewards": [[0.5, 0.5]], "temperatures": [1.0],
+               "log_likelihoods": [0.0]}
 
 
 @pytest.mark.parametrize("lines", [
@@ -211,8 +213,13 @@ MTPP_HEADER = {"format": "mtpp-ensemble", "task_ids": [0], "n_samples": 1, "n_st
     [MTPP_HEADER, {"weight": 1.0, "rewards": [[0.5, 0.5]], "temperatures": [1.0]}],
     [[MTPP_HEADER]],
     [dict(MTPO_HEADER, task_ids=[0]), 7],
+    [dict(MTPP_HEADER, task_ids=[0, 1]), MTPP_RECORD],
+    [MTPP_HEADER, dict(MTPP_RECORD, rewards=[0.5, 0.5])],
+    [dict(MTPP_HEADER, n_states=5), dict(MTPP_RECORD, rewards=[[0.2, 0.3, 0.5]])],
+    [dict(MTPO_HEADER, task_ids=[0]), {"task_id": 0, "probabilities": [0.2, 0.3, 0.5]}],
 ], ids=["missing-record", "unlisted-task", "missing-key", "header-not-object",
-        "record-not-object"])
+        "record-not-object", "record-task-count", "flat-rewards", "record-state-count",
+        "hypothesis-count"])
 def test_show_rejects_malformed_posterior_files(tmp_path, capsys, lines):
     path = tmp_path / "malformed.jsonl"
     path.write_text("".join(json.dumps(line) + "\n" for line in lines))
@@ -220,7 +227,7 @@ def test_show_rejects_malformed_posterior_files(tmp_path, capsys, lines):
     captured = capsys.readouterr()
     assert captured.err.startswith("data error:")
     assert str(path) in captured.err
-    assert "task 7" not in captured.out
+    assert captured.out == ""
 
 
 def test_console_script_help_runs():

@@ -190,8 +190,7 @@ def test_reward_posterior_validation_object():
         RewardPosterior(np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
         RewardPosterior(np.array([-0.1, 1.1]))
-    posterior = RewardPosterior(np.array([0.25, 0.75]), task_id=3)
-    assert posterior.task_id == 3
+    posterior = RewardPosterior(np.array([0.25, 0.75]))
     with pytest.raises(ValueError):
         posterior.probabilities[0] = 1.0
 

@@ -235,7 +235,6 @@ def test_mtpp_mc_reproducible_and_seed_sensitive():
     assert not np.array_equal(a.weights, c.weights)
     assert a.metadata["kind"] == "mtpp-mc"
     assert a.metadata["seed"] == 12
-    assert a.hyper_concentrations.shape == (200, 2)
     assert np.all(a.temperatures > 0)
 
 
@@ -278,8 +277,6 @@ def test_mtpp_mh_hierarchical_chains_and_acceptance_rates():
     assert np.allclose(ensemble.weights.sum(), 1.0, atol=1e-12)
     assert ensemble.rewards.shape == (360, 2, 3)
     assert np.all(ensemble.temperatures > 0)
-    assert ensemble.hyper_concentrations.shape == (360, 3)
-    assert np.all(ensemble.hyper_concentrations > 0)
     rates = ensemble.metadata["acceptance_rates"]
     assert len(rates) == 2
     for chain_rates in rates:
@@ -317,7 +314,6 @@ def test_mtpp_mh_degenerate_hyperprior_skips_fixed_blocks():
     cmp = two_state_cmp()
     demo = atom_demo(cmp, 1, seed=4)
     ensemble = mtpp_mh(cmp, [demo], grid_hyperprior(), 200, 1, DISCOUNT, 3)
-    assert ensemble.hyper_concentrations is None
     assert np.all(ensemble.temperatures == ETA)
     rates = ensemble.metadata["acceptance_rates"]
     assert set(rates[0]) == {"reward"}
@@ -399,7 +395,6 @@ def test_posterior_ensemble_jsonl_round_trip(tmp_path):
     assert np.array_equal(loaded.rewards, ensemble.rewards)
     assert np.array_equal(loaded.temperatures, ensemble.temperatures)
     assert np.array_equal(loaded.log_likelihoods, ensemble.log_likelihoods)
-    assert loaded.hyper_concentrations is None
     assert loaded.metadata["kind"] == "mtpp-mc"
 
 
