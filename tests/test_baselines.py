@@ -95,11 +95,22 @@ def test_mwal_validation(chain_demos):
     mdp, demos = chain_demos
     with pytest.raises(ValueError):
         mwal(mdp.cmp, mdp.discount, demos, n_iterations=0)
+
+
+def test_demo_feature_expectations_validation(chain_demos):
+    # mwal sums the demonstrations' discounted visits itself: it needs at
+    # least one demonstration, and every visited state inside the CMP.
+    mdp, _ = chain_demos
     with pytest.raises(ValueError):
         mwal(mdp.cmp, mdp.discount, [])
     stray = Demonstration(0, np.array([0, 5]), np.array([0, 0]))
     with pytest.raises(ValueError):
         mwal(mdp.cmp, mdp.discount, [stray])
+
+
+def test_occupancy_initial_distribution_validation(chain_demos):
+    # The start law must be a distribution over the CMP's states.
+    mdp, demos = chain_demos
     for start in (np.full(4, 0.25), np.full(5, 0.3), np.array([1.2, -0.2, 0.0, 0.0, 0.0])):
         with pytest.raises(ValueError):
             mwal(mdp.cmp, mdp.discount, demos, initial_state_probs=start)
