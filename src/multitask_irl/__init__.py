@@ -37,7 +37,6 @@ from .mdp import (
     counts_log_likelihood,
     demo_counts,
     log_likelihood,
-    policy_transition,
     q_from_v,
     simulate,
     softmax_policy,
@@ -151,7 +150,6 @@ __all__ = [
     "mwal",
     "parse_config",
     "policy_posterior",
-    "policy_transition",
     "posterior_policy",
     "q_from_v",
     "read_demonstrations",

@@ -35,7 +35,6 @@ __all__ = [
     "batch_solve_optimal",
     "solve_optimal",
     "batch_policy_values",
-    "policy_transition",
     "DegeneratePosteriorError",
 ]
 
@@ -208,13 +207,6 @@ def _expected_next_values(transition: np.ndarray, v: np.ndarray) -> np.ndarray:
     return transition @ v
 
 
-def policy_transition(cmp: Cmp, policy: StationaryPolicy) -> np.ndarray:
-    """State-to-state kernel induced by following ``policy``."""
-    if policy.n_states != cmp.n_states or policy.n_actions != cmp.n_actions:
-        raise ValueError("policy shape does not match the CMP")
-    return np.einsum("sa,sat->st", policy.action_probs, cmp.transition)
-
-
 def q_from_v(mdp: Mdp, values: np.ndarray) -> np.ndarray:
     """Action values ``Q(s, a) = rho(s) + gamma * sum_s' T(s'|s,a) V(s')``."""
     values = np.asarray(values, dtype=float)
@@ -361,38 +353,67 @@ def _greedy(q: np.ndarray) -> np.ndarray:
     return np.argmax(q >= q.max(axis=-1, keepdims=True) - _TIE_MARGIN, axis=-1)
 
 
-def batch_solve_optimal(transition: np.ndarray, rewards: np.ndarray, discount: float):
+def batch_solve_optimal(transition: np.ndarray, rewards: np.ndarray, discount: float,
+                        start=None):
     """Optimal values and greedy actions for a batch of reward vectors.
 
     ``rewards`` has shape (K, S) or (S,); returns ``(values, actions)`` of
     the same leading shape.  Policy iteration with exact linear evaluation,
-    starting from action 0 everywhere and switching a state's action only
-    where another beats it by more than the tie margin; it stops once no
-    state can improve.  Raises ``RuntimeError`` if no policy among the
-    first ``_MAX_POLICY_ITERATIONS`` evaluated is optimal.
+    starting from ``start`` (integer actions shaped like ``rewards``; action
+    0 everywhere by default) and switching a state's action only where
+    another beats it by more than the tie margin.  A row leaves the batch in
+    the round in which none of its states can improve: its values are those
+    of that round's policy and its actions the greedy ones of that round's
+    Q.  Each row's linear system is solved on its own, so a row's values do
+    not depend on which other rows are still in the batch; they are the same
+    bits as a solve of that row alone.  A start nearer the optimum (the
+    previous solution of a nearby reward) saves rounds.  Raises
+    ``RuntimeError`` if some row has no optimal policy among the first
+    ``_MAX_POLICY_ITERATIONS`` evaluated.
     """
     rewards = np.asarray(rewards, dtype=float)
+    actions = np.zeros(rewards.shape, dtype=np.int64) if start is None else np.asarray(start)
+    if actions.shape != rewards.shape:
+        raise ValueError(f"start must be shaped like rewards, got {actions.shape}")
     squeeze = rewards.ndim == 1
     if squeeze:
-        rewards = rewards[None, :]
-    n_states = transition.shape[0]
+        rewards, actions = rewards[None, :], actions[None, :]
+    n_states, n_actions = transition.shape[:2]
     if rewards.shape[1] != n_states:
         raise ValueError(f"rewards must have {n_states} columns, got {rewards.shape}")
     if not np.all(np.isfinite(rewards)):
         raise ValueError("reward entries must be finite")
+    if start is not None and (actions.dtype.kind not in "iu" or actions.size and (
+            actions.min() < 0 or actions.max() >= n_actions)):
+        raise ValueError(f"start must hold action indices in [0, {n_actions})")
     eye = np.eye(n_states)
     states = np.arange(n_states)[None, :]
-    actions = np.zeros(rewards.shape, dtype=np.int64)
+    # Indices of the rows still iterating, once some have left the batch.
+    active = None
     for _ in range(_MAX_POLICY_ITERATIONS):
         rows = transition[states, actions]  # (K, S, S')
         values = np.linalg.solve(eye[None] - discount * rows, rewards[:, :, None])[:, :, 0]
         q = _batch_q(transition, rewards, values, discount)
         current = np.take_along_axis(q, actions[:, :, None], axis=2)[:, :, 0]
         improvable = q.max(axis=2) - current > _TIE_MARGIN
-        if not improvable.any():
-            actions = _greedy(q)
-            return (values[0], actions[0]) if squeeze else (values, actions)
-        actions = np.where(improvable, _greedy(q), actions)
+        pending = improvable.any(axis=1)
+        greedy = _greedy(q)
+        if not pending.any():
+            if active is None:
+                return (values[0], greedy[0]) if squeeze else (values, greedy)
+            out_values[active] = values
+            out_actions[active] = greedy
+            return out_values, out_actions
+        actions = np.where(improvable, greedy, actions)
+        if not pending.all():
+            if active is None:
+                active = np.arange(rewards.shape[0])
+                out_values = np.empty(rewards.shape)
+                out_actions = np.empty(rewards.shape, dtype=np.int64)
+            done = ~pending
+            out_values[active[done]] = values[done]
+            out_actions[active[done]] = greedy[done]
+            active, rewards, actions = active[pending], rewards[pending], actions[pending]
     raise RuntimeError(
         f"policy iteration did not converge within {_MAX_POLICY_ITERATIONS} iterations"
     )

@@ -25,7 +25,7 @@ from .mdp import (
     batch_policy_values,
     batch_solve_optimal,
 )
-from .mtpp import _group_demos, _json_safe, _read_jsonl, _stack
+from .mtpp import _errors_name, _group_demos, _header_fields, _json_safe, _read_jsonl, _stack
 from .priors import OptimalityPrior, PolicyDirichletPrior, policy_posterior, sample_policies
 from .seeding import substream
 
@@ -241,26 +241,24 @@ class MtpoResult:
     @classmethod
     def from_jsonl(cls, path) -> "MtpoResult":
         header, records = _read_jsonl(path, "mtpo-posterior")
-        try:
-            task_ids = tuple(header["task_ids"])
+        with _errors_name(path):
+            task_ids, metadata = _header_fields(header)
             found = tuple(r["task_id"] for r in records)
             if found != task_ids:
                 raise ValueError(
-                    f"{path}: header lists tasks {list(task_ids)}, records are for {list(found)}"
+                    f"header lists tasks {list(task_ids)}, records are for {list(found)}"
                 )
-            hypotheses = RewardHypothesisSet(
-                np.array(header["hypotheses"]), np.array(header["measure"])
-            )
-            probabilities = _stack(path, records, "probabilities",
+            # A null measure is malformed here, not the counting measure.
+            measure = np.asarray(header["measure"], dtype=float)
+            hypotheses = RewardHypothesisSet(header["hypotheses"], measure)
+            probabilities = _stack(records, "probabilities",
                                    (len(records), hypotheses.n_hypotheses))
             posteriors = tuple(RewardPosterior(row) for row in probabilities)
-        except KeyError as error:
-            raise ValueError(f"{path}: missing key {error}") from None
         return cls(
             task_ids=task_ids,
             posteriors=posteriors,
             hypotheses=hypotheses,
-            metadata=dict(header.get("metadata", {})),
+            metadata=metadata,
         )
 
 

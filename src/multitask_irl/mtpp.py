@@ -16,6 +16,7 @@ population draw, which both samplers below exploit:
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,7 @@ from .priors import (
     FixedTemperature,
     GammaHyperprior,
     _dirichlet_log_pdf,
+    _dirichlet_rows,
 )
 from .seeding import substream
 
@@ -168,24 +170,21 @@ class PosteriorEnsemble:
     @classmethod
     def from_jsonl(cls, path) -> "PosteriorEnsemble":
         header, records = _read_jsonl(path, "mtpp-ensemble")
-        try:
+        with _errors_name(path):
             if len(records) != header["n_samples"]:
                 raise ValueError(
-                    f"{path}: header promises {header['n_samples']} samples, "
-                    f"found {len(records)}"
+                    f"header promises {header['n_samples']} samples, found {len(records)}"
                 )
-            task_ids = tuple(header["task_ids"])
+            task_ids, metadata = _header_fields(header)
             shape = (len(records), len(task_ids))
             return cls(
                 task_ids=task_ids,
-                weights=_stack(path, records, "weight", shape[:1]),
-                rewards=_stack(path, records, "rewards", shape + (header["n_states"],)),
-                temperatures=_stack(path, records, "temperatures", shape),
-                log_likelihoods=_stack(path, records, "log_likelihoods", shape),
-                metadata=dict(header.get("metadata", {})),
+                weights=_stack(records, "weight", shape[:1]),
+                rewards=_stack(records, "rewards", shape + (header["n_states"],)),
+                temperatures=_stack(records, "temperatures", shape),
+                log_likelihoods=_stack(records, "log_likelihoods", shape),
+                metadata=metadata,
             )
-        except KeyError as error:
-            raise ValueError(f"{path}: missing key {error}") from None
 
 
 def _read_jsonl(path, kind: str):
@@ -200,14 +199,39 @@ def _read_jsonl(path, kind: str):
     return header, records
 
 
-def _stack(path, records, key: str, shape: tuple) -> np.ndarray:
+@contextmanager
+def _errors_name(path):
+    """Report what a posterior file's contents get wrong as a ``ValueError``
+    that names the file: a missing key, or a value of the wrong type, shape
+    or range."""
+    try:
+        yield
+    except KeyError as error:
+        raise ValueError(f"{path}: missing key {error}") from None
+    except (TypeError, ValueError) as error:
+        raise ValueError(f"{path}: {error}") from None
+
+
+def _header_fields(header):
+    """A posterior file header's task ids (a tuple) and metadata (a dict)."""
+    task_ids = header["task_ids"]
+    if not isinstance(task_ids, list) or not all(
+            isinstance(tid, int) and not isinstance(tid, bool) for tid in task_ids):
+        raise ValueError("'task_ids' must be a list of integers")
+    metadata = header.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ValueError("'metadata' must be an object")
+    return tuple(task_ids), dict(metadata)
+
+
+def _stack(records, key: str, shape: tuple) -> np.ndarray:
     """Every record's ``key`` as one float array, which must have ``shape``."""
     try:
         values = np.array([record[key] for record in records], dtype=float)
     except (TypeError, ValueError):
         values = None
     if values is None or values.shape != shape:
-        raise ValueError(f"{path}: {key!r} must have shape {shape} over the records")
+        raise ValueError(f"{key!r} must have shape {shape} over the records")
     return values
 
 
@@ -284,9 +308,7 @@ def mtpp_mc(cmp: Cmp, demos, hyperprior, n_samples: int, discount: float,
             rewards_m = hyperprior.reward_prior.sample_batch(rng, n_samples)
             etas_m = hyperprior.temperature_prior.sample_batch(rng, n_samples)
         else:
-            # Concentrations vary per sample; rng.dirichlet stays stable for
-            # tiny concentrations where normalized gamma draws would 0/0.
-            rewards_m = np.stack([rng.dirichlet(conc[k]) for k in range(n_samples)])
+            rewards_m = _dirichlet_rows(rng, conc)
             etas_m = rng.gamma(t_shapes) / t_rates
         values, _ = batch_solve_optimal(transition, rewards_m, discount)
         q = _batch_q(transition, rewards_m, values, discount)
@@ -354,12 +376,7 @@ def _propose_rewards(prior, current: np.ndarray, rng, step: float):
         ).sum(axis=1)
         return proposal, log_hastings
     forward = step * current + _PROPOSAL_FLOOR
-    # Generator.dirichlet with every concentration >= 0.1 draws one standard
-    # gamma per coordinate and scales each row by the reciprocal of its
-    # left-to-right sum; cumsum reproduces that sum, so these are the
-    # proposals of one rng.dirichlet(forward[m]) per task.
-    gammas = rng.standard_gamma(forward)
-    proposal = gammas * (1.0 / np.cumsum(gammas, axis=1)[:, -1:])
+    proposal = _dirichlet_rows(rng, forward)
     # Tiny concentrations can underflow a coordinate to exact zero; keep the
     # chain state interior so both Hastings densities stay finite.
     proposal = np.clip(proposal, 1e-300, None)
@@ -427,7 +444,7 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
             # A tiny temperature shape can underflow the draw to exact zero,
             # where the log prior is -inf and multiplicative moves are stuck.
             eta[m] = max(temp_prior.sample(rng), 1e-12)
-        values, _ = batch_solve_optimal(cmp.transition, rho, discount)
+        values, greedy = batch_solve_optimal(cmp.transition, rho, discount)
         q = _batch_q(cmp.transition, rho, values, discount)
         log_lik = counts_log_likelihood(counts, _batch_softmax(q, eta))
         log_prior_rho = reward_prior.log_pdf(rho)
@@ -461,7 +478,11 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
                     log_prior_rho, log_prior_eta = new_prior_rho, new_prior_eta
 
             proposals, hastings = _propose_rewards(reward_prior, rho, rng, reward_step)
-            values, _ = batch_solve_optimal(cmp.transition, proposals, discount)
+            # A proposal lies near its task's reward, so the task's greedy
+            # actions are a close start for policy iteration.
+            values, prop_greedy = batch_solve_optimal(
+                cmp.transition, proposals, discount, start=greedy
+            )
             q_prop = _batch_q(cmp.transition, proposals, values, discount)
             new_ll = counts_log_likelihood(counts, _batch_softmax(q_prop, eta))
             new_lp = reward_prior.log_pdf(proposals)
@@ -472,6 +493,7 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
             moves["reward"][1] += n_tasks
             rho[accepted] = proposals[accepted]
             q[accepted] = q_prop[accepted]
+            greedy[accepted] = prop_greedy[accepted]
             log_lik[accepted] = new_ll[accepted]
             log_prior_rho[accepted] = new_lp[accepted]
 

@@ -57,6 +57,55 @@ def _dirichlet_log_pdf(values, concentration):
     return log_norm + xlogy(concentration - 1.0, values).sum(axis=-1)
 
 
+# Generator.dirichlet stick-breaks a row whose largest concentration is
+# below this, and normalizes standard gamma draws otherwise.
+_DIRICHLET_STICK_BREAKING = 0.1
+
+
+def _dirichlet_rows(rng, concentration) -> np.ndarray:
+    """One Dirichlet draw per row of ``concentration`` (K, S), the same bits
+    as ``[rng.dirichlet(row) for row in concentration]`` and leaving ``rng``
+    at the same stream position.
+
+    ``Generator.dirichlet`` draws a row in one of two ways.  When the row's
+    largest concentration is at least 0.1 it draws S standard gammas and
+    scales them by the reciprocal of their left-to-right sum.  Otherwise it
+    stick-breaks: S - 1 draws ``v_j ~ Beta(a_j, a_{j+1} + ... + a_{S-1})``
+    (tail sums accumulated right to left) give ``acc_j * v_j`` with ``acc``
+    the running product of ``1 - v``, and the last coordinate is ``acc``.
+    Each maximal run of rows of one kind takes one array call to
+    ``standard_gamma`` or ``beta``, which consumes the stream as the rows'
+    own calls would; the normalization and the products then run over all
+    rows at once, with ``cumsum`` and ``cumprod`` keeping numpy's order of
+    operations.
+    """
+    conc = np.asarray(concentration, dtype=float)
+    if conc.ndim != 2 or conc.shape[1] < 1:
+        raise ValueError(f"concentration must have shape (rows, n_states), got {conc.shape}")
+    if not np.all(np.isfinite(conc)) or np.any(conc <= 0):
+        raise ValueError("concentration entries must be finite and strictly positive")
+    n_rows, n_states = conc.shape
+    small = conc.max(axis=1) < _DIRICHLET_STICK_BREAKING
+    # Beta parameters of the stick-breaking rows: each coordinate against
+    # the sum of the coordinates after it.
+    tails = np.cumsum(conc[:, :0:-1], axis=1)[:, ::-1]
+    draws = np.empty((n_rows, n_states))
+    bounds = np.concatenate([[0], np.flatnonzero(small[1:] != small[:-1]) + 1, [n_rows]])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if small[lo]:
+            draws[lo:hi, :-1] = rng.beta(conc[lo:hi, :-1], tails[lo:hi])
+        else:
+            draws[lo:hi] = rng.standard_gamma(conc[lo:hi])
+    gamma = ~small
+    draws[gamma] *= 1.0 / np.cumsum(draws[gamma], axis=1)[:, -1:]
+    sticks = draws[small, :-1]
+    # acc[:, j] is what is left of the stick before coordinate j.
+    acc = np.cumprod(np.hstack([np.ones((sticks.shape[0], 1)), 1.0 - sticks]), axis=1)
+    draws[small, :-1] = acc[:, :-1] * sticks
+    draws[small, -1] = acc[:, -1]
+    return draws
+
+
 def _batch_result(values):
     """A float for a 0-d result, else the array."""
     return float(values) if np.ndim(values) == 0 else values

@@ -66,6 +66,12 @@ def policy_evaluation(mdp, policy, tolerance=1e-10):
     return _sweep(lambda v: rewards + gamma * kernel @ v, mdp.cmp.n_states, gamma, tolerance)
 
 
+def dirichlet_rows_reference(rng, concentration):
+    """One ``rng.dirichlet`` call per row of ``concentration`` (K, S), in
+    row order: the loop the row-batched Dirichlet draw must reproduce."""
+    return np.stack([rng.dirichlet(row) for row in concentration])
+
+
 def random_cmp(rng, n_states: int, n_actions: int) -> Cmp:
     """Random dense kernel with Dirichlet(1) rows."""
     rows = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))

@@ -18,7 +18,6 @@ from multitask_irl import (
     log_likelihood,
     make_chain,
     mdp as mdp_module,
-    policy_transition,
     q_from_v,
     simulate,
     softmax_policy,
@@ -139,6 +138,8 @@ def test_solve_optimal_breaks_ties_toward_lowest_action():
     mdp = Mdp(Cmp(kernel), RewardFunction([0.1, 0.5, 0.9]), 0.9)
     _, policy = solve_optimal(mdp)
     assert np.array_equal(policy.greedy_actions(), [0, 0, 0])
+    _, actions = batch_solve_optimal(kernel, mdp.reward.values, 0.9, start=np.ones(3, dtype=int))
+    assert np.array_equal(actions, [0, 0, 0])
     # A constant reward ties every action on any kernel (the first mwal round
     # plans for one); float noise in the values must not pick the action.
     rng = np.random.default_rng(5)
@@ -150,6 +151,20 @@ def test_solve_optimal_breaks_ties_toward_lowest_action():
         assert np.array_equal(policy.greedy_actions(), np.zeros(n_states))
         _, actions = batch_solve_optimal(cmp.transition, np.stack([reward, reward]), 0.95)
         assert np.array_equal(actions, np.zeros((2, n_states)))
+        # Started from tied actions other than the lowest, the greedy choice
+        # still goes to action 0.
+        start = rng.integers(1, n_actions, size=(2, n_states))
+        _, actions = batch_solve_optimal(cmp.transition, np.stack([reward, reward]), 0.95,
+                                         start=start)
+        assert np.array_equal(actions, np.zeros((2, n_states)))
+    # A tied row that converges in the first round, batched with a row that
+    # needs more rounds, leaves the batch with the lowest tied actions too.
+    chain = make_chain(ChainSpec(n_states=3, slip=0.0, rewards=(1.0, 0.0, 0.0)))
+    rewards = np.stack([np.full(3, 0.5), chain.reward.values])
+    _, actions = batch_solve_optimal(chain.cmp.transition, rewards, chain.discount,
+                                     start=np.array([[RESET] * 3, [ADVANCE] * 3]))
+    _, expected = batch_solve_optimal(chain.cmp.transition, chain.reward.values, chain.discount)
+    assert np.array_equal(actions, [[0, 0, 0], expected])
 
 
 def test_batch_solve_optimal_raises_at_iteration_cap(monkeypatch):
@@ -159,15 +174,77 @@ def test_batch_solve_optimal_raises_at_iteration_cap(monkeypatch):
     monkeypatch.setattr(mdp_module, "_MAX_POLICY_ITERATIONS", 1)
     with pytest.raises(RuntimeError, match="did not converge"):
         batch_solve_optimal(mdp.cmp.transition, mdp.reward.values, mdp.discount)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        batch_solve_optimal(mdp.cmp.transition, mdp.reward.values, mdp.discount,
+                            start=np.full(3, ADVANCE))
+    # A batch in which one row converges at once still raises for the other.
+    both = np.stack([mdp.reward.values, [0.0, 0.0, 1.0]])
+    with pytest.raises(RuntimeError, match="did not converge"):
+        batch_solve_optimal(mdp.cmp.transition, both, mdp.discount,
+                            start=np.full((2, 3), ADVANCE))
 
 
-def test_policy_transition_rows_are_distributions():
-    rng = np.random.default_rng(9)
-    cmp = random_cmp(rng, 4, 3)
-    policy = StationaryPolicy(rng.dirichlet(np.ones(3), size=4))
-    kernel = policy_transition(cmp, policy)
-    assert kernel.shape == (4, 4)
-    assert np.allclose(kernel.sum(axis=1), 1.0, atol=1e-12)
+def test_batch_solve_optimal_from_random_start_matches_value_iteration():
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        n_states, n_actions = int(rng.integers(3, 9)), int(rng.integers(2, 5))
+        cmp = random_cmp(rng, n_states, n_actions)
+        rewards = rng.random((4, n_states))
+        start = rng.integers(n_actions, size=(4, n_states))
+        values, actions = batch_solve_optimal(cmp.transition, rewards, 0.95, start=start)
+        for k in range(4):
+            expected, policy = value_iteration(Mdp(cmp, RewardFunction(rewards[k]), 0.95), 1e-11)
+            assert np.allclose(values[k], expected, atol=1e-8)
+            assert np.array_equal(actions[k], policy.greedy_actions())
+
+
+def test_batch_solve_optimal_active_set_is_bit_identical(monkeypatch):
+    # Rows that converge in different rounds leave the batch at different
+    # times; each row's values and actions must be the bits of a cold start
+    # and of a solve of that row alone.
+    rng = np.random.default_rng(23)
+    cmp = random_cmp(rng, 8, 3)
+    rewards = rng.random((60, 8)) ** 3
+    start = rng.integers(3, size=(60, 8))
+    batch_sizes = []
+    batch_q = mdp_module._batch_q
+
+    def recording(transition, rewards, values, discount):
+        batch_sizes.append(rewards.shape[0])
+        return batch_q(transition, rewards, values, discount)
+
+    monkeypatch.setattr(mdp_module, "_batch_q", recording)
+    cold_values, cold_actions = batch_solve_optimal(cmp.transition, rewards, 0.97)
+    assert len(set(batch_sizes)) > 2 and batch_sizes[0] == 60
+    warm_values, warm_actions = batch_solve_optimal(cmp.transition, rewards, 0.97, start=start)
+    assert np.array_equal(warm_values, cold_values)
+    assert np.array_equal(warm_actions, cold_actions)
+    for k in range(60):
+        values, actions = batch_solve_optimal(cmp.transition, rewards[k], 0.97)
+        assert np.array_equal(values, cold_values[k])
+        assert np.array_equal(actions, cold_actions[k])
+        values, actions = batch_solve_optimal(cmp.transition, rewards[k], 0.97, start=start[k])
+        assert np.array_equal(values, cold_values[k])
+        assert np.array_equal(actions, cold_actions[k])
+    # Started from the optimum, every row converges in the first round.
+    batch_sizes.clear()
+    values, actions = batch_solve_optimal(cmp.transition, rewards, 0.97, start=cold_actions)
+    assert batch_sizes == [60]
+    assert np.array_equal(values, cold_values)
+    assert np.array_equal(actions, cold_actions)
+
+
+def test_batch_solve_optimal_rejects_bad_start():
+    rng = np.random.default_rng(29)
+    cmp = random_cmp(rng, 3, 2)
+    rewards = rng.random((2, 3))
+    for start in (np.zeros(3, dtype=int), np.zeros((2, 4), dtype=int),
+                  np.zeros((1, 2, 3), dtype=int), np.full((2, 3), 2), np.full((2, 3), -1),
+                  np.zeros((2, 3))):
+        with pytest.raises(ValueError, match="start"):
+            batch_solve_optimal(cmp.transition, rewards, 0.9, start=start)
+    with pytest.raises(ValueError, match="start"):
+        batch_solve_optimal(cmp.transition, rewards[0], 0.9, start=np.zeros((1, 3), dtype=int))
 
 
 def test_softmax_policy_known_ratio():

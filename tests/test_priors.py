@@ -18,6 +18,8 @@ from multitask_irl import (
     sample_policies,
     substream,
 )
+from multitask_irl.priors import _dirichlet_rows
+from oracles import dirichlet_rows_reference
 
 
 def test_dirichlet_prior_mean_and_samples():
@@ -252,3 +254,48 @@ def test_exponential_interval_validation():
     with pytest.raises(ValueError):
         OptimalityPrior(-1.0)
 
+
+
+def _concentrations(kind: str, n_rows: int, n_states: int) -> np.ndarray:
+    rng = np.random.default_rng(31)
+    small = rng.uniform(0.005, 0.099, size=(n_rows, n_states))
+    large = rng.uniform(0.1, 3.0, size=(n_rows, n_states))
+    if kind == "small":
+        return small
+    if kind == "large":
+        return large
+    if kind == "alternating":
+        return np.where((np.arange(n_rows) % 2 == 0)[:, None], small, large)
+    # The hyperprior's law: about one 5-state row in ten stick-breaks.
+    return rng.gamma(1.0, size=(n_rows, n_states)) / 10.0
+
+
+@pytest.mark.parametrize("kind, n_rows, n_states", [
+    ("small", 40, 5), ("large", 40, 5), ("alternating", 41, 5), ("hyperprior", 3000, 5),
+    ("small", 1, 4), ("large", 1, 4), ("small", 7, 1), ("large", 7, 1),
+    ("alternating", 9, 1), ("alternating", 9, 2), ("hyperprior", 200, 2),
+])
+def test_dirichlet_rows_match_per_row_dirichlet(kind, n_rows, n_states):
+    conc = _concentrations(kind, n_rows, n_states)
+    fast, slow = np.random.default_rng(8), np.random.default_rng(8)
+    drawn = _dirichlet_rows(fast, conc)
+    expected = dirichlet_rows_reference(slow, conc)
+    assert drawn.shape == (n_rows, n_states)
+    assert np.array_equal(drawn, expected)
+    # Both generators stand at the same stream position afterwards.
+    assert np.array_equal(fast.random(4), slow.random(4))
+
+
+def test_dirichlet_rows_cover_both_of_numpys_draws():
+    conc = _concentrations("hyperprior", 3000, 5)
+    small = conc.max(axis=1) < 0.1
+    assert 0 < small.sum() < small.size
+    assert np.count_nonzero(small[1:] != small[:-1]) > 100
+
+
+@pytest.mark.parametrize("conc", [
+    [[1.0, 0.0]], [[1.0, -0.5]], [[1.0, np.nan]], [[1.0, np.inf]], [0.5, 0.5], [[]],
+], ids=["zero", "negative", "nan", "inf", "one-dimensional", "no-states"])
+def test_dirichlet_rows_reject_bad_concentrations(conc):
+    with pytest.raises(ValueError):
+        _dirichlet_rows(np.random.default_rng(0), np.array(conc, dtype=float))
