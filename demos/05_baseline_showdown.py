@@ -56,9 +56,12 @@ def main():
     for name, loss in sorted(scores.items(), key=lambda kv: kv[1]):
         print(f"  {name:<32} loss {loss:8.4f}")
     print("\nboth posterior models recover a near-optimal plan from one long")
-    print("demonstration. The baselines pay for acting by smoothed visit")
-    print("frequencies: the demonstrator parks at the far end, so the early")
-    print("states are seen only a handful of times.")
+    print("demonstration. mwal matches the demonstration's discounted visits")
+    print("from its first state and plays the optimal plan in 97 of its 100")
+    print("rounds; the three rounds it plays otherwise cost the rest. The")
+    print("imitator acts by smoothed action frequencies: the demonstrator parks")
+    print("at the far end, so each early state is seen once, and the prior")
+    print("keeps a third of its mass on the wrong action there.")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ plays a repeated game over state-indicator features: a reward player runs
 multiplicative weights over the states, a policy player answers each
 round's reward with its exact optimal policy, and the result mixes the
 distinct responses, each weighted by the share of rounds it was played.
-Both are deterministic given the demonstrations.
+The responses' discounted visits start from the empirical law of the
+demonstrations' first states, so both sides of the game count visits from
+the same start.  Both baselines are deterministic given the demonstrations.
 """
 
 from __future__ import annotations
@@ -60,16 +62,16 @@ def imitator(demos, policy_prior: PolicyDirichletPrior) -> StationaryPolicy:
     return policy_posterior(policy_prior, list(demos)).mean()
 
 
-def mwal(cmp: Cmp, discount: float, demos, n_iterations: int = 100, *,
-         initial_state_probs=None) -> MixedPolicy:
+def mwal(cmp: Cmp, discount: float, demos, n_iterations: int = 100) -> MixedPolicy:
     """Feature matching over states by multiplicative weights against exact best responses.
 
     Each round the reward player's simplex weights over states are the
     reward; the policy player answers with its exact optimal policy; the
     weight on each state is pushed toward states where the response's
-    discounted visits (from ``initial_state_probs``, uniform by default)
-    still trail the demonstrations'.  Returns the distinct responses, each
-    weighted by the share of rounds it was played.
+    discounted visits still trail the demonstrations'.  The response's
+    visits start from the empirical law of the demonstrations' first
+    states.  Returns the distinct responses, each weighted by the share of
+    rounds it was played.
     """
     n_iterations = int(n_iterations)
     if n_iterations < 1:
@@ -78,19 +80,14 @@ def mwal(cmp: Cmp, discount: float, demos, n_iterations: int = 100, *,
     if not demos:
         raise ValueError("need at least one demonstration")
     n_states = cmp.n_states
-    if initial_state_probs is None:
-        p0 = np.full(n_states, 1.0 / n_states)
-    else:
-        p0 = np.asarray(initial_state_probs, dtype=float)
-        if p0.shape != (n_states,) or np.any(p0 < 0) or abs(p0.sum() - 1.0) > 1e-9:
-            raise ValueError("initial_state_probs must be a distribution over states")
-    # Demonstrated discounted visits sum_t gamma^t [s_t = s], averaged over demos.
+    # Demonstrated discounted visits sum_t gamma^t [s_t = s], averaged over
+    # demos, and the law of their first states, which the responses start from.
     mu_demo = np.zeros(n_states)
     for demo in demos:
-        if demo.states.max() >= n_states:
-            raise ValueError("demonstration visits a state outside the CMP")
+        demo.check_bounds(n_states, cmp.n_actions)
         mu_demo += np.bincount(demo.states, discount ** np.arange(len(demo)), minlength=n_states)
     mu_demo /= len(demos)
+    p0 = np.bincount([demo.states[0] for demo in demos], minlength=n_states) / len(demos)
 
     # beta = 1 / (1 + sqrt(2 ln S / T)); ln beta <= 0 shrinks lagging weights.
     log_beta = -np.log1p(np.sqrt(2.0 * np.log(n_states) / n_iterations)) if n_states > 1 else 0.0

@@ -196,10 +196,12 @@ def _delta_start(n_states: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Environment:
-    """What a method may know of where the demonstrations came from."""
+    """What a method may know of where the demonstrations came from.
+
+    There is no start law here: mwal takes the one its demonstrations show.
+    """
 
     cmp: Cmp
-    start: np.ndarray = None    # initial-state law mwal plans against; None is uniform
     demonstrators: tuple = ()   # the tasks' own policies, which "soft" returns
 
 
@@ -234,10 +236,7 @@ def _fit_soft(env, demos, cfg, budget, seed):
 def _fit_mwal(env, demos, cfg, budget, seed):
     rounds = cfg.get("mwal_iterations", 100) if budget is None else budget
     _, groups, _ = _group_demos(demos, env.cmp)
-    return [
-        mwal(env.cmp, _discount(cfg), group, n_iterations=rounds, initial_state_probs=env.start)
-        for group in groups
-    ], None
+    return [mwal(env.cmp, _discount(cfg), group, n_iterations=rounds) for group in groups], None
 
 
 def _fit_mtpp_mc(env, demos, cfg, budget, seed):
@@ -351,7 +350,7 @@ def _chain_budget_sweep(cfg, name, methods, n_tasks, length, budgets) -> _Templa
     """Near-greedy demonstrations on the chain, swept over inference budgets."""
     mdp = _chain_mdp(cfg)
     demonstrator = make_demonstrator("eps_greedy", mdp, epsilon=cfg.get("demo_epsilon", 0.01))
-    env = Environment(mdp.cmp, start=_delta_start(mdp.cmp.n_states))
+    env = Environment(mdp.cmp)
     true_mdps = [mdp] * n_tasks
     length = cfg.get("demo_length", length)
     budgets = cfg.get("sample_budgets", budgets)
@@ -396,7 +395,7 @@ def _multitask_gain(cfg, name):
     n_states = cfg.get("chain_states", 5)
     hyper_rate = cfg.get("hyper_rate", 10.0)
     cmp = chain_transition(n_states, cfg.get("chain_slip", 0.2))
-    env = Environment(cmp, start=_delta_start(n_states))
+    env = Environment(cmp)
 
     def points(seed, rep):
         for count in task_counts:
@@ -452,9 +451,7 @@ def _random_mdp_sweep(cfg, name):
                 simulate(true_mdps[m], demonstrators[m], length, demo_rng, task_id=m)
                 for m in range(count)
             ]
-            # The demonstrations start at state 0, simulate's default.
-            env = Environment(pop.cmp, start=_delta_start(pop.cmp.n_states),
-                              demonstrators=demonstrators)
+            env = Environment(pop.cmp, demonstrators=demonstrators)
             yield _Point(float(x), index, None, env, demos, true_mdps)
 
     return _Template(("soft", "imitator", "mwal", "mtpp-mh", "mtpp-mh-flat"), 30, points)

@@ -11,13 +11,12 @@ import json
 import os
 import sys
 
-from .bench import EXPERIMENTS, METHODS, Environment, l1_loss, run_experiment
+from .bench import EXPERIMENTS, METHODS, Environment, _chain_mdp, _l1_loss, run_experiment
 from .config import ConfigError, load_config
 from .io import DataError, read_demonstrations
-from .mdp import DegeneratePosteriorError, Mdp, RewardFunction
+from .mdp import DegeneratePosteriorError, Mdp, solve_optimal
 from .mtpo import MtpoResult
 from .mtpp import PosteriorEnsemble
-from .tasks import ChainSpec, chain_transition
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,7 +80,9 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _infer_environment(config, n_states: int, n_actions: int):
+def _infer_environment(config, n_states: int, n_actions: int) -> Mdp:
+    """The chain MDP that ``run`` builds from ``config``, with the
+    demonstrations header's state count."""
     if n_states < 2:
         raise DataError("inference needs at least 2 states in the demonstrations header")
     if n_actions != 2:
@@ -93,29 +94,23 @@ def _infer_environment(config, n_states: int, n_actions: int):
         raise ConfigError(
             f"chain_states = {declared} but the demonstrations header says {n_states}"
         )
-    spec = ChainSpec(
-        n_states=n_states,
-        slip=config.get("chain_slip", 0.2),
-        rewards=config.get("chain_rewards"),
-        discount=config.get("discount", 0.95),
-    )
-    return chain_transition(spec.n_states, spec.slip), spec
+    return _chain_mdp(dict(config, chain_states=n_states))
 
 
 def _cmd_infer(args) -> int:
     config = load_config(args.config) if args.config else {}
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     n_states, n_actions, demos = read_demonstrations(args.demos)
-    cmp, spec = _infer_environment(config, n_states, n_actions)
+    truth = _infer_environment(config, n_states, n_actions)
     os.makedirs(args.out, exist_ok=True)
     posterior_path = os.path.join(args.out, "posterior.jsonl")
-    truth = Mdp(cmp, RewardFunction(spec.reward_values()), spec.discount)
-    env = Environment(cmp)
+    env = Environment(truth.cmp)
     fit, _ = METHODS[args.model]
     policies, posterior = fit(env, demos, config, None, seed)
     posterior.to_jsonl(posterior_path)
     baselines, _ = METHODS["imitator"][0](env, demos, config, None, None)
     task_ids = posterior.task_ids
+    optimal, _ = solve_optimal(truth)
     summary = {"model": args.model, "seed": int(seed), "task_ids": [int(t) for t in task_ids],
                "posterior_file": posterior_path, "tasks": {}}
     for tid, policy, baseline in zip(task_ids, policies, baselines):
@@ -123,8 +118,8 @@ def _cmd_infer(args) -> int:
         summary["tasks"][str(tid)] = {
             "posterior_mean_reward": [float(v) for v in mean_reward],
             "greedy_actions": [int(a) for a in policy.greedy_actions()],
-            "loss_vs_config_env": l1_loss(truth, policy),
-            "imitator_loss_vs_config_env": l1_loss(truth, baseline),
+            "loss_vs_config_env": _l1_loss(truth, policy, optimal),
+            "imitator_loss_vs_config_env": _l1_loss(truth, baseline, optimal),
         }
 
     summary_path = os.path.join(args.out, "summary.json")

@@ -25,7 +25,8 @@ from .mdp import (
     batch_policy_values,
     batch_solve_optimal,
 )
-from .mtpp import _errors_name, _group_demos, _header_fields, _json_safe, _read_jsonl, _stack
+from .mtpp import (_errors_name, _group_demos, _header_fields, _json_safe, _read_jsonl,
+                   _seed_metadata, _stack)
 from .priors import OptimalityPrior, PolicyDirichletPrior, policy_posterior, sample_policies
 from .seeding import substream
 
@@ -160,8 +161,9 @@ class RewardPosterior:
 
     def __post_init__(self):
         probs = np.array(self.probabilities, dtype=float)
-        if probs.ndim != 1 or np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
-            raise ValueError("probabilities must be non-negative and sum to 1 within 1e-9")
+        valid = probs.ndim == 1 and np.all(np.isfinite(probs)) and np.all(probs >= 0)
+        if not valid or abs(probs.sum() - 1.0) > 1e-9:
+            raise ValueError("probabilities must be finite, non-negative and sum to 1 within 1e-9")
         probs.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
 
@@ -308,7 +310,7 @@ def mtpo_mc(cmp: Cmp, demos, policy_prior: PolicyDirichletPrior, *,
         hypotheses=hypotheses,
         metadata={
             "kind": "mtpo-mc",
-            "seed": int(seed) if isinstance(seed, (int, np.integer)) else None,
+            "seed": _seed_metadata(seed),
             "n_policy_samples": int(n_policy_samples),
             "optimality_rate": float(optimality_prior.rate),
             "discount": float(discount),

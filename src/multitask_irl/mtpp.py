@@ -119,8 +119,9 @@ class PosteriorEnsemble:
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=float)
-        if abs(weights.sum() - 1.0) > 1e-9 or np.any(weights < 0):
-            raise ValueError("weights must be non-negative and sum to 1 within 1e-9")
+        valid = np.all(np.isfinite(weights)) and np.all(weights >= 0)
+        if not valid or abs(weights.sum() - 1.0) > 1e-9:
+            raise ValueError("weights must be finite, non-negative and sum to 1 within 1e-9")
 
     @property
     def n_samples(self) -> int:
@@ -268,6 +269,23 @@ def _group_demos(demos, cmp: Cmp, task_ids=None):
     return resolved, grouped, counts
 
 
+def _check_sampler_inputs(cmp: Cmp, hyperprior, discount: float) -> None:
+    """What both samplers require of their discount and hyperprior."""
+    if not (0.0 <= discount < 1.0):
+        raise ValueError(f"discount must lie in [0, 1), got {discount}")
+    if not isinstance(hyperprior, (GammaHyperprior, FixedHyperprior)):
+        raise TypeError(
+            f"hyperprior must be GammaHyperprior or FixedHyperprior, got {type(hyperprior).__name__}"
+        )
+    if isinstance(hyperprior, GammaHyperprior) and hyperprior.n_states != cmp.n_states:
+        raise ValueError("hyperprior n_states does not match the CMP")
+
+
+def _seed_metadata(seed):
+    """A sampler's seed as its result metadata records it: None unless an int."""
+    return int(seed) if isinstance(seed, (int, np.integer)) else None
+
+
 def mtpp_mc(cmp: Cmp, demos, hyperprior, n_samples: int, discount: float,
             seed) -> PosteriorEnsemble:
     """Importance-sampling posterior over every task's reward and temperature.
@@ -282,22 +300,15 @@ def mtpp_mc(cmp: Cmp, demos, hyperprior, n_samples: int, discount: float,
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    if not (0.0 <= discount < 1.0):
-        raise ValueError(f"discount must lie in [0, 1), got {discount}")
+    _check_sampler_inputs(cmp, hyperprior, discount)
     task_ids, _, counts = _group_demos(demos, cmp)
     transition = cmp.transition
     n_tasks = len(task_ids)
 
     fixed = isinstance(hyperprior, FixedHyperprior)
-    if isinstance(hyperprior, GammaHyperprior):
-        if hyperprior.n_states != cmp.n_states:
-            raise ValueError("hyperprior n_states does not match the CMP")
+    if not fixed:
         hyper_rng = substream(seed, "mtpp-mc", "hyper")
         conc, t_shapes, t_rates = hyperprior.sample_batch(hyper_rng, n_samples)
-    elif not fixed:
-        raise TypeError(
-            f"hyperprior must be GammaHyperprior or FixedHyperprior, got {type(hyperprior).__name__}"
-        )
 
     rewards = np.empty((n_samples, n_tasks, cmp.n_states))
     temperatures = np.empty((n_samples, n_tasks))
@@ -325,7 +336,7 @@ def mtpp_mc(cmp: Cmp, demos, hyperprior, n_samples: int, discount: float,
         log_likelihoods=log_liks,
         metadata={
             "kind": "mtpp-mc",
-            "seed": int(seed) if isinstance(seed, (int, np.integer)) else None,
+            "seed": _seed_metadata(seed),
             "n_samples": n_samples,
             "discount": float(discount),
         },
@@ -416,17 +427,10 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
         )
     if not (0.0 <= burn_in_fraction < 1.0):
         raise ValueError(f"burn_in_fraction must lie in [0, 1), got {burn_in_fraction}")
-    if not (0.0 <= discount < 1.0):
-        raise ValueError(f"discount must lie in [0, 1), got {discount}")
+    _check_sampler_inputs(cmp, hyperprior, discount)
     if reward_step <= 0 or temperature_step <= 0 or hyper_step <= 0:
         raise ValueError("proposal step parameters must be positive")
     task_ids, _, counts = _group_demos(demos, cmp)
-    if not isinstance(hyperprior, (GammaHyperprior, FixedHyperprior)):
-        raise TypeError(
-            f"hyperprior must be GammaHyperprior or FixedHyperprior, got {type(hyperprior).__name__}"
-        )
-    if isinstance(hyperprior, GammaHyperprior) and hyperprior.n_states != cmp.n_states:
-        raise ValueError("hyperprior n_states does not match the CMP")
     n_tasks = len(task_ids)
     n_states = cmp.n_states
     burn = int(np.floor(burn_in_fraction * per_chain))
@@ -545,7 +549,7 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
         log_likelihoods=np.concatenate(chains_lls),
         metadata={
             "kind": "mtpp-mh",
-            "seed": int(seed) if isinstance(seed, (int, np.integer)) else None,
+            "seed": _seed_metadata(seed),
             "n_iterations": n_iterations,
             "n_chains": n_chains,
             "burn_in_fraction": float(burn_in_fraction),

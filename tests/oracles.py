@@ -84,20 +84,19 @@ def dense_policy_values(cmp, reward_values, action_probs, discount):
     return np.linalg.solve(np.eye(cmp.n_states) - discount * kernel, reward_values)
 
 
-def mwal_reference(cmp, discount, demos, n_iterations, initial_state_probs=None):
+def mwal_reference(cmp, discount, demos, n_iterations, initial_state_probs):
     """The state-indicator feature-matching game, played slowly.
 
     Each round's best response comes from ``value_iteration``, with ties
     (action values within 1e-9 of the best) going to the lowest action as in
-    the package; its discounted state visits are summed forward,
-    ``sum_t gamma^t P(s_t)``, until the terms fall below 1e-15; the
-    demonstrations' visits are added one step at a time; the weights are
-    updated multiplicatively as ``w <- w * beta^G``.  Returns a dict from
-    each distinct response's action tuple to the share of rounds it won.
+    the package; its discounted state visits are summed forward from
+    ``initial_state_probs``, ``sum_t gamma^t P(s_t)``, until the terms fall
+    below 1e-15; the demonstrations' visits are added one step at a time;
+    the weights are updated multiplicatively as ``w <- w * beta^G``.
+    Returns a dict from each distinct response's action tuple to the share
+    of rounds it won.
     """
     n_states = cmp.n_states
-    if initial_state_probs is None:
-        initial_state_probs = np.full(n_states, 1.0 / n_states)
     mu_demo = np.zeros(n_states)
     for demo in demos:
         for t, state in enumerate(demo.states):

@@ -99,21 +99,39 @@ def test_mwal_validation(chain_demos):
 
 def test_demo_feature_expectations_validation(chain_demos):
     # mwal sums the demonstrations' discounted visits itself: it needs at
-    # least one demonstration, and every visited state inside the CMP.
+    # least one demonstration, and every state and action inside the CMP.
     mdp, _ = chain_demos
     with pytest.raises(ValueError):
         mwal(mdp.cmp, mdp.discount, [])
     stray = Demonstration(0, np.array([0, 5]), np.array([0, 0]))
     with pytest.raises(ValueError):
         mwal(mdp.cmp, mdp.discount, [stray])
+    stray_action = Demonstration(0, np.array([0, 1]), np.array([0, 2]))
+    with pytest.raises(ValueError):
+        mwal(mdp.cmp, mdp.discount, [stray_action])
+
+
+def _shares(mixture):
+    return {tuple(p.greedy_actions().tolist()): w
+            for p, w in zip(mixture.policies, mixture.weights)}
+
+
+def _same_shares(found, expected):
+    return found.keys() == expected.keys() and all(
+        abs(found[actions] - share) < 1e-12 for actions, share in expected.items())
 
 
 def test_occupancy_initial_distribution_validation(chain_demos):
-    # The start law must be a distribution over the CMP's states.
+    # Every demonstration starts in state 0, so mwal plans its responses'
+    # visits from the point mass there, not from a uniform start.
     mdp, demos = chain_demos
-    for start in (np.full(4, 0.25), np.full(5, 0.3), np.array([1.2, -0.2, 0.0, 0.0, 0.0])):
-        with pytest.raises(ValueError):
-            mwal(mdp.cmp, mdp.discount, demos, initial_state_probs=start)
+    assert {int(demo.states[0]) for demo in demos} == {0}
+    found = _shares(mwal(mdp.cmp, mdp.discount, demos, n_iterations=20))
+    n_states = mdp.cmp.n_states
+    assert _same_shares(found, mwal_reference(mdp.cmp, mdp.discount, demos, 20,
+                                              np.eye(n_states)[0]))
+    assert not _same_shares(found, mwal_reference(mdp.cmp, mdp.discount, demos, 20,
+                                                  np.full(n_states, 1.0 / n_states)))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -124,10 +142,10 @@ def test_mwal_matches_reference(seed):
     start = rng.dirichlet(np.ones(n_states))
     behaviour = StationaryPolicy(rng.dirichlet(np.ones(3), size=n_states))
     demos = [simulate(cmp, behaviour, 40, rng, initial_state_probs=start) for _ in range(3)]
-    mixture = mwal(cmp, 0.9, demos, n_iterations=50, initial_state_probs=start)
-    expected = mwal_reference(cmp, 0.9, demos, 50, start)
-    found = {tuple(p.greedy_actions().tolist()): w
-             for p, w in zip(mixture.policies, mixture.weights)}
+    # mwal plans from the demonstrations' empirical first-state law.
+    first_states = np.bincount([d.states[0] for d in demos], minlength=n_states) / len(demos)
+    found = _shares(mwal(cmp, 0.9, demos, n_iterations=50))
+    expected = mwal_reference(cmp, 0.9, demos, 50, first_states)
     assert found.keys() == expected.keys()
     for actions, share in expected.items():
         assert abs(found[actions] - share) < 1e-12

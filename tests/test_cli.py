@@ -224,11 +224,14 @@ MTPP_RECORD = {"weight": 1.0, "rewards": [[0.5, 0.5]], "temperatures": [1.0],
     [dict(MTPP_HEADER, metadata=[1, 2]), MTPP_RECORD],
     [MTPP_HEADER, dict(MTPP_RECORD, weight=0.5)],
     [dict(MTPO_HEADER, task_ids=[0]), {"task_id": 0, "probabilities": [0.9, 0.9]}],
+    [MTPP_HEADER, dict(MTPP_RECORD, weight=float("nan"))],
+    [dict(MTPO_HEADER, task_ids=[0]),
+     {"task_id": 0, "probabilities": [float("nan"), float("nan")]}],
 ], ids=["missing-record", "unlisted-task", "missing-key", "header-not-object",
         "record-not-object", "record-task-count", "flat-rewards", "record-state-count",
         "hypothesis-count", "mtpp-task-ids-not-list", "mtpo-task-ids-not-list",
         "measure-length", "null-measure", "metadata-not-object", "weights-not-normalized",
-        "probabilities-not-normalized"])
+        "probabilities-not-normalized", "nan-weights", "nan-probabilities"])
 def test_show_rejects_malformed_posterior_files(tmp_path, capsys, lines):
     path = tmp_path / "malformed.jsonl"
     path.write_text("".join(json.dumps(line) + "\n" for line in lines))

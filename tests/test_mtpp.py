@@ -5,6 +5,7 @@ import pytest
 
 from multitask_irl import (
     LOG_ZERO,
+    BetaProductRewardPrior,
     Demonstration,
     DegeneratePosteriorError,
     DirichletRewardPrior,
@@ -340,6 +341,26 @@ def test_mtpp_mh_survives_temperature_underflow():
     assert np.all(np.isfinite(ensemble.temperatures))
     assert np.all(ensemble.temperatures > 0.0)
     assert np.all(np.isfinite(ensemble.rewards))
+
+
+def test_mtpp_mh_beta_box_walk_samples_the_prior():
+    # With one action the demonstrations have probability one under every
+    # reward, so the chain must sample the prior.  This runs the logit-normal
+    # walk of Beta-box rewards, with its Jacobian Hastings term.
+    alpha, beta = np.array([2.0, 6.0, 4.0]), np.array([8.0, 2.0, 4.0])
+    total = alpha + beta
+    mean, var = alpha / total, alpha * beta / (total ** 2 * (total + 1.0))
+    cmp = random_cmp(np.random.default_rng(3), 3, 1)
+    n_tasks = 8
+    demos = [Demonstration(m, np.array([0]), np.array([0])) for m in range(n_tasks)]
+    hyper = FixedHyperprior(BetaProductRewardPrior(alpha, beta), FixedTemperature(1.0))
+    ensemble = mtpp_mh(cmp, demos, hyper, 10000, 2, DISCOUNT, 5, reward_step=2.0)
+    assert np.all(ensemble.log_likelihoods == 0.0)
+    for s in range(3):
+        draws = ensemble.rewards[:, :, s]   # one column per task, each its own chain
+        for moment, target in ((draws, mean[s]), ((draws - mean[s]) ** 2, var[s])):
+            se = np.sqrt(np.mean([batch_means_se(column) ** 2 for column in moment.T]) / n_tasks)
+            assert abs(moment.mean() - target) <= 4.0 * se
 
 
 def test_mtpp_mh_validation():
