@@ -49,8 +49,6 @@ from .tasks import (
 
 __all__ = [
     "EXPERIMENTS",
-    "METHODS",
-    "Environment",
     "l1_loss",
     "ResultRow",
     "ExperimentResult",

@@ -59,8 +59,9 @@ class RewardHypothesisSet:
             measure = np.ones(values.shape[0])
         else:
             measure = np.array(self.measure, dtype=float)
-            if measure.shape != (values.shape[0],) or np.any(measure <= 0):
-                raise ValueError("measure must assign a positive mass to every hypothesis")
+            if measure.shape != (values.shape[0],) or not (
+                    np.all(np.isfinite(measure)) and np.all(measure > 0)):
+                raise ValueError("measure must assign a finite positive mass to every hypothesis")
         measure.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "measure", measure)
@@ -242,8 +243,8 @@ class MtpoResult:
 
     @classmethod
     def from_jsonl(cls, path) -> "MtpoResult":
-        header, records = _read_jsonl(path, "mtpo-posterior")
         with _errors_name(path):
+            header, records = _read_jsonl(path, "mtpo-posterior")
             task_ids, metadata = _header_fields(header)
             found = tuple(r["task_id"] for r in records)
             if found != task_ids:

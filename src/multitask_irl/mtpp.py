@@ -107,7 +107,8 @@ class PosteriorEnsemble:
     """Weighted joint samples over the tasks' rewards and temperatures.
 
     ``rewards[k, m]`` is sample k's reward vector for the m-th task in
-    ``task_ids`` (sorted ascending).  Weights sum to one.
+    ``task_ids`` (sorted ascending).  Weights sum to one, rewards lie in
+    [0, 1], temperatures are non-negative and every value is finite.
     """
 
     task_ids: tuple
@@ -122,6 +123,15 @@ class PosteriorEnsemble:
         valid = np.all(np.isfinite(weights)) and np.all(weights >= 0)
         if not valid or abs(weights.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be finite, non-negative and sum to 1 within 1e-9")
+        rewards = np.asarray(self.rewards, dtype=float)
+        # min and max read the (K, M, S) rewards in place; NaN fails both bounds.
+        if rewards.size == 0 or not (rewards.min() >= 0 and rewards.max() <= 1):
+            raise ValueError("rewards must be non-empty, finite and lie in [0, 1]")
+        temperatures = np.asarray(self.temperatures, dtype=float)
+        if not (np.all(np.isfinite(temperatures)) and np.all(temperatures >= 0)):
+            raise ValueError("temperatures must be finite and non-negative")
+        if not np.all(np.isfinite(self.log_likelihoods)):
+            raise ValueError("log-likelihoods must be finite")
 
     @property
     def n_samples(self) -> int:
@@ -170,8 +180,8 @@ class PosteriorEnsemble:
 
     @classmethod
     def from_jsonl(cls, path) -> "PosteriorEnsemble":
-        header, records = _read_jsonl(path, "mtpp-ensemble")
         with _errors_name(path):
+            header, records = _read_jsonl(path, "mtpp-ensemble")
             if len(records) != header["n_samples"]:
                 raise ValueError(
                     f"header promises {header['n_samples']} samples, found {len(records)}"
@@ -189,22 +199,23 @@ class PosteriorEnsemble:
 
 
 def _read_jsonl(path, kind: str):
-    """Header and records of a JSON-lines posterior file of format ``kind``."""
+    """Header and records of a JSON-lines posterior file of format ``kind``;
+    call it inside :func:`_errors_name`, which names the file."""
     with open(path, "r", encoding="utf-8") as handle:
         header = json.loads(handle.readline())
         if not isinstance(header, dict) or header.get("format") != kind:
-            raise ValueError(f"{path} is not an {kind} file")
+            raise ValueError(f"not an {kind} file")
         records = [json.loads(line) for line in handle if line.strip()]
     if not all(isinstance(record, dict) for record in records):
-        raise ValueError(f"{path}: every record must be a JSON object")
+        raise ValueError("every record must be a JSON object")
     return header, records
 
 
 @contextmanager
 def _errors_name(path):
     """Report what a posterior file's contents get wrong as a ``ValueError``
-    that names the file: a missing key, or a value of the wrong type, shape
-    or range."""
+    that names the file: a line that is not JSON, a missing key, or a value
+    of the wrong type, shape or range."""
     try:
         yield
     except KeyError as error:

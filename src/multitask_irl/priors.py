@@ -207,8 +207,9 @@ class DiscreteRewardPrior:
             weights = np.full(atoms.shape[0], 1.0 / atoms.shape[0])
         else:
             weights = np.array(self.weights, dtype=float)
-            if weights.shape != (atoms.shape[0],) or np.any(weights <= 0):
-                raise ValueError("weights must be one positive value per atom")
+            if weights.shape != (atoms.shape[0],) or not (
+                    np.all(np.isfinite(weights)) and np.all(weights > 0)):
+                raise ValueError("weights must be one finite positive value per atom")
             weights = weights / weights.sum()
         weights.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)

@@ -227,14 +227,29 @@ MTPP_RECORD = {"weight": 1.0, "rewards": [[0.5, 0.5]], "temperatures": [1.0],
     [MTPP_HEADER, dict(MTPP_RECORD, weight=float("nan"))],
     [dict(MTPO_HEADER, task_ids=[0]),
      {"task_id": 0, "probabilities": [float("nan"), float("nan")]}],
+    [MTPP_HEADER, dict(MTPP_RECORD, rewards=[[float("nan"), 0.5]])],
+    [MTPP_HEADER, dict(MTPP_RECORD, rewards=[[1.5, 0.5]])],
+    [MTPP_HEADER, dict(MTPP_RECORD, temperatures=[float("nan")])],
+    [MTPP_HEADER, dict(MTPP_RECORD, temperatures=[-3.0])],
+    [MTPP_HEADER, dict(MTPP_RECORD, log_likelihoods=[float("nan")])],
+    [dict(MTPO_HEADER, task_ids=[0], measure=[float("nan"), 1.0]),
+     {"task_id": 0, "probabilities": [0.5, 0.5]}],
+    [dict(MTPO_HEADER, task_ids=[0], measure=[float("inf"), 1.0]),
+     {"task_id": 0, "probabilities": [0.5, 0.5]}],
+    [dict(MTPP_HEADER, n_states=0), dict(MTPP_RECORD, rewards=[[]])],
+    [MTPP_HEADER, '{"weight": 1.0, "rewards": [[0.5'],
 ], ids=["missing-record", "unlisted-task", "missing-key", "header-not-object",
         "record-not-object", "record-task-count", "flat-rewards", "record-state-count",
         "hypothesis-count", "mtpp-task-ids-not-list", "mtpo-task-ids-not-list",
         "measure-length", "null-measure", "metadata-not-object", "weights-not-normalized",
-        "probabilities-not-normalized", "nan-weights", "nan-probabilities"])
+        "probabilities-not-normalized", "nan-weights", "nan-probabilities", "nan-rewards",
+        "reward-above-one", "nan-temperatures", "negative-temperature",
+        "nan-log-likelihoods", "nan-measure", "infinite-measure", "no-states", "corrupt-record"])
 def test_show_rejects_malformed_posterior_files(tmp_path, capsys, lines):
+    # A string is written as it stands, so it can be a line that is not JSON.
     path = tmp_path / "malformed.jsonl"
-    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    path.write_text("".join((line if isinstance(line, str) else json.dumps(line)) + "\n"
+                            for line in lines))
     assert main(["show", str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("data error:")

@@ -1,7 +1,4 @@
-"""The quick demos run to completion against the package in ``src``.
-
-Demos 02 and 04 take several seconds each and are left to be run by hand.
-"""
+"""Every demo runs to completion against the package in ``src``."""
 
 import os
 import subprocess
@@ -15,7 +12,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("demo", [
     "01_chain_planning.py",
+    "02_reward_temperature_posterior.py",
     "03_policy_optimality_posterior.py",
+    "04_multitask_transfer.py",
     "05_baseline_showdown.py",
     "06_value_bound.py",
 ])

@@ -88,6 +88,8 @@ def test_discrete_prior_atoms_weights_and_log_pdf():
         DiscreteRewardPrior(np.array([[1.5, 0.0]]))
     with pytest.raises(ValueError):
         DiscreteRewardPrior(atoms, weights=[1.0, 0.0])
+    with pytest.raises(ValueError):
+        DiscreteRewardPrior(atoms, weights=[1.0, float("nan")])
 
 
 def test_temperature_prior_moments_and_log_pdf():
