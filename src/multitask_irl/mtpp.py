@@ -36,7 +36,6 @@ from .mdp import (
     solve_optimal,
 )
 from .priors import (
-    BetaProductRewardPrior,
     DiscreteRewardPrior,
     FixedHyperprior,
     FixedTemperature,
@@ -182,6 +181,9 @@ class PosteriorEnsemble:
     def from_jsonl(cls, path) -> "PosteriorEnsemble":
         with _errors_name(path):
             header, records = _read_jsonl(path, "mtpp-ensemble")
+            for key in ("n_samples", "n_states"):
+                if not _is_int(header[key]):
+                    raise ValueError(f"{key!r} must be an integer")
             if len(records) != header["n_samples"]:
                 raise ValueError(
                     f"header promises {header['n_samples']} samples, found {len(records)}"
@@ -224,12 +226,19 @@ def _errors_name(path):
         raise ValueError(f"{path}: {error}") from None
 
 
+def _is_int(value) -> bool:
+    """Whether a value read from JSON is an integer (a bool is not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _header_fields(header):
     """A posterior file header's task ids (a tuple) and metadata (a dict)."""
     task_ids = header["task_ids"]
-    if not isinstance(task_ids, list) or not all(
-            isinstance(tid, int) and not isinstance(tid, bool) for tid in task_ids):
+    if not isinstance(task_ids, list) or not all(_is_int(tid) for tid in task_ids):
         raise ValueError("'task_ids' must be a list of integers")
+    # Each id must exceed the one before it, and the first must exceed -1.
+    if any(tid <= previous for previous, tid in zip([-1] + task_ids, task_ids)):
+        raise ValueError(f"'task_ids' must be non-negative and strictly ascending, got {task_ids}")
     metadata = header.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ValueError("'metadata' must be an object")
@@ -272,6 +281,8 @@ def _group_demos(demos, cmp: Cmp, task_ids=None):
         resolved = tuple(sorted(groups))
     else:
         resolved = tuple(sorted(int(t) for t in task_ids))
+        if len(set(resolved)) < len(resolved) or any(t < 0 for t in resolved):
+            raise ValueError(f"task_ids must be distinct and non-negative, got {list(task_ids)}")
         missing = set(groups) - set(resolved)
         if missing:
             raise ValueError(f"demonstrations reference tasks outside task_ids: {sorted(missing)}")
@@ -288,7 +299,9 @@ def _check_sampler_inputs(cmp: Cmp, hyperprior, discount: float) -> None:
         raise TypeError(
             f"hyperprior must be GammaHyperprior or FixedHyperprior, got {type(hyperprior).__name__}"
         )
-    if isinstance(hyperprior, GammaHyperprior) and hyperprior.n_states != cmp.n_states:
+    fixed = isinstance(hyperprior, FixedHyperprior)
+    n_states = hyperprior.reward_prior.n_states if fixed else hyperprior.n_states
+    if n_states != cmp.n_states:
         raise ValueError("hyperprior n_states does not match the CMP")
 
 
@@ -364,8 +377,6 @@ def _interior(prior, values: np.ndarray) -> np.ndarray:
     """
     if isinstance(prior, DiscreteRewardPrior):
         return values
-    if isinstance(prior, BetaProductRewardPrior):
-        return np.clip(values, 1e-9, 1.0 - 1e-9)
     eps = 1e-3
     return (1.0 - eps) * values + eps / values.shape[0]
 
@@ -377,26 +388,16 @@ def _propose_rewards(prior, current: np.ndarray, rng, step: float):
     """Propose a new reward for every task; returns (proposals, log_hastings).
 
     ``current`` is ``(M, S)``; the results are ``(M, S)`` and ``(M,)``.
-    Simplex supports use a Dirichlet proposal centered at the current point
+    Dirichlet priors use a Dirichlet proposal centered at the current point
     (precision ``step``, with a small concentration floor so parameters stay
-    positive at sparse points) and the exact Hastings correction; box
-    supports use a logit-normal random walk of scale ``1/sqrt(step)``;
-    discrete grids resample an atom uniformly.  Each family draws its
+    positive at sparse points) and the exact Hastings correction; discrete
+    grids resample an atom uniformly.  Each family draws its
     proposals with one array call that consumes the stream as one
     single-task draw per task in task order.
     """
     n_tasks = current.shape[0]
     if isinstance(prior, DiscreteRewardPrior):
         return prior.atoms[rng.integers(prior.n_atoms, size=n_tasks)], np.zeros(n_tasks)
-    if isinstance(prior, BetaProductRewardPrior):
-        scale = 1.0 / np.sqrt(step)
-        logit = np.log(current) - np.log1p(-current)
-        proposal = 1.0 / (1.0 + np.exp(-(logit + scale * rng.standard_normal(current.shape))))
-        proposal = np.clip(proposal, 1e-300, 1.0 - 1e-16)
-        log_hastings = (
-            np.log(proposal) + np.log1p(-proposal) - np.log(current) - np.log1p(-current)
-        ).sum(axis=1)
-        return proposal, log_hastings
     forward = step * current + _PROPOSAL_FLOOR
     proposal = _dirichlet_rows(rng, forward)
     # Tiny concentrations can underflow a coordinate to exact zero; keep the

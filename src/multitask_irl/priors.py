@@ -1,12 +1,14 @@
 """Prior families over rewards, softmax temperatures, policies and optimality.
 
-The reward priors share a small duck-typed surface used by the samplers:
-``sample(rng)`` returning a :class:`~multitask_irl.mdp.RewardFunction`,
-``sample_batch(rng, k)`` returning a ``(k, n_states)`` array, and
-``log_pdf(values)`` for the Metropolis-Hastings target, which takes one
-``(n_states,)`` vector (returning a float) or an ``(M, n_states)`` batch
-(returning ``(M,)``).  The temperature priors' ``log_pdf`` likewise takes a
-float or an array.
+A sampler's reward prior is a :class:`DirichletRewardPrior` or a
+:class:`DiscreteRewardPrior`.  Both have ``n_states``, ``sample(rng)``
+returning a :class:`~multitask_irl.mdp.RewardFunction`, ``sample_batch(rng,
+k)`` returning a ``(k, n_states)`` array, and ``log_pdf(values)`` for the
+Metropolis-Hastings target, which takes one ``(n_states,)`` vector
+(returning a float) or an ``(M, n_states)`` batch (returning ``(M,)``).  Its
+temperature prior is a :class:`TemperaturePrior` or a
+:class:`FixedTemperature`, with the same ``sample``, ``sample_batch`` and
+``log_pdf``, the last taking a float or an array.
 """
 
 from __future__ import annotations
@@ -14,13 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, gammaln, xlogy
+from scipy.special import gammaln, xlogy
 
 from .mdp import RewardFunction, StationaryPolicy, demo_counts
 
 __all__ = [
     "DirichletRewardPrior",
-    "BetaProductRewardPrior",
     "DiscreteRewardPrior",
     "TemperaturePrior",
     "FixedTemperature",
@@ -139,50 +140,9 @@ class DirichletRewardPrior:
     def sample_batch(self, rng, k: int) -> np.ndarray:
         return rng.dirichlet(self.concentration, size=k)
 
-    def mean(self) -> np.ndarray:
-        return self.concentration / self.concentration.sum()
-
     def log_pdf(self, values):
         values = _reward_batch(values, self.n_states)
         return _batch_result(_dirichlet_log_pdf(values, self.concentration))
-
-
-@dataclass(frozen=True)
-class BetaProductRewardPrior:
-    """Independent Beta(alpha_s, beta_s) reward per state, on [0, 1]^S."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-
-    def __post_init__(self):
-        alpha = _positive_vector(self.alpha, "alpha")
-        beta = _positive_vector(self.beta, "beta")
-        if alpha.shape != beta.shape:
-            raise ValueError("alpha and beta must have the same length")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-
-    @property
-    def n_states(self) -> int:
-        return self.alpha.shape[0]
-
-    def sample(self, rng) -> RewardFunction:
-        return RewardFunction(rng.beta(self.alpha, self.beta))
-
-    def sample_batch(self, rng, k: int) -> np.ndarray:
-        return rng.beta(self.alpha, self.beta, size=(k, self.n_states))
-
-    def mean(self) -> np.ndarray:
-        return self.alpha / (self.alpha + self.beta)
-
-    def log_pdf(self, values):
-        values = _reward_batch(values, self.n_states)
-        terms = (
-            xlogy(self.alpha - 1.0, values)
-            + xlogy(self.beta - 1.0, 1.0 - values)
-            - betaln(self.alpha, self.beta)
-        )
-        return _batch_result(terms.sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -263,9 +223,6 @@ class TemperaturePrior:
     def sample_batch(self, rng, k: int) -> np.ndarray:
         return rng.gamma(self.shape, size=k) / self.rate
 
-    def mean(self) -> float:
-        return self.shape / self.rate
-
     def log_pdf(self, eta):
         eta = np.asarray(eta, dtype=float)
         positive = eta > 0
@@ -292,9 +249,6 @@ class FixedTemperature:
 
     def sample_batch(self, rng, k: int) -> np.ndarray:
         return np.full(k, self.value)
-
-    def mean(self) -> float:
-        return self.value
 
     def log_pdf(self, eta):
         # Density w.r.t. counting measure on the single atom; only ever

@@ -14,7 +14,6 @@ __all__ = [
     "RESET",
     "ChainSpec",
     "make_chain",
-    "make_generalized_chain",
     "chain_transition",
     "RandomMdpSpec",
     "RandomMdpPopulation",
@@ -74,14 +73,6 @@ def make_chain(spec: ChainSpec = None) -> Mdp:
         spec = ChainSpec()
     cmp = chain_transition(spec.n_states, spec.slip)
     return Mdp(cmp, RewardFunction(spec.reward_values()), spec.discount)
-
-
-def make_generalized_chain(n_states: int, reward_prior, rng, *,
-                           slip: float = 0.2, discount: float = 0.95) -> Mdp:
-    """Chain dynamics with a reward drawn from ``reward_prior``."""
-    rng = as_generator(rng)
-    cmp = chain_transition(int(n_states), float(slip))
-    return Mdp(cmp, reward_prior.sample(rng), discount)
 
 
 @dataclass(frozen=True)

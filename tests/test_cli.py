@@ -205,6 +205,8 @@ MTPP_HEADER = {"format": "mtpp-ensemble", "task_ids": [0], "n_samples": 1, "n_st
                "metadata": {}}
 MTPP_RECORD = {"weight": 1.0, "rewards": [[0.5, 0.5]], "temperatures": [1.0],
                "log_likelihoods": [0.0]}
+MTPP_TWO_TASK_RECORD = {"weight": 1.0, "rewards": [[0.5, 0.5]] * 2, "temperatures": [1.0] * 2,
+                        "log_likelihoods": [0.0] * 2}
 
 
 @pytest.mark.parametrize("lines", [
@@ -238,13 +240,21 @@ MTPP_RECORD = {"weight": 1.0, "rewards": [[0.5, 0.5]], "temperatures": [1.0],
      {"task_id": 0, "probabilities": [0.5, 0.5]}],
     [dict(MTPP_HEADER, n_states=0), dict(MTPP_RECORD, rewards=[[]])],
     [MTPP_HEADER, '{"weight": 1.0, "rewards": [[0.5'],
+    [dict(MTPP_HEADER, task_ids=[0, 0]), MTPP_TWO_TASK_RECORD],
+    [dict(MTPP_HEADER, task_ids=[1, 0]), MTPP_TWO_TASK_RECORD],
+    [dict(MTPO_HEADER, task_ids=[0, 0]), {"task_id": 0, "probabilities": [0.5, 0.5]},
+     {"task_id": 0, "probabilities": [0.5, 0.5]}],
+    [dict(MTPP_HEADER, task_ids=[-1]), MTPP_RECORD],
+    [dict(MTPP_HEADER, n_samples="1"), MTPP_RECORD],
 ], ids=["missing-record", "unlisted-task", "missing-key", "header-not-object",
         "record-not-object", "record-task-count", "flat-rewards", "record-state-count",
         "hypothesis-count", "mtpp-task-ids-not-list", "mtpo-task-ids-not-list",
         "measure-length", "null-measure", "metadata-not-object", "weights-not-normalized",
         "probabilities-not-normalized", "nan-weights", "nan-probabilities", "nan-rewards",
         "reward-above-one", "nan-temperatures", "negative-temperature",
-        "nan-log-likelihoods", "nan-measure", "infinite-measure", "no-states", "corrupt-record"])
+        "nan-log-likelihoods", "nan-measure", "infinite-measure", "no-states", "corrupt-record",
+        "mtpp-task-ids-repeat", "mtpp-task-ids-unsorted", "mtpo-task-ids-repeat",
+        "mtpp-task-ids-negative", "n-samples-string"])
 def test_show_rejects_malformed_posterior_files(tmp_path, capsys, lines):
     # A string is written as it stands, so it can be a line that is not JSON.
     path = tmp_path / "malformed.jsonl"

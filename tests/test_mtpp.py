@@ -5,7 +5,6 @@ import pytest
 
 from multitask_irl import (
     LOG_ZERO,
-    BetaProductRewardPrior,
     Demonstration,
     DegeneratePosteriorError,
     DirichletRewardPrior,
@@ -262,6 +261,9 @@ def test_mtpp_mc_validation():
         mtpp_mc(cmp, [demo], GammaHyperprior(2), 10, 1.0, 0)
     with pytest.raises(TypeError):
         mtpp_mc(cmp, [demo], object(), 10, DISCOUNT, 0)
+    wide = FixedHyperprior(DirichletRewardPrior(np.ones(3)), FixedTemperature(1.0))
+    with pytest.raises(ValueError, match="n_states does not match"):
+        mtpp_mc(cmp, [demo], wide, 10, DISCOUNT, 0)
 
 
 def test_mtpp_mh_hierarchical_chains_and_acceptance_rates():
@@ -343,17 +345,19 @@ def test_mtpp_mh_survives_temperature_underflow():
     assert np.all(np.isfinite(ensemble.rewards))
 
 
-def test_mtpp_mh_beta_box_walk_samples_the_prior():
+def test_mtpp_mh_dirichlet_walk_samples_the_prior():
     # With one action the demonstrations have probability one under every
-    # reward, so the chain must sample the prior.  This runs the logit-normal
-    # walk of Beta-box rewards, with its Jacobian Hastings term.
-    alpha, beta = np.array([2.0, 6.0, 4.0]), np.array([8.0, 2.0, 4.0])
-    total = alpha + beta
-    mean, var = alpha / total, alpha * beta / (total ** 2 * (total + 1.0))
+    # reward, so the chain must sample the prior.  No enumerated posterior
+    # checks this walk: they use discrete atoms, and the task-by-task oracle
+    # copies the sampler's proposal and Hastings term.
+    concentration = np.array([2.0, 6.0, 4.0])
+    total = concentration.sum()
+    mean = concentration / total
+    var = concentration * (total - concentration) / (total ** 2 * (total + 1.0))
     cmp = random_cmp(np.random.default_rng(3), 3, 1)
     n_tasks = 8
     demos = [Demonstration(m, np.array([0]), np.array([0])) for m in range(n_tasks)]
-    hyper = FixedHyperprior(BetaProductRewardPrior(alpha, beta), FixedTemperature(1.0))
+    hyper = FixedHyperprior(DirichletRewardPrior(concentration), FixedTemperature(1.0))
     ensemble = mtpp_mh(cmp, demos, hyper, 10000, 2, DISCOUNT, 5, reward_step=2.0)
     assert np.all(ensemble.log_likelihoods == 0.0)
     for s in range(3):
@@ -377,6 +381,9 @@ def test_mtpp_mh_validation():
         mtpp_mh(cmp, [demo], hyper, 100, 1, DISCOUNT, 0, reward_step=0.0)
     with pytest.raises(TypeError):
         mtpp_mh(cmp, [demo], object(), 100, 1, DISCOUNT, 0)
+    wide = FixedHyperprior(DirichletRewardPrior(np.ones(3)), FixedTemperature(1.0))
+    with pytest.raises(ValueError, match="n_states does not match"):
+        mtpp_mh(cmp, [demo], wide, 100, 1, DISCOUNT, 0)
 
 
 def test_posterior_ensemble_accessors_and_mean():
@@ -423,6 +430,12 @@ def test_posterior_ensemble_jsonl_rejects_other_formats(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"format": "something-else"}\n')
     with pytest.raises(ValueError):
+        PosteriorEnsemble.from_jsonl(path)
+    # A count of the wrong type is named as such, not as a count mismatch.
+    path.write_text('{"format": "mtpp-ensemble", "task_ids": [0], "n_samples": "1", '
+                    '"n_states": 2}\n{"weight": 1.0, "rewards": [[0.5, 0.5]], '
+                    '"temperatures": [1.0], "log_likelihoods": [0.0]}\n')
+    with pytest.raises(ValueError, match="'n_samples' must be an integer"):
         PosteriorEnsemble.from_jsonl(path)
 
 

@@ -3,7 +3,6 @@ import pytest
 import scipy.stats
 
 from multitask_irl import (
-    BetaProductRewardPrior,
     Demonstration,
     DirichletRewardPrior,
     DiscreteRewardPrior,
@@ -24,7 +23,6 @@ from oracles import dirichlet_rows_reference
 
 def test_dirichlet_prior_mean_and_samples():
     prior = DirichletRewardPrior([2.0, 1.0, 1.0])
-    assert np.allclose(prior.mean(), [0.5, 0.25, 0.25])
     rng = substream(0, "dir")
     reward = prior.sample(rng)
     assert abs(reward.values.sum() - 1.0) < 1e-9
@@ -57,21 +55,6 @@ def test_dirichlet_prior_validation():
         prior.log_pdf([0.2, 0.3, 0.5])
 
 
-def test_beta_prior_mean_log_pdf_and_samples():
-    prior = BetaProductRewardPrior([2.0, 1.0], [2.0, 3.0])
-    assert np.allclose(prior.mean(), [0.5, 0.25])
-    x = np.array([0.3, 0.6])
-    expected = sum(
-        scipy.stats.beta.logpdf(x[s], prior.alpha[s], prior.beta[s]) for s in range(2)
-    )
-    assert abs(prior.log_pdf(x) - expected) < 1e-10
-    batch = prior.sample_batch(substream(0, "beta"), 40)
-    assert batch.shape == (40, 2)
-    assert np.all((batch >= 0) & (batch <= 1))
-    with pytest.raises(ValueError):
-        BetaProductRewardPrior([1.0], [1.0, 2.0])
-
-
 def test_discrete_prior_atoms_weights_and_log_pdf():
     atoms = np.array([[1.0, 0.0], [0.0, 1.0]])
     prior = DiscreteRewardPrior(atoms)
@@ -94,7 +77,6 @@ def test_discrete_prior_atoms_weights_and_log_pdf():
 
 def test_temperature_prior_moments_and_log_pdf():
     prior = TemperaturePrior(shape=2.0, rate=4.0)
-    assert abs(prior.mean() - 0.5) < 1e-12
     expected = scipy.stats.gamma.logpdf(0.7, a=2.0, scale=0.25)
     assert abs(prior.log_pdf(0.7) - expected) < 1e-10
     assert prior.log_pdf(0.0) == -np.inf
@@ -110,7 +92,6 @@ def test_fixed_temperature_is_a_point_mass():
     prior = FixedTemperature(3.5)
     assert prior.sample(substream(0, "ft")) == 3.5
     assert np.array_equal(prior.sample_batch(None, 4), np.full(4, 3.5))
-    assert prior.mean() == 3.5
     assert prior.log_pdf(3.5) == 0.0
     with pytest.raises(ValueError):
         FixedTemperature(-1.0)
@@ -123,7 +104,6 @@ def test_log_pdfs_score_a_batch_row_by_row():
     atoms = rng.dirichlet(np.ones(3), size=4)
     cases = [
         (DirichletRewardPrior([0.4, 1.0, 2.5]), rng.dirichlet(np.ones(3), size=6)),
-        (BetaProductRewardPrior([0.5, 2.0, 1.0], [2.0, 0.7, 1.0]), rng.uniform(size=(6, 3))),
         (DiscreteRewardPrior(atoms, weights=[1.0, 2.0, 3.0, 4.0]),
          np.vstack([atoms[[2, 0, 3]], rng.dirichlet(np.ones(3), size=2)])),
     ]
@@ -131,7 +111,7 @@ def test_log_pdfs_score_a_batch_row_by_row():
         scores = prior.log_pdf(batch)
         assert scores.shape == (batch.shape[0],)
         assert np.allclose(scores, [prior.log_pdf(row) for row in batch], rtol=1e-14, atol=0.0)
-    assert np.array_equal(cases[2][0].atom_index(cases[2][1]), [2, 0, 3, -1, -1])
+    assert np.array_equal(cases[1][0].atom_index(cases[1][1]), [2, 0, 3, -1, -1])
     etas = np.array([0.3, 0.0, 2.0, -1.0])
     gamma = TemperaturePrior(2.0, 4.0)
     assert np.array_equal(gamma.log_pdf(etas), [gamma.log_pdf(eta) for eta in etas])

@@ -5,14 +5,12 @@ from multitask_irl import (
     ADVANCE,
     RESET,
     ChainSpec,
-    DirichletRewardPrior,
     Mdp,
     RandomMdpSpec,
     RewardFunction,
     chain_transition,
     make_chain,
     make_demonstrator,
-    make_generalized_chain,
     make_random_mdp_population,
     q_from_v,
     softmax_policy,
@@ -61,17 +59,6 @@ def test_chain_spec_validation():
         ChainSpec(slip=1.5)
     with pytest.raises(ValueError):
         ChainSpec(n_states=3, rewards=(0.1, 0.2))
-
-
-def test_generalized_chain_draws_reward_from_prior():
-    prior = DirichletRewardPrior(np.ones(4))
-    a = make_generalized_chain(4, prior, substream(0, "gen"), slip=0.1)
-    b = make_generalized_chain(4, prior, substream(0, "gen"), slip=0.1)
-    assert np.array_equal(a.reward.values, b.reward.values)
-    assert abs(a.reward.values.sum() - 1.0) < 1e-9
-    assert np.array_equal(a.cmp.transition, chain_transition(4, 0.1).transition)
-    other = make_generalized_chain(4, prior, substream(1, "gen"), slip=0.1)
-    assert not np.array_equal(a.reward.values, other.reward.values)
 
 
 def test_population_shapes_and_simplexes():
