@@ -233,9 +233,7 @@ def softmax_policy(q: np.ndarray, eta: float) -> StationaryPolicy:
         raise ValueError("q entries must be finite")
     if not (eta >= 0.0 and np.isfinite(eta)):
         raise ValueError(f"eta must be finite and non-negative, got {eta}")
-    shifted = eta * (q - q.max(axis=1, keepdims=True))
-    probs = np.exp(shifted)
-    return StationaryPolicy(probs / probs.sum(axis=1, keepdims=True))
+    return StationaryPolicy(_batch_softmax(q, eta))
 
 
 def _batch_softmax(q: np.ndarray, eta) -> np.ndarray:

@@ -36,12 +36,15 @@ from .mdp import (
     solve_optimal,
 )
 from .priors import (
+    DirichletRewardPrior,
     DiscreteRewardPrior,
     FixedHyperprior,
     FixedTemperature,
     GammaHyperprior,
+    TemperaturePrior,
     _dirichlet_log_pdf,
     _dirichlet_rows,
+    _gamma_log_pdf,
 )
 from .seeding import substream
 
@@ -281,6 +284,8 @@ def _group_demos(demos, cmp: Cmp, task_ids=None):
         resolved = tuple(sorted(groups))
     else:
         resolved = tuple(sorted(int(t) for t in task_ids))
+        if not resolved:
+            raise ValueError("task_ids must name at least one task, got []")
         if len(set(resolved)) < len(resolved) or any(t < 0 for t in resolved):
             raise ValueError(f"task_ids must be distinct and non-negative, got {list(task_ids)}")
         missing = set(groups) - set(resolved)
@@ -381,6 +386,11 @@ def _interior(prior, values: np.ndarray) -> np.ndarray:
     return (1.0 - eps) * values + eps / values.shape[0]
 
 
+def _population_priors(hyper: np.ndarray):
+    """The priors a population state ``(concentration..., shape, rate)`` sets."""
+    return DirichletRewardPrior(hyper[:-2]), TemperaturePrior(hyper[-2], hyper[-1])
+
+
 _PROPOSAL_FLOOR = 0.1
 
 
@@ -448,11 +458,17 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
     burn = int(np.floor(burn_in_fraction * per_chain))
     kept_per_chain = per_chain - burn
 
+    fixed = isinstance(hyperprior, FixedHyperprior)
     chains_rewards, chains_temps, chains_lls = [], [], []
     acceptance = []
     for chain in range(n_chains):
         rng = substream(seed, "mtpp-mh", "chain", chain)
-        reward_prior, temp_prior = hyperprior.sample(rng)
+        if fixed:
+            reward_prior, temp_prior = hyperprior.reward_prior, hyperprior.temperature_prior
+        else:
+            hyper = np.concatenate(hyperprior.sample_batch(rng, 1), axis=None)
+            hyper_lp = hyperprior.log_pdf(hyper)
+            reward_prior, temp_prior = _population_priors(hyper)
         rho = np.empty((n_tasks, n_states))
         eta = np.empty(n_tasks)
         for m in range(n_tasks):
@@ -475,22 +491,25 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
         for it in range(per_chain):
             # Given the population draw the tasks are independent, so each
             # block below moves all of them at once.
-            move = hyperprior.propose((reward_prior, temp_prior), rng, hyper_step)
-            if move is not None:
-                (new_rp, new_tp), log_hastings = move
-                new_prior_rho = new_rp.log_pdf(rho)
-                new_prior_eta = new_tp.log_pdf(eta)
+            if not fixed:
+                # Multiplicative log-normal step on every hyper coordinate;
+                # its Jacobian is the sum of log(new) - log(old).
+                new_hyper = hyper * np.exp(hyper_step * rng.standard_normal(hyper.shape[0]))
+                new_hyper_lp = hyperprior.log_pdf(new_hyper)
+                new_prior_rho = _dirichlet_log_pdf(rho, new_hyper[:-2])
+                # Temperatures stay positive, where this is TemperaturePrior.log_pdf.
+                new_prior_eta = _gamma_log_pdf(eta, new_hyper[-2], new_hyper[-1])
                 delta = (
-                    hyperprior.log_pdf(new_rp, new_tp)
-                    - hyperprior.log_pdf(reward_prior, temp_prior)
+                    new_hyper_lp - hyper_lp
                     + new_prior_rho.sum() - log_prior_rho.sum()
                     + new_prior_eta.sum() - log_prior_eta.sum()
-                    + log_hastings
+                    + (np.log(new_hyper).sum() - np.log(hyper).sum())
                 )
                 moves["hyper"][1] += 1
                 if metropolis_accept(delta, rng):
                     moves["hyper"][0] += 1
-                    reward_prior, temp_prior = new_rp, new_tp
+                    hyper, hyper_lp = new_hyper, new_hyper_lp
+                    reward_prior, temp_prior = _population_priors(hyper)
                     log_prior_rho, log_prior_eta = new_prior_rho, new_prior_eta
 
             proposals, hastings = _propose_rewards(reward_prior, rho, rng, reward_step)

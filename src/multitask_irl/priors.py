@@ -9,6 +9,11 @@ Metropolis-Hastings target, which takes one ``(n_states,)`` vector
 temperature prior is a :class:`TemperaturePrior` or a
 :class:`FixedTemperature`, with the same ``sample``, ``sample_batch`` and
 ``log_pdf``, the last taking a float or an array.
+
+The population level is a :class:`GammaHyperprior`, whose ``sample_batch(rng,
+k)`` draws k population states as (concentrations, shapes, rates) arrays and
+whose ``log_pdf(state)`` scores one state ``(concentration..., shape, rate)``,
+or a :class:`FixedHyperprior`, plain data holding the priors every task shares.
 """
 
 from __future__ import annotations
@@ -256,62 +261,46 @@ class FixedTemperature:
         return _batch_result(np.zeros(np.shape(eta)))
 
 
+# (shape, rate) of the Gamma law of the temperature prior's shape, and of its rate.
+_TEMPERATURE_LAW = (1.0, 1.0)
+
+
 @dataclass(frozen=True)
 class GammaHyperprior:
-    """Independent Gamma laws over the population-level parameters.
-
-    Draws a Dirichlet reward-prior concentration (one Gamma per state) and
-    the (shape, rate) pair of the temperature prior.  ``*_law`` fields are
-    (shape, rate) pairs of the generating Gamma distributions.
-    """
+    """Independent Gamma laws over a population state ``(concentration_1..S,
+    shape, rate)``: the Dirichlet reward prior's concentrations, each under
+    ``concentration_law`` (a (shape, rate) pair), and the temperature prior's
+    shape and rate, each under Gamma(1, 1)."""
 
     n_states: int
     concentration_law: tuple = (1.0, 10.0)
-    temperature_shape_law: tuple = (1.0, 1.0)
-    temperature_rate_law: tuple = (1.0, 1.0)
 
     def __post_init__(self):
         if int(self.n_states) < 1:
             raise ValueError("n_states must be at least 1")
         object.__setattr__(self, "n_states", int(self.n_states))
-        for name in ("concentration_law", "temperature_shape_law", "temperature_rate_law"):
-            shape, rate = (float(v) for v in getattr(self, name))
-            if not (shape > 0 and rate > 0 and np.isfinite(shape) and np.isfinite(rate)):
-                raise ValueError(f"{name} must be a positive (shape, rate) pair")
-            object.__setattr__(self, name, (shape, rate))
-
-    def sample(self, rng):
-        concentration = rng.gamma(self.concentration_law[0], size=self.n_states)
-        concentration /= self.concentration_law[1]
-        t_shape = rng.gamma(self.temperature_shape_law[0]) / self.temperature_shape_law[1]
-        t_rate = rng.gamma(self.temperature_rate_law[0]) / self.temperature_rate_law[1]
-        return DirichletRewardPrior(concentration), TemperaturePrior(t_shape, t_rate)
+        shape, rate = (float(v) for v in self.concentration_law)
+        if not (shape > 0 and rate > 0 and np.isfinite(shape) and np.isfinite(rate)):
+            raise ValueError("concentration_law must be a positive (shape, rate) pair")
+        object.__setattr__(self, "concentration_law", (shape, rate))
 
     def sample_batch(self, rng, k: int):
         """Vectorized hyper draws: (concentrations (k, S), shapes (k,), rates (k,))."""
         conc = rng.gamma(self.concentration_law[0], size=(k, self.n_states))
         conc /= self.concentration_law[1]
-        shapes = rng.gamma(self.temperature_shape_law[0], size=k) / self.temperature_shape_law[1]
-        rates = rng.gamma(self.temperature_rate_law[0], size=k) / self.temperature_rate_law[1]
+        shapes = rng.gamma(_TEMPERATURE_LAW[0], size=k) / _TEMPERATURE_LAW[1]
+        rates = rng.gamma(_TEMPERATURE_LAW[0], size=k) / _TEMPERATURE_LAW[1]
         return conc, shapes, rates
 
-    def log_pdf(self, reward_prior: DirichletRewardPrior, temp_prior: TemperaturePrior) -> float:
-        total = _gamma_log_pdf(reward_prior.concentration, *self.concentration_law).sum()
-        total += _gamma_log_pdf(temp_prior.shape, *self.temperature_shape_law)
-        total += _gamma_log_pdf(temp_prior.rate, *self.temperature_rate_law)
+    def log_pdf(self, state) -> float:
+        """Log-density of one population state ``(concentration..., shape, rate)``."""
+        state = np.asarray(state, dtype=float)
+        if state.shape != (self.n_states + 2,):
+            raise ValueError(f"state must have shape ({self.n_states + 2},), got {state.shape}")
+        total = _gamma_log_pdf(state[:-2], *self.concentration_law).sum()
+        total += _gamma_log_pdf(state[-2], *_TEMPERATURE_LAW)
+        total += _gamma_log_pdf(state[-1], *_TEMPERATURE_LAW)
         return float(total)
-
-    def propose(self, pair, rng, step: float):
-        """Multiplicative log-normal step on every hyper coordinate.
-
-        Returns ``(new_pair, log_hastings)`` where the correction is the sum
-        of ``log(new) - log(old)`` over coordinates.
-        """
-        reward_prior, temp_prior = pair
-        old = np.concatenate([reward_prior.concentration, [temp_prior.shape, temp_prior.rate]])
-        new = old * np.exp(step * rng.standard_normal(old.shape[0]))
-        proposal = (DirichletRewardPrior(new[:-2]), TemperaturePrior(new[-2], new[-1]))
-        return proposal, float(np.log(new).sum() - np.log(old).sum())
 
 
 @dataclass(frozen=True)
@@ -320,15 +309,6 @@ class FixedHyperprior:
 
     reward_prior: object
     temperature_prior: object
-
-    def sample(self, rng):
-        return self.reward_prior, self.temperature_prior
-
-    def log_pdf(self, reward_prior, temp_prior) -> float:
-        return 0.0
-
-    def propose(self, pair, rng, step: float):
-        return None  # nothing to move
 
 
 @dataclass(frozen=True)

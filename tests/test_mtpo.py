@@ -335,6 +335,8 @@ def test_mtpo_mc_validation():
         mtpo_mc(cmp, [demo], prior, hypotheses=hypotheses, task_ids=[0, 0])
     with pytest.raises(ValueError, match="non-negative"):
         mtpo_mc(cmp, [demo], prior, hypotheses=hypotheses, task_ids=[-1, 0])
+    with pytest.raises(ValueError, match="task_ids must name at least one task"):
+        mtpo_mc(cmp, [], prior, hypotheses=hypotheses, task_ids=[])
     with pytest.raises(ValueError):
         mtpo_mc(cmp, [demo], PolicyDirichletPrior.uniform(3, 2), hypotheses=hypotheses)
 

@@ -367,6 +367,36 @@ def test_mtpp_mh_dirichlet_walk_samples_the_prior():
             assert abs(moment.mean() - target) <= 4.0 * se
 
 
+def test_mtpp_mh_hyper_walk_samples_the_prior():
+    # With one action the likelihood is constant, so under a GammaHyperprior
+    # the chain must sample the generative prior: the population state from
+    # its Gamma laws, the reward from Dirichlet(concentration) and the
+    # temperature from Gamma(shape, rate).  The reference draws use plain
+    # numpy.  A wrong Jacobian in the hyper move shifts the concentrations,
+    # and with them the sum of squared rewards; the large temperature step
+    # lets the chain leave the tiny temperatures that a small shape implies.
+    n_states, law, n_chains = 3, (2.0, 2.0), 2
+    cmp = random_cmp(np.random.default_rng(3), n_states, 1)
+    demos = [Demonstration(0, np.array([0]), np.array([0]))]
+    hyper = GammaHyperprior(n_states, concentration_law=law)
+    ensemble = mtpp_mh(cmp, demos, hyper, 8000, n_chains, DISCOUNT, 0,
+                       reward_step=2.0, temperature_step=5.0, hyper_step=1.0)
+    assert np.all(ensemble.log_likelihoods == 0.0)
+    rng = np.random.default_rng(0)
+    n = 200_000
+    gammas = rng.gamma(rng.gamma(law[0], 1.0 / law[1], size=(n, n_states)))
+    rewards = gammas / gammas.sum(axis=1, keepdims=True)
+    temperatures = rng.gamma(rng.gamma(1.0, size=n)) / rng.gamma(1.0, size=n)
+    for sampled, exact in (
+        ((ensemble.rewards[:, 0] ** 2).sum(axis=1), (rewards ** 2).sum(axis=1)),
+        (ensemble.temperatures[:, 0] < 1.0, temperatures < 1.0),
+    ):
+        chains = sampled.reshape(n_chains, -1)
+        se = np.sqrt(np.mean([batch_means_se(c) ** 2 for c in chains]) / n_chains
+                     + exact.var() / n)
+        assert abs(chains.mean() - exact.mean()) <= 4.0 * se
+
+
 def test_mtpp_mh_validation():
     cmp = two_state_cmp()
     demo = atom_demo(cmp, 0, seed=6)

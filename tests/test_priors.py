@@ -120,11 +120,12 @@ def test_log_pdfs_score_a_batch_row_by_row():
 
 def test_gamma_hyperprior_sample_and_batch_laws():
     hyper = GammaHyperprior(3)
+    # A population state draws its S concentrations, then the temperature
+    # shape, then its rate.
+    conc, shapes, rates = hyper.sample_batch(substream(0, "hyper"), 1)
     rng = substream(0, "hyper")
-    reward_prior, temp_prior = hyper.sample(rng)
-    assert isinstance(reward_prior, DirichletRewardPrior)
-    assert isinstance(temp_prior, TemperaturePrior)
-    assert reward_prior.n_states == 3
+    assert np.array_equal(conc[0], rng.gamma(1.0, size=3) / 10.0)
+    assert shapes[0] == rng.gamma(1.0) and rates[0] == rng.gamma(1.0)
     conc, shapes, rates = hyper.sample_batch(rng, 20_000)
     assert conc.shape == (20_000, 3)
     assert np.all(conc > 0) and np.all(shapes > 0) and np.all(rates > 0)
@@ -132,42 +133,33 @@ def test_gamma_hyperprior_sample_and_batch_laws():
     assert abs(conc.mean() - 0.1) < 2e-3
     assert abs(shapes.mean() - 1.0) < 2e-2
     assert abs(rates.mean() - 1.0) < 2e-2
-
-
-def test_gamma_hyperprior_log_pdf_matches_scipy():
-    hyper = GammaHyperprior(2, concentration_law=(1.5, 10.0))
-    reward_prior = DirichletRewardPrior([0.05, 0.2])
-    temp_prior = TemperaturePrior(0.8, 1.3)
-    expected = (
-        scipy.stats.gamma.logpdf(reward_prior.concentration, a=1.5, scale=0.1).sum()
-        + scipy.stats.gamma.logpdf(0.8, a=1.0, scale=1.0)
-        + scipy.stats.gamma.logpdf(1.3, a=1.0, scale=1.0)
-    )
-    assert abs(hyper.log_pdf(reward_prior, temp_prior) - expected) < 1e-10
-
-
-def test_gamma_hyperprior_proposal_correction():
-    hyper = GammaHyperprior(2)
-    pair = (DirichletRewardPrior([0.1, 0.3]), TemperaturePrior(1.2, 0.7))
-    (new_rp, new_tp), log_hastings = hyper.propose(pair, substream(0, "prop"), 0.25)
-    old = np.concatenate([pair[0].concentration, [pair[1].shape, pair[1].rate]])
-    new = np.concatenate([new_rp.concentration, [new_tp.shape, new_tp.rate]])
-    # Log-normal walk: the Jacobian correction is the sum of log ratios.
-    assert abs(log_hastings - (np.log(new).sum() - np.log(old).sum())) < 1e-10
-    assert np.all(new > 0)
     with pytest.raises(ValueError):
         GammaHyperprior(2, concentration_law=(0.0, 1.0))
     with pytest.raises(ValueError):
         GammaHyperprior(0)
 
 
+def test_gamma_hyperprior_log_pdf_matches_scipy():
+    hyper = GammaHyperprior(2, concentration_law=(1.5, 10.0))
+    state = np.array([0.05, 0.2, 0.8, 1.3])
+    expected = (
+        scipy.stats.gamma.logpdf(state[:2], a=1.5, scale=0.1).sum()
+        + scipy.stats.gamma.logpdf(0.8, a=1.0, scale=1.0)
+        + scipy.stats.gamma.logpdf(1.3, a=1.0, scale=1.0)
+    )
+    assert abs(hyper.log_pdf(state) - expected) < 1e-10
+    with pytest.raises(ValueError, match="state must have shape"):
+        hyper.log_pdf(state[1:])
+
+
 def test_fixed_hyperprior_is_degenerate():
+    # Plain data: the reward and temperature priors every task shares.
     reward_prior = DirichletRewardPrior([1.0, 1.0])
     temp_prior = FixedTemperature(2.0)
     hyper = FixedHyperprior(reward_prior, temp_prior)
-    assert hyper.sample(None) == (reward_prior, temp_prior)
-    assert hyper.log_pdf(reward_prior, temp_prior) == 0.0
-    assert hyper.propose((reward_prior, temp_prior), None, 0.1) is None
+    assert hyper.reward_prior is reward_prior and hyper.temperature_prior is temp_prior
+    with pytest.raises(AttributeError):
+        hyper.reward_prior = temp_prior
 
 
 def test_policy_prior_uniform_mean_and_validation():
