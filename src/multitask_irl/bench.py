@@ -28,7 +28,7 @@ from .mdp import (
     solve_optimal,
 )
 from .mtpo import RewardHypothesisSet, _loss_matrix, mtpo_mc, reward_posterior
-from .mtpp import _group_demos, mtpp_mc, mtpp_mh, posterior_policy
+from .mtpp import _group_demos, _mtpp_mh_batch, mtpp_mc, posterior_policy
 from .priors import (
     DirichletRewardPrior,
     GammaHyperprior,
@@ -186,10 +186,12 @@ def _delta_start(n_states: int) -> np.ndarray:
 
 # --- methods ----------------------------------------------------------------
 #
-# A fit takes the environment, the demonstrations, the configuration, a
-# budget (None: the method's own budget key) and a seed, and returns one
-# policy per task in sorted task-id order plus the posterior it came from
-# (None for the baselines).  Each reads its model's keys here and only here.
+# A method fits a list of runs, each ``(env, demos, budget, seed)``: the
+# environment, the demonstrations, a budget (None: the method's own budget
+# key) and a seed.  It returns per run one policy per task in sorted task-id
+# order plus the posterior it came from (None for the baselines).  The runs
+# handed to one call share a kernel.  Each method reads its model's keys here
+# and only here.
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,22 +223,34 @@ def _greedy(posterior, cmp: Cmp, cfg):
     return [posterior_policy(posterior, tid, cmp, _discount(cfg)) for tid in posterior.task_ids]
 
 
+def _each(fit):
+    """A method that fits its runs one at a time with ``fit(env, demos, cfg,
+    budget, seed)``, as its results are read, so one run's posterior is
+    dropped before the next is fitted."""
+    return lambda runs, cfg: (fit(env, demos, cfg, budget, seed)
+                              for env, demos, budget, seed in runs)
+
+
+@_each
 def _fit_imitator(env, demos, cfg, budget, seed):
     prior = _policy_prior(cfg, env.cmp)
     _, groups, _ = _group_demos(demos, env.cmp)
     return [imitator(group, prior) for group in groups], None
 
 
+@_each
 def _fit_soft(env, demos, cfg, budget, seed):
     return list(env.demonstrators), None
 
 
+@_each
 def _fit_mwal(env, demos, cfg, budget, seed):
     rounds = cfg.get("mwal_iterations", 100) if budget is None else budget
     _, groups, _ = _group_demos(demos, env.cmp)
     return [mwal(env.cmp, _discount(cfg), group, n_iterations=rounds) for group in groups], None
 
 
+@_each
 def _fit_mtpp_mc(env, demos, cfg, budget, seed):
     n_samples = cfg.get("mc_samples", 1000) if budget is None else budget
     ensemble = mtpp_mc(env.cmp, demos, _hyperprior(cfg, env.cmp.n_states), n_samples,
@@ -244,27 +258,36 @@ def _fit_mtpp_mc(env, demos, cfg, budget, seed):
     return _greedy(ensemble, env.cmp, cfg), ensemble
 
 
-def _fit_mtpp_mh(env, demos, cfg, budget, seed):
-    ensemble = mtpp_mh(
-        env.cmp, demos, _hyperprior(cfg, env.cmp.n_states),
-        cfg.get("mh_iterations", 2000) if budget is None else budget,
-        cfg.get("mh_chains", 1), _discount(cfg), seed,
+def _fit_mtpp_mh(runs, cfg):
+    """Every chain of every run advances in one lockstep batch."""
+    cmp = runs[0][0].cmp
+    ensembles = _mtpp_mh_batch(
+        cmp,
+        [(demos, cfg.get("mh_iterations", 2000) if budget is None else budget, seed)
+         for _, demos, budget, seed in runs],
+        _hyperprior(cfg, cmp.n_states), cfg.get("mh_chains", 1), _discount(cfg),
         burn_in_fraction=cfg.get("burn_in_fraction", 0.1),
         reward_step=cfg.get("reward_step", 50.0),
         temperature_step=cfg.get("temperature_step", 0.25),
         hyper_step=cfg.get("hyper_step", 0.25),
     )
-    return _greedy(ensemble, env.cmp, cfg), ensemble
+    return [(_greedy(ensemble, cmp, cfg), ensemble) for ensemble in ensembles]
 
 
-def _fit_mtpp_mh_flat(env, demos, cfg, budget, seed):
+def _fit_mtpp_mh_flat(runs, cfg):
     """The flat ablation: every demonstration pooled into one task."""
-    task_ids, _, _ = _group_demos(demos, env.cmp)
-    pooled = [Demonstration(task_id=0, states=d.states, actions=d.actions) for d in demos]
-    (shared,), ensemble = _fit_mtpp_mh(env, pooled, cfg, budget, seed)
-    return [shared] * len(task_ids), ensemble
+    pooled = [
+        (env, [Demonstration(task_id=0, states=d.states, actions=d.actions) for d in demos],
+         budget, seed)
+        for env, demos, budget, seed in runs
+    ]
+    return [
+        ([shared] * len(_group_demos(demos, env.cmp)[0]), ensemble)
+        for (env, demos, _, _), ((shared,), ensemble) in zip(runs, _fit_mtpp_mh(pooled, cfg))
+    ]
 
 
+@_each
 def _fit_mtpo_mc(env, demos, cfg, budget, seed):
     cmp = env.cmp
     result = mtpo_mc(
@@ -465,12 +488,29 @@ _TEMPLATES = {
 }
 
 
+def _kernel_groups(points):
+    """Indices of ``points`` grouped by equal transition arrays, each group
+    and the groups in order of first appearance."""
+    groups = []
+    for i, point in enumerate(points):
+        for group in groups:
+            if np.array_equal(points[group[0]].env.cmp.transition, point.env.cmp.transition):
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+    return groups
+
+
 def run_experiment(config) -> ExperimentResult:
     """Run a named experiment template from a parsed configuration mapping.
 
     Every method named by ``methods`` (default: the template's list) is
     fitted at every sweep point of every replication, and scored per task
-    with :func:`l1_loss`.  Writes ``<name>-runs.csv`` and
+    with :func:`l1_loss`.  Each method is handed at once all of a
+    replication's points whose kernels are equal, so the Metropolis-Hastings
+    fits of a replication advance in lockstep; the rows are those of one fit
+    per point, in point-then-method order.  Writes ``<name>-runs.csv`` and
     ``<name>-aggregate.csv`` into ``out_dir`` when the configuration names
     one.
     """
@@ -493,18 +533,29 @@ def run_experiment(config) -> ExperimentResult:
     fits = [(method, *_resolve(method, cfg)) for method in methods]
     rows = []
     for rep in range(cfg.get("replications", template.replications)):
-        for point in template.points(seed, rep):
-            optima = _true_optima(point.true_mdps)
-            for method, fit, method_cfg, tag in fits:
-                method_seed = None if tag is None else subseed(
-                    seed, name, "rep", rep, *tag, point.key
-                )
-                policies, _ = fit(point.env, point.demos, method_cfg, point.budget, method_seed)
-                losses = tuple(
-                    _l1_loss(mdp, policy, optimal)
-                    for mdp, policy, optimal in zip(point.true_mdps, policies, optima)
-                )
-                rows.append(ResultRow(name, rep, method, point.x, losses))
+        points = list(template.points(seed, rep))
+        optima = [_true_optima(point.true_mdps) for point in points]
+        groups = _kernel_groups(points)
+        losses = {}
+        for method, fit, method_cfg, tag in fits:
+            for group in groups:
+                runs = [
+                    (points[i].env, points[i].demos, points[i].budget,
+                     None if tag is None else subseed(seed, name, "rep", rep, *tag,
+                                                      points[i].key))
+                    for i in group
+                ]
+                fitted = iter(fit(runs, method_cfg))
+                for i in group:
+                    # Only the policies are kept, so a run's posterior is
+                    # dropped before the next run is fitted.
+                    policies = next(fitted)[0]
+                    losses[method, i] = tuple(
+                        _l1_loss(mdp, policy, optimal)
+                        for mdp, policy, optimal in zip(points[i].true_mdps, policies, optima[i])
+                    )
+        rows += [ResultRow(name, rep, method, point.x, losses[method, i])
+                 for i, point in enumerate(points) for method, *_ in fits]
     meta = {
         "experiment": name,
         "methods": list(methods),

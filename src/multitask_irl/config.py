@@ -124,6 +124,12 @@ def parse_config(text: str) -> dict:
         if key in values:
             raise ConfigError(f"line {number}: duplicate key {key!r}")
         values[key] = CONFIG_KEYS[key].parse(key, rest.strip())
+    chains, iterations = values.get("mh_chains"), values.get("mh_iterations")
+    if chains is not None and iterations is not None and chains > iterations:
+        raise ConfigError(
+            f"mh_chains = {chains} exceeds mh_iterations = {iterations}: "
+            "every chain needs at least one iteration"
+        )
     return values
 
 

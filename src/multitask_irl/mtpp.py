@@ -11,6 +11,15 @@ population draw, which both samplers below exploit:
   normalization over the joint (all-task) likelihoods.
 * :func:`mtpp_mh` - random-walk Metropolis-Hastings over the joint state
   (hyperparameters plus every task's reward and temperature).
+
+Metropolis-Hastings chains run in lockstep: :func:`mtpp_mh`'s chains, and
+in the benchmark harness every chain of a replication's fits that share a
+kernel, advance one iteration at a time together.  Each chain draws from its
+own substream exactly what it draws running alone, in the order
+:func:`mtpp_mh` documents, while the arithmetic of each block (planner,
+likelihood, log-densities) runs once over the tasks of every chain.  Each
+task's numbers do not depend on the batch it is in, so every chain, and every
+fit, gets the same bits as run alone.
 """
 
 from __future__ import annotations
@@ -90,18 +99,16 @@ def importance_weights(log_likelihoods) -> np.ndarray:
 def metropolis_accept(log_ratio, rng):
     """Metropolis-Hastings accept/reject decisions.
 
-    A scalar log-ratio gives one bool, an array gives a bool array.  A
+    A scalar log-ratio gives one bool, a 1-d array gives a bool array.  A
     ratio at or above zero is accepted outright; each other one (nan
     included) draws one uniform, in array order, so an array decision
     consumes the stream exactly as the same scalar decisions in turn.
     """
+    if np.ndim(log_ratio) == 0:
+        ratio = float(log_ratio)
+        return ratio >= 0 or bool(rng.random() < np.exp(ratio))
     ratios = np.asarray(log_ratio, dtype=float)
-    accept = np.atleast_1d(ratios >= 0)
-    undecided = ~accept
-    accept[undecided] = rng.random(int(undecided.sum())) < np.exp(
-        np.atleast_1d(ratios)[undecided]
-    )
-    return bool(accept[0]) if ratios.ndim == 0 else accept
+    return _accept_rows(ratios, np.zeros(ratios.shape[0], dtype=np.int64), [rng])
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,22 +401,26 @@ def _population_priors(hyper: np.ndarray):
 _PROPOSAL_FLOOR = 0.1
 
 
-def _propose_rewards(prior, current: np.ndarray, rng, step: float):
-    """Propose a new reward for every task; returns (proposals, log_hastings).
+def _propose_rewards(discrete, current: np.ndarray, rngs, bounds, step: float):
+    """Propose a new reward for every row of ``current`` (R, S); returns
+    (proposals, log_hastings), (R, S) and (R,).
 
-    ``current`` is ``(M, S)``; the results are ``(M, S)`` and ``(M,)``.
-    Dirichlet priors use a Dirichlet proposal centered at the current point
-    (precision ``step``, with a small concentration floor so parameters stay
-    positive at sparse points) and the exact Hastings correction; discrete
-    grids resample an atom uniformly.  Each family draws its
-    proposals with one array call that consumes the stream as one
-    single-task draw per task in task order.
+    Rows ``lo:hi`` of each pair in ``bounds`` draw from the matching stream
+    of ``rngs``, with one array call that consumes it as one single-task
+    draw per row in row order.  A discrete grid (``discrete`` is its
+    :class:`DiscreteRewardPrior`) resamples an atom uniformly.  Otherwise
+    (``discrete`` is None) a Dirichlet proposal is centered at the current
+    point (precision ``step``, with a small concentration floor so
+    parameters stay positive at sparse points) with the exact Hastings
+    correction.
     """
-    n_tasks = current.shape[0]
-    if isinstance(prior, DiscreteRewardPrior):
-        return prior.atoms[rng.integers(prior.n_atoms, size=n_tasks)], np.zeros(n_tasks)
+    spans = list(zip(rngs, bounds))
+    if discrete is not None:
+        picks = np.concatenate([rng.integers(discrete.n_atoms, size=hi - lo)
+                                for rng, (lo, hi) in spans])
+        return discrete.atoms[picks], np.zeros(current.shape[0])
     forward = step * current + _PROPOSAL_FLOOR
-    proposal = _dirichlet_rows(rng, forward)
+    proposal = np.concatenate([_dirichlet_rows(rng, forward[lo:hi]) for rng, (lo, hi) in spans])
     # Tiny concentrations can underflow a coordinate to exact zero; keep the
     # chain state interior so both Hastings densities stay finite.
     proposal = np.clip(proposal, 1e-300, None)
@@ -417,6 +428,244 @@ def _propose_rewards(prior, current: np.ndarray, rng, step: float):
     reverse = step * proposal + _PROPOSAL_FLOOR
     log_hastings = _dirichlet_log_pdf(current, reverse) - _dirichlet_log_pdf(proposal, forward)
     return proposal, log_hastings
+
+
+def _accept_rows(log_ratio: np.ndarray, owner: np.ndarray, rngs) -> np.ndarray:
+    """Metropolis-Hastings decisions for rows that chains own.
+
+    ``owner`` (ascending) names the chain of each entry of ``log_ratio``.
+    Chain c draws from ``rngs[c]`` one uniform for each of its rows that is
+    not accepted outright (nan included), in row order: what
+    :func:`metropolis_accept` draws for its rows alone.
+    """
+    accept = log_ratio >= 0
+    undecided = np.flatnonzero(~accept)
+    if undecided.size:
+        draws = np.bincount(owner[undecided], minlength=len(rngs))
+        uniforms = np.concatenate([rng.random(n) for rng, n in zip(rngs, draws) if n])
+        accept[undecided] = uniforms < np.exp(log_ratio[undecided])
+    return accept
+
+
+def _lockstep_chains(transition, discount: float, hyperprior, chains, reward_step: float,
+                     temperature_step: float, hyper_step: float):
+    """Advance independent Metropolis-Hastings chains on one CMP in lockstep.
+
+    ``chains`` lists ``(counts, n_iterations, burn, rng)``: a chain's
+    ``(M, S, A)`` demonstration counts, its length, how many leading
+    iterations it discards, and its own stream.  Every chain draws from its
+    stream what it would draw running alone (see :func:`mtpp_mh`); the
+    arithmetic of each block runs once over the rows (tasks) of all chains
+    still running, and a chain leaves the batch after its last iteration.
+    Each row's numbers do not depend on which other rows are in the batch,
+    and a chain's sums over its tasks are sums over its contiguous rows, so
+    each chain keeps the bits it has alone.  Returns per chain its kept
+    rewards ``(K, M, S)``, temperatures and log-likelihoods ``(K, M)``, and
+    its acceptance rates.
+    """
+    fixed = isinstance(hyperprior, FixedHyperprior)
+    rngs = [chain[3] for chain in chains]
+    sizes = np.array([chain[0].shape[0] for chain in chains])
+    lengths = np.array([chain[1] for chain in chains])
+    counts = np.concatenate([chain[0] for chain in chains])
+    # Each chain starts as it would alone: its population state, then per
+    # task a reward and a temperature.
+    states, rho, eta = [], [], []
+    for task_counts, _, _, rng in chains:
+        if fixed:
+            reward_prior, temp_prior = hyperprior.reward_prior, hyperprior.temperature_prior
+        else:
+            states.append(np.concatenate(hyperprior.sample_batch(rng, 1), axis=None))
+            reward_prior, temp_prior = _population_priors(states[-1])
+        for _ in range(task_counts.shape[0]):
+            rho.append(_interior(reward_prior, reward_prior.sample(rng).values))
+            # A tiny temperature shape can underflow the draw to exact zero,
+            # where the log prior is -inf and multiplicative moves are stuck.
+            eta.append(max(temp_prior.sample(rng), 1e-12))
+    rho, eta = np.array(rho), np.array(eta)
+    if fixed:
+        discrete = reward_prior if isinstance(reward_prior, DiscreteRewardPrior) else None
+        temp_moves = not isinstance(temp_prior, FixedTemperature)
+    else:
+        discrete, temp_moves = None, True
+        hyper = np.array(states)                    # (chains, S + 2)
+        hyper_lp = hyperprior.log_pdf(hyper)
+
+    # The priors of rows whose chains are ``local`` (indices into the
+    # chains still running).
+    def reward_log_pdf(values, local):
+        return reward_prior.log_pdf(values) if fixed else _dirichlet_log_pdf(
+            values, hyper[local, :-2])
+
+    def temperature_log_pdf(values, local):
+        # Temperatures stay positive, where this is TemperaturePrior.log_pdf.
+        return temp_prior.log_pdf(values) if fixed else _gamma_log_pdf(
+            values, hyper[local, -2], hyper[local, -1])
+
+    def rows_of(active):
+        """Each row's index into ``active``, each chain's (lo, hi) rows, and
+        each chain's stream, for the chains ``active``."""
+        ends = np.cumsum(sizes[active])
+        return (np.repeat(np.arange(active.size), sizes[active]),
+                list(zip((ends - sizes[active]).tolist(), ends.tolist())),
+                [rngs[c] for c in active])
+
+    active = np.arange(len(chains))                 # the chains still running
+    local, bounds, streams = rows_of(active)
+    values, greedy = batch_solve_optimal(transition, rho, discount)
+    q = _batch_q(transition, rho, values, discount)
+    log_lik = counts_log_likelihood(counts, _batch_softmax(q, eta))
+    log_prior_rho = reward_log_pdf(rho, local)
+    log_prior_eta = temperature_log_pdf(eta, local)
+
+    records = [tuple(np.empty((n - burn, m) + shape) for shape in ((transition.shape[0],), (), ()))
+               for m, (_, n, burn, _) in zip(sizes, chains)]
+    hits = np.zeros((3, len(chains)), dtype=np.int64)   # hyper, reward, temperature
+    for it in range(lengths.max()):
+        leaving = lengths[active] == it
+        if leaving.any():
+            rows = ~leaving[local]
+            rho, eta, q, greedy, log_lik, log_prior_rho, log_prior_eta, counts = (
+                a[rows] for a in (rho, eta, q, greedy, log_lik, log_prior_rho,
+                                  log_prior_eta, counts))
+            if not fixed:
+                hyper, hyper_lp = hyper[~leaving], hyper_lp[~leaving]
+            active = active[~leaving]
+            local, bounds, streams = rows_of(active)
+
+        if not fixed:
+            # Multiplicative log-normal step on every hyper coordinate;
+            # its Jacobian is the sum of log(new) - log(old).
+            normals = np.array([rng.standard_normal(hyper.shape[1]) for rng in streams])
+            new_hyper = hyper * np.exp(hyper_step * normals)
+            new_hyper_lp = hyperprior.log_pdf(new_hyper)
+            new_prior_rho = _dirichlet_log_pdf(rho, new_hyper[local, :-2])
+            new_prior_eta = _gamma_log_pdf(eta, new_hyper[local, -2], new_hyper[local, -1])
+            terms = np.stack([new_prior_rho, log_prior_rho, new_prior_eta, log_prior_eta])
+            sums = np.array([terms[:, lo:hi].sum(axis=1) for lo, hi in bounds]).T
+            delta = (
+                new_hyper_lp - hyper_lp
+                + sums[0] - sums[1]
+                + sums[2] - sums[3]
+                + (np.log(new_hyper).sum(axis=1) - np.log(hyper).sum(axis=1))
+            )
+            accepted = _accept_rows(delta, np.arange(active.size), streams)
+            hits[0, active] += accepted
+            hyper[accepted] = new_hyper[accepted]
+            hyper_lp[accepted] = new_hyper_lp[accepted]
+            moved = accepted[local]
+            log_prior_rho[moved] = new_prior_rho[moved]
+            log_prior_eta[moved] = new_prior_eta[moved]
+
+        proposals, hastings = _propose_rewards(discrete, rho, streams, bounds, reward_step)
+        # A proposal lies near its task's reward, so the task's greedy
+        # actions are a close start for policy iteration.
+        values, prop_greedy = batch_solve_optimal(transition, proposals, discount, start=greedy)
+        q_prop = _batch_q(transition, proposals, values, discount)
+        new_ll = counts_log_likelihood(counts, _batch_softmax(q_prop, eta))
+        new_lp = reward_log_pdf(proposals, local)
+        accepted = _accept_rows(new_lp - log_prior_rho + new_ll - log_lik + hastings, local,
+                                streams)
+        hits[1, active] += np.bincount(local[accepted], minlength=active.size)
+        rho[accepted] = proposals[accepted]
+        q[accepted] = q_prop[accepted]
+        greedy[accepted] = prop_greedy[accepted]
+        log_lik[accepted] = new_ll[accepted]
+        log_prior_rho[accepted] = new_lp[accepted]
+
+        if temp_moves:
+            # A non-finite or non-positive proposal is rejected without a
+            # uniform.
+            normals = np.concatenate([rng.standard_normal(hi - lo)
+                                      for rng, (lo, hi) in zip(streams, bounds)])
+            new_eta = eta * np.exp(temperature_step * normals)
+            movable = np.flatnonzero(np.isfinite(new_eta) & (new_eta > 0.0))
+            new_eta = new_eta[movable]
+            new_ll = counts_log_likelihood(counts[movable], _batch_softmax(q[movable], new_eta))
+            new_lp = temperature_log_pdf(new_eta, local[movable])
+            delta = (
+                new_lp - log_prior_eta[movable]
+                + new_ll - log_lik[movable]
+                + np.log(new_eta) - np.log(eta[movable])
+            )
+            accepted = _accept_rows(delta, local[movable], streams)
+            moved = movable[accepted]
+            hits[2, active] += np.bincount(local[moved], minlength=active.size)
+            eta[moved] = new_eta[accepted]
+            log_lik[moved] = new_ll[accepted]
+            log_prior_eta[moved] = new_lp[accepted]
+
+        for c, (lo, hi) in zip(active, bounds):
+            kept = it - chains[c][2]
+            if kept >= 0:
+                for record, current in zip(records[c], (rho, eta, log_lik)):
+                    record[kept] = current[lo:hi]
+
+    out = []
+    for c, (n, m) in enumerate(zip(lengths.tolist(), sizes.tolist())):
+        totals = {"hyper": 0 if fixed else n, "reward": n * m,
+                  "temperature": n * m if temp_moves else 0}
+        rates = {name: int(hit) / total
+                 for (name, total), hit in zip(totals.items(), hits[:, c]) if total}
+        out.append(records[c] + (rates,))
+    return out
+
+
+def _mtpp_mh_batch(cmp: Cmp, fits, hyperprior, n_chains: int, discount: float, *,
+                   burn_in_fraction: float = 0.1, reward_step: float = 50.0,
+                   temperature_step: float = 0.25, hyper_step: float = 0.25):
+    """:func:`mtpp_mh` for several fits on one CMP, advanced in one lockstep
+    batch: ``fits`` lists ``(demos, n_iterations, seed)`` and the result is
+    one ensemble per fit, the one ``mtpp_mh`` returns for that fit alone."""
+    n_chains = int(n_chains)
+    if n_chains < 1:
+        raise ValueError(f"n_chains must be at least 1, got {n_chains}")
+    fits = [(demos, int(n_iterations), seed) for demos, n_iterations, seed in fits]
+    for _, n_iterations, _ in fits:
+        if n_iterations // n_chains < 1:
+            raise ValueError(
+                f"n_iterations={n_iterations} leaves no iterations for {n_chains} chains"
+            )
+    if not (0.0 <= burn_in_fraction < 1.0):
+        raise ValueError(f"burn_in_fraction must lie in [0, 1), got {burn_in_fraction}")
+    _check_sampler_inputs(cmp, hyperprior, discount)
+    if reward_step <= 0 or temperature_step <= 0 or hyper_step <= 0:
+        raise ValueError("proposal step parameters must be positive")
+    chains, task_ids = [], []
+    for demos, n_iterations, seed in fits:
+        tasks, _, counts = _group_demos(demos, cmp)
+        task_ids.append(tasks)
+        per_chain = n_iterations // n_chains
+        burn = int(np.floor(burn_in_fraction * per_chain))
+        chains += [(counts, per_chain, burn, substream(seed, "mtpp-mh", "chain", chain))
+                   for chain in range(n_chains)]
+    runs = _lockstep_chains(cmp.transition, discount, hyperprior, chains, reward_step,
+                            temperature_step, hyper_step)
+    ensembles = []
+    for index, (tasks, (_, n_iterations, seed)) in enumerate(zip(task_ids, fits)):
+        rewards, temperatures, log_liks, acceptance = zip(
+            *runs[index * n_chains:(index + 1) * n_chains])
+        kept = sum(len(chain) for chain in rewards)
+        ensembles.append(PosteriorEnsemble(
+            task_ids=tasks,
+            weights=np.full(kept, 1.0 / kept),
+            rewards=np.concatenate(rewards),
+            temperatures=np.concatenate(temperatures),
+            log_likelihoods=np.concatenate(log_liks),
+            metadata={
+                "kind": "mtpp-mh",
+                "seed": _seed_metadata(seed),
+                "n_iterations": n_iterations,
+                "n_chains": n_chains,
+                "burn_in_fraction": float(burn_in_fraction),
+                "reward_step": float(reward_step),
+                "temperature_step": float(temperature_step),
+                "hyper_step": float(hyper_step),
+                "discount": float(discount),
+                "acceptance_rates": list(acceptance),
+            },
+        ))
+    return ensembles
 
 
 def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
@@ -433,164 +682,25 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
     is discarded and the remainder pooled with uniform weights.
 
     Each task's likelihood reads its demonstrations through their (state,
-    action) count matrix, and each block of a sweep moves every task with
-    array operations.  The hyper and reward blocks draw the same random
-    numbers as a task-by-task sweep; the temperature block draws all its
-    normals before its uniforms.
+    action) count matrix.  Chain c draws from its own stream
+    ``substream(seed, "mtpp-mh", "chain", c)``, in this order: at its start
+    the population state (for a ``GammaHyperprior``), then each task's
+    reward and temperature in task order; in each iteration the hyper
+    normals and their uniform, the reward proposals (one Dirichlet or atom
+    draw per task) and their uniforms, then the temperature normals and
+    their uniforms.  A proposal accepted outright, or a temperature
+    proposal that is not finite and positive, draws no uniform.  The hyper
+    and reward blocks draw what a task-by-task sweep draws; the temperature
+    block draws all its normals before its uniforms.  The chains advance in
+    lockstep, each block's arithmetic running once over every chain's
+    tasks, and each chain's draws and results are those it has alone.
     """
-    n_iterations = int(n_iterations)
-    n_chains = int(n_chains)
-    if n_chains < 1:
-        raise ValueError(f"n_chains must be at least 1, got {n_chains}")
-    per_chain = n_iterations // n_chains
-    if per_chain < 1:
-        raise ValueError(
-            f"n_iterations={n_iterations} leaves no iterations for {n_chains} chains"
-        )
-    if not (0.0 <= burn_in_fraction < 1.0):
-        raise ValueError(f"burn_in_fraction must lie in [0, 1), got {burn_in_fraction}")
-    _check_sampler_inputs(cmp, hyperprior, discount)
-    if reward_step <= 0 or temperature_step <= 0 or hyper_step <= 0:
-        raise ValueError("proposal step parameters must be positive")
-    task_ids, _, counts = _group_demos(demos, cmp)
-    n_tasks = len(task_ids)
-    n_states = cmp.n_states
-    burn = int(np.floor(burn_in_fraction * per_chain))
-    kept_per_chain = per_chain - burn
-
-    fixed = isinstance(hyperprior, FixedHyperprior)
-    chains_rewards, chains_temps, chains_lls = [], [], []
-    acceptance = []
-    for chain in range(n_chains):
-        rng = substream(seed, "mtpp-mh", "chain", chain)
-        if fixed:
-            reward_prior, temp_prior = hyperprior.reward_prior, hyperprior.temperature_prior
-        else:
-            hyper = np.concatenate(hyperprior.sample_batch(rng, 1), axis=None)
-            hyper_lp = hyperprior.log_pdf(hyper)
-            reward_prior, temp_prior = _population_priors(hyper)
-        rho = np.empty((n_tasks, n_states))
-        eta = np.empty(n_tasks)
-        for m in range(n_tasks):
-            rho[m] = _interior(reward_prior, reward_prior.sample(rng).values)
-            # A tiny temperature shape can underflow the draw to exact zero,
-            # where the log prior is -inf and multiplicative moves are stuck.
-            eta[m] = max(temp_prior.sample(rng), 1e-12)
-        values, greedy = batch_solve_optimal(cmp.transition, rho, discount)
-        q = _batch_q(cmp.transition, rho, values, discount)
-        log_lik = counts_log_likelihood(counts, _batch_softmax(q, eta))
-        log_prior_rho = reward_prior.log_pdf(rho)
-        log_prior_eta = temp_prior.log_pdf(eta)
-
-        rec_rewards = np.empty((per_chain, n_tasks, n_states))
-        rec_temps = np.empty((per_chain, n_tasks))
-        rec_lls = np.empty((per_chain, n_tasks))
-        moves = {"hyper": [0, 0], "reward": [0, 0], "temperature": [0, 0]}
-
-        temp_moves = not isinstance(temp_prior, FixedTemperature)
-        for it in range(per_chain):
-            # Given the population draw the tasks are independent, so each
-            # block below moves all of them at once.
-            if not fixed:
-                # Multiplicative log-normal step on every hyper coordinate;
-                # its Jacobian is the sum of log(new) - log(old).
-                new_hyper = hyper * np.exp(hyper_step * rng.standard_normal(hyper.shape[0]))
-                new_hyper_lp = hyperprior.log_pdf(new_hyper)
-                new_prior_rho = _dirichlet_log_pdf(rho, new_hyper[:-2])
-                # Temperatures stay positive, where this is TemperaturePrior.log_pdf.
-                new_prior_eta = _gamma_log_pdf(eta, new_hyper[-2], new_hyper[-1])
-                delta = (
-                    new_hyper_lp - hyper_lp
-                    + new_prior_rho.sum() - log_prior_rho.sum()
-                    + new_prior_eta.sum() - log_prior_eta.sum()
-                    + (np.log(new_hyper).sum() - np.log(hyper).sum())
-                )
-                moves["hyper"][1] += 1
-                if metropolis_accept(delta, rng):
-                    moves["hyper"][0] += 1
-                    hyper, hyper_lp = new_hyper, new_hyper_lp
-                    reward_prior, temp_prior = _population_priors(hyper)
-                    log_prior_rho, log_prior_eta = new_prior_rho, new_prior_eta
-
-            proposals, hastings = _propose_rewards(reward_prior, rho, rng, reward_step)
-            # A proposal lies near its task's reward, so the task's greedy
-            # actions are a close start for policy iteration.
-            values, prop_greedy = batch_solve_optimal(
-                cmp.transition, proposals, discount, start=greedy
-            )
-            q_prop = _batch_q(cmp.transition, proposals, values, discount)
-            new_ll = counts_log_likelihood(counts, _batch_softmax(q_prop, eta))
-            new_lp = reward_prior.log_pdf(proposals)
-            accepted = metropolis_accept(
-                new_lp - log_prior_rho + new_ll - log_lik + hastings, rng
-            )
-            moves["reward"][0] += int(accepted.sum())
-            moves["reward"][1] += n_tasks
-            rho[accepted] = proposals[accepted]
-            q[accepted] = q_prop[accepted]
-            greedy[accepted] = prop_greedy[accepted]
-            log_lik[accepted] = new_ll[accepted]
-            log_prior_rho[accepted] = new_lp[accepted]
-
-            if temp_moves:
-                # All normals first, then the uniforms: the one block whose
-                # stream differs from a task-by-task sweep.  A non-finite or
-                # non-positive proposal is rejected without a uniform.
-                new_eta = eta * np.exp(temperature_step * rng.standard_normal(n_tasks))
-                movable = np.flatnonzero(np.isfinite(new_eta) & (new_eta > 0.0))
-                new_eta = new_eta[movable]
-                new_ll = counts_log_likelihood(
-                    counts[movable], _batch_softmax(q[movable], new_eta)
-                )
-                new_lp = temp_prior.log_pdf(new_eta)
-                delta = (
-                    new_lp - log_prior_eta[movable]
-                    + new_ll - log_lik[movable]
-                    + np.log(new_eta) - np.log(eta[movable])
-                )
-                accepted = metropolis_accept(delta, rng)
-                moves["temperature"][0] += int(accepted.sum())
-                moves["temperature"][1] += n_tasks
-                moved = movable[accepted]
-                eta[moved] = new_eta[accepted]
-                log_lik[moved] = new_ll[accepted]
-                log_prior_eta[moved] = new_lp[accepted]
-
-            rec_rewards[it] = rho
-            rec_temps[it] = eta
-            rec_lls[it] = log_lik
-
-        chains_rewards.append(rec_rewards[burn:])
-        chains_temps.append(rec_temps[burn:])
-        chains_lls.append(rec_lls[burn:])
-        acceptance.append(
-            {
-                name: (hits / max(total, 1))
-                for name, (hits, total) in moves.items()
-                if total > 0
-            }
-        )
-
-    kept = kept_per_chain * n_chains
-    return PosteriorEnsemble(
-        task_ids=task_ids,
-        weights=np.full(kept, 1.0 / kept),
-        rewards=np.concatenate(chains_rewards),
-        temperatures=np.concatenate(chains_temps),
-        log_likelihoods=np.concatenate(chains_lls),
-        metadata={
-            "kind": "mtpp-mh",
-            "seed": _seed_metadata(seed),
-            "n_iterations": n_iterations,
-            "n_chains": n_chains,
-            "burn_in_fraction": float(burn_in_fraction),
-            "reward_step": float(reward_step),
-            "temperature_step": float(temperature_step),
-            "hyper_step": float(hyper_step),
-            "discount": float(discount),
-            "acceptance_rates": acceptance,
-        },
+    (ensemble,) = _mtpp_mh_batch(
+        cmp, [(demos, n_iterations, seed)], hyperprior, n_chains, discount,
+        burn_in_fraction=burn_in_fraction, reward_step=reward_step,
+        temperature_step=temperature_step, hyper_step=hyper_step,
     )
+    return ensemble
 
 
 def posterior_policy(ensemble, task_id: int, cmp: Cmp, discount: float) -> StationaryPolicy:

@@ -12,8 +12,9 @@ temperature prior is a :class:`TemperaturePrior` or a
 
 The population level is a :class:`GammaHyperprior`, whose ``sample_batch(rng,
 k)`` draws k population states as (concentrations, shapes, rates) arrays and
-whose ``log_pdf(state)`` scores one state ``(concentration..., shape, rate)``,
-or a :class:`FixedHyperprior`, plain data holding the priors every task shares.
+whose ``log_pdf(state)`` scores one state ``(concentration..., shape, rate)``
+or a ``(k, n_states + 2)`` batch of them row by row, or a
+:class:`FixedHyperprior`, plain data holding the priors every task shares.
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ def _dirichlet_rows(rng, concentration) -> np.ndarray:
     ``standard_gamma`` or ``beta``, which consumes the stream as the rows'
     own calls would; the normalization and the products then run over all
     rows at once, with ``cumsum`` and ``cumprod`` keeping numpy's order of
-    operations.
+    operations.  When no row stick-breaks, as for every proposal of
+    ``mtpp_mh``, one ``standard_gamma`` call and the normalization are all.
     """
     conc = np.asarray(concentration, dtype=float)
     if conc.ndim != 2 or conc.shape[1] < 1:
@@ -92,6 +94,10 @@ def _dirichlet_rows(rng, concentration) -> np.ndarray:
         raise ValueError("concentration entries must be finite and strictly positive")
     n_rows, n_states = conc.shape
     small = conc.max(axis=1) < _DIRICHLET_STICK_BREAKING
+    if not small.any():
+        draws = rng.standard_gamma(conc)
+        draws *= 1.0 / np.cumsum(draws, axis=1)[:, -1:]
+        return draws
     # Beta parameters of the stick-breaking rows: each coordinate against
     # the sum of the coordinates after it.
     tails = np.cumsum(conc[:, :0:-1], axis=1)[:, ::-1]
@@ -292,15 +298,18 @@ class GammaHyperprior:
         rates = rng.gamma(_TEMPERATURE_LAW[0], size=k) / _TEMPERATURE_LAW[1]
         return conc, shapes, rates
 
-    def log_pdf(self, state) -> float:
-        """Log-density of one population state ``(concentration..., shape, rate)``."""
+    def log_pdf(self, state):
+        """Log-density of a population state ``(concentration..., shape, rate)``
+        (a float), or of each row of a ``(k, n_states + 2)`` batch of them."""
         state = np.asarray(state, dtype=float)
-        if state.shape != (self.n_states + 2,):
-            raise ValueError(f"state must have shape ({self.n_states + 2},), got {state.shape}")
-        total = _gamma_log_pdf(state[:-2], *self.concentration_law).sum()
-        total += _gamma_log_pdf(state[-2], *_TEMPERATURE_LAW)
-        total += _gamma_log_pdf(state[-1], *_TEMPERATURE_LAW)
-        return float(total)
+        if state.ndim not in (1, 2) or state.shape[-1] != self.n_states + 2:
+            raise ValueError(
+                f"state must have shape ([k,] {self.n_states + 2}), got {state.shape}"
+            )
+        total = _gamma_log_pdf(state[..., :-2], *self.concentration_law).sum(axis=-1)
+        total = total + _gamma_log_pdf(state[..., -2], *_TEMPERATURE_LAW)
+        total = total + _gamma_log_pdf(state[..., -1], *_TEMPERATURE_LAW)
+        return _batch_result(total)
 
 
 @dataclass(frozen=True)

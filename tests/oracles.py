@@ -21,12 +21,16 @@ from multitask_irl import (
     Mdp,
     RewardFunction,
     StationaryPolicy,
+    TemperaturePrior,
     batch_solve_optimal,
+    counts_log_likelihood,
+    demo_counts,
     exp_interval_mass,
     q_from_v,
     softmax_policy,
     substream,
 )
+from multitask_irl.mdp import _batch_q, _batch_softmax
 
 # Sweep cap for the Bellman references; the tightest tolerance the tests ask
 # for at the largest discount they use needs about a thousand sweeps.
@@ -216,6 +220,129 @@ def task_by_task_mh(cmp, demos, hyperprior, n_iterations, n_chains, discount, se
                 kept_lls.append(np.array(log_lik))
         rates.append(accepted / (per_chain * len(groups)))
     return np.array(kept_rewards), np.array(kept_lls), rates
+
+
+def _accept_in_turn(log_ratios, rng):
+    """One Metropolis decision per entry in turn: a ratio below zero (or
+    nan) draws a uniform.  Returns the accepted entries' indices."""
+    return np.array([i for i, ratio in enumerate(log_ratios)
+                     if ratio >= 0 or rng.random() < np.exp(ratio)], dtype=np.int64)
+
+
+def per_chain_mh(cmp, demos, hyperprior, n_iterations, n_chains, discount, seed,
+                 burn_in_fraction=0.1, reward_step=50.0, temperature_step=0.25,
+                 hyper_step=0.25):
+    """The hierarchical sampler's sweep, run one chain of one fit at a time.
+
+    Each chain draws from ``substream(seed, "mtpp-mh", "chain", c)``: its
+    population state (for a Gamma hyperprior) and each task's reward and
+    temperature; then per iteration the hyper normals and their uniform,
+    one ``rng.dirichlet`` (or atom index) per task and the reward uniforms,
+    the temperature normals and their uniforms.  A temperature proposal that
+    is not finite and positive is rejected without a uniform.  The priors
+    are objects, built anew for every hyper proposal.  Returns the kept
+    rewards (K, M, S), temperatures and log-likelihoods (K, M) pooled over
+    chains, each chain's acceptance rates, and the number of temperature
+    proposals rejected without a uniform.
+    """
+    fixed = isinstance(hyperprior, FixedHyperprior)
+    task_ids = sorted({demo.task_id for demo in demos})
+    counts = np.stack([demo_counts([d for d in demos if d.task_id == tid],
+                                   cmp.n_states, cmp.n_actions) for tid in task_ids])
+    n_tasks, n_states = len(task_ids), cmp.n_states
+    per_chain = n_iterations // n_chains
+    burn = int(np.floor(burn_in_fraction * per_chain))
+
+    def priors_of(state):
+        return DirichletRewardPrior(state[:-2]), TemperaturePrior(state[-2], state[-1])
+
+    def action_values(rewards, start=None):
+        values, greedy = batch_solve_optimal(cmp.transition, rewards, discount, start=start)
+        return _batch_q(cmp.transition, rewards, values, discount), greedy
+
+    kept_rewards, kept_temps, kept_lls, rates = [], [], [], []
+    unmovable = 0
+    for chain in range(n_chains):
+        rng = substream(seed, "mtpp-mh", "chain", chain)
+        if fixed:
+            reward_prior, temp_prior = hyperprior.reward_prior, hyperprior.temperature_prior
+        else:
+            hyper = np.concatenate(hyperprior.sample_batch(rng, 1), axis=None)
+            reward_prior, temp_prior = priors_of(hyper)
+        rho = np.empty((n_tasks, n_states))
+        eta = np.empty(n_tasks)
+        for m in range(n_tasks):
+            rho[m] = reward_prior.sample(rng).values
+            if isinstance(reward_prior, DirichletRewardPrior):
+                rho[m] = (1.0 - 1e-3) * rho[m] + 1e-3 / n_states
+            eta[m] = max(temp_prior.sample(rng), 1e-12)
+        q, greedy = action_values(rho)
+        log_lik = counts_log_likelihood(counts, _batch_softmax(q, eta))
+        log_prior_rho = np.array([reward_prior.log_pdf(r) for r in rho])
+        log_prior_eta = np.array([temp_prior.log_pdf(e) for e in eta])
+        moves = {"hyper": [0, 0], "reward": [0, 0], "temperature": [0, 0]}
+        for it in range(per_chain):
+            if not fixed:
+                new_hyper = hyper * np.exp(hyper_step * rng.standard_normal(hyper.shape[0]))
+                new_reward_prior, new_temp_prior = priors_of(new_hyper)
+                new_prior_rho = np.array([new_reward_prior.log_pdf(r) for r in rho])
+                new_prior_eta = np.array([new_temp_prior.log_pdf(e) for e in eta])
+                delta = (
+                    hyperprior.log_pdf(new_hyper) - hyperprior.log_pdf(hyper)
+                    + new_prior_rho.sum() - log_prior_rho.sum()
+                    + new_prior_eta.sum() - log_prior_eta.sum()
+                    + (np.log(new_hyper).sum() - np.log(hyper).sum())
+                )
+                moves["hyper"][1] += 1
+                if len(_accept_in_turn([delta], rng)):
+                    moves["hyper"][0] += 1
+                    hyper = new_hyper
+                    reward_prior, temp_prior = new_reward_prior, new_temp_prior
+                    log_prior_rho, log_prior_eta = new_prior_rho, new_prior_eta
+
+            proposals, hastings = np.empty((n_tasks, n_states)), np.zeros(n_tasks)
+            for m in range(n_tasks):
+                if isinstance(reward_prior, DiscreteRewardPrior):
+                    proposals[m] = reward_prior.atoms[rng.integers(reward_prior.n_atoms)]
+                    continue
+                forward = reward_step * rho[m] + 0.1
+                proposal = np.clip(rng.dirichlet(forward), 1e-300, None)
+                proposals[m] = proposal / proposal.sum()
+                reverse = reward_step * proposals[m] + 0.1
+                hastings[m] = (_dirichlet_log_density(rho[m], reverse)
+                               - _dirichlet_log_density(proposals[m], forward))
+            q_prop, prop_greedy = action_values(proposals, start=greedy)
+            new_ll = counts_log_likelihood(counts, _batch_softmax(q_prop, eta))
+            new_lp = np.array([reward_prior.log_pdf(r) for r in proposals])
+            accepted = _accept_in_turn(new_lp - log_prior_rho + new_ll - log_lik + hastings, rng)
+            moves["reward"][0] += len(accepted)
+            moves["reward"][1] += n_tasks
+            rho[accepted], q[accepted] = proposals[accepted], q_prop[accepted]
+            greedy[accepted] = prop_greedy[accepted]
+            log_lik[accepted], log_prior_rho[accepted] = new_ll[accepted], new_lp[accepted]
+
+            if not isinstance(temp_prior, FixedTemperature):
+                new_eta = eta * np.exp(temperature_step * rng.standard_normal(n_tasks))
+                movable = np.flatnonzero(np.isfinite(new_eta) & (new_eta > 0.0))
+                unmovable += n_tasks - len(movable)
+                new_eta = new_eta[movable]
+                new_ll = counts_log_likelihood(counts[movable], _batch_softmax(q[movable], new_eta))
+                new_lp = np.array([temp_prior.log_pdf(e) for e in new_eta])
+                delta = (new_lp - log_prior_eta[movable] + new_ll - log_lik[movable]
+                         + np.log(new_eta) - np.log(eta[movable]))
+                accepted = _accept_in_turn(delta, rng)
+                moves["temperature"][0] += len(accepted)
+                moves["temperature"][1] += n_tasks
+                moved = movable[accepted]
+                eta[moved], log_lik[moved] = new_eta[accepted], new_ll[accepted]
+                log_prior_eta[moved] = new_lp[accepted]
+            if it >= burn:
+                kept_rewards.append(rho.copy())
+                kept_temps.append(eta.copy())
+                kept_lls.append(log_lik.copy())
+        rates.append({name: hits / total for name, (hits, total) in moves.items() if total})
+    return (np.array(kept_rewards), np.array(kept_temps), np.array(kept_lls), rates,
+            unmovable)
 
 
 def enumerate_atom_posterior(cmp, demos, atoms, weights, eta, discount):

@@ -5,6 +5,7 @@ from multitask_irl import (
     EXPERIMENTS,
     ChainSpec,
     ConfigError,
+    Demonstration,
     ExperimentResult,
     GammaHyperprior,
     Mdp,
@@ -22,6 +23,7 @@ from multitask_irl import (
     make_demonstrator,
     make_random_mdp_population,
     mtpp_mc,
+    mtpp_mh,
     posterior_policy,
     run_experiment,
     simulate,
@@ -185,17 +187,74 @@ def test_template_fills_its_method_grid(name):
 
 def test_run_passes_mh_step_keys_to_the_sampler(monkeypatch):
     seen = []
-    real = bench.mtpp_mh
+    real = bench._mtpp_mh_batch
 
     def spy(*args, **kwargs):
         seen.append(kwargs)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(bench, "mtpp_mh", spy)
+    monkeypatch.setattr(bench, "_mtpp_mh_batch", spy)
     steps = {"burn_in_fraction": 0.5, "reward_step": 20.0, "temperature_step": 0.5,
              "hyper_step": 0.125}
     run_experiment(dict(TINY_SAMPLER_CONFIG, **steps))
     assert seen and all(kwargs == steps for kwargs in seen)
+
+
+# name -> (overrides, replications); each sweeps three points on one kernel.
+MH_HARNESS_CASES = {
+    "random-mdp-task-sweep": (
+        {"task_counts": (2, 3, 5), "mh_iterations": 30, "mdp_states": 4, "demo_length": 6,
+         "methods": ("mtpp-mh", "mtpp-mh-flat")}, 2),
+    "random-mdp-temperature-sweep": (
+        {"temperature_values": (2.0, 8.0, 4.0), "n_tasks": 3, "mh_iterations": 40,
+         "mh_chains": 2, "mdp_states": 4, "demo_length": 6,
+         "methods": ("mtpp-mh", "mtpp-mh-flat")}, 2),
+    "sampler-comparison": (
+        {"sample_budgets": (100, 300, 3000), "mh_chain_counts": (1, 4), "demo_length": 10,
+         "methods": ("mtpp-mh-1", "mtpp-mh-4")}, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MH_HARNESS_CASES))
+def test_mh_rows_equal_one_mtpp_mh_call_per_fit(name, monkeypatch):
+    # The harness hands each MH method all of a replication's points at once;
+    # every row must be the one a lone mtpp_mh call per fit gives, on the
+    # seed path subseed(seed, name, "rep", rep, *tag, point key).
+    batches = []
+    real = bench._mtpp_mh_batch
+
+    def spy(cmp, fits, *args, **kwargs):
+        batches.append(len(fits))
+        return real(cmp, fits, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "_mtpp_mh_batch", spy)
+    overrides, replications = MH_HARNESS_CASES[name]
+    cfg = dict(overrides, experiment=name, seed=5, replications=replications)
+    rows = {(row.method, row.x, row.seed): row.task_losses for row in run_experiment(cfg).rows}
+    assert batches == [3] * (len(cfg["methods"]) * replications)
+    discount = 0.95
+    for rep in range(replications):
+        for point in bench._TEMPLATES[name](cfg, name).points(5, rep):
+            cmp = point.env.cmp
+            for method in cfg["methods"]:
+                flat = method == "mtpp-mh-flat"
+                demos = ([Demonstration(0, d.states, d.actions) for d in point.demos] if flat
+                         else point.demos)
+                chains = method.rpartition("-")[2]
+                if chains.isdigit():    # mtpp-mh-N: N chains, N in the seed path
+                    chains, tag = int(chains), ("mh", int(chains))
+                else:
+                    chains, tag = cfg.get("mh_chains", 1), ("mh-flat",) if flat else ("mh",)
+                ensemble = mtpp_mh(
+                    cmp, demos, GammaHyperprior(cmp.n_states, concentration_law=(1.0, 10.0)),
+                    point.budget or cfg["mh_iterations"], chains, discount,
+                    subseed(5, name, "rep", rep, *tag, point.key))
+                policies = [posterior_policy(ensemble, tid, cmp, discount)
+                            for tid in ensemble.task_ids]
+                if flat:
+                    policies = policies * len(point.true_mdps)
+                assert rows[method, point.x, rep] == tuple(
+                    l1_loss(mdp, policy) for mdp, policy in zip(point.true_mdps, policies))
 
 
 def test_multitask_gain_divisibility_check():

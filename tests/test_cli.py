@@ -151,6 +151,18 @@ def test_infer_mtpp_mh_writes_ensemble(tmp_path, demo_file):
     assert loaded.n_samples == 2 * (30 - 3)
 
 
+def test_infer_rejects_more_chains_than_iterations(tmp_path, demo_file, capsys):
+    cfg = tmp_path / "chains.cfg"
+    cfg.write_text("mh_iterations = 3\nmh_chains = 4\n")
+    code = main([
+        "infer", "--demos", str(demo_file), "--model", "mtpp-mh",
+        "--config", str(cfg), "--out", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert "config error: mh_chains = 4 exceeds mh_iterations = 3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_infer_rejects_mismatched_state_count(tmp_path, demo_file, capsys):
     cfg = tmp_path / "wrong.cfg"
     cfg.write_text("chain_states = 4\n")

@@ -52,6 +52,16 @@ def test_parse_config_errors():
         parse_config("seed = soon")
 
 
+def test_parse_config_rejects_more_chains_than_iterations():
+    with pytest.raises(ConfigError, match="mh_chains = 4 exceeds mh_iterations = 3"):
+        parse_config("mh_iterations = 3\nmh_chains = 4")
+    assert parse_config("mh_iterations = 4\nmh_chains = 4") == {"mh_iterations": 4,
+                                                                "mh_chains": 4}
+    # Either key alone leaves the other to the method's default.
+    assert parse_config("mh_chains = 4000") == {"mh_chains": 4000}
+    assert parse_config("mh_iterations = 1") == {"mh_iterations": 1}
+
+
 def test_parse_config_empty_text():
     assert parse_config("") == {}
     assert parse_config("# only a comment\n\n") == {}

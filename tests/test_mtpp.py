@@ -27,11 +27,12 @@ from multitask_irl import (
     simulate,
     substream,
 )
-from multitask_irl.mtpp import _group_demos
+from multitask_irl.mtpp import _group_demos, _mtpp_mh_batch
 from oracles import (
     batch_means_se,
     enumerate_atom_posterior,
     importance_se,
+    per_chain_mh,
     per_step_log_lik,
     random_cmp,
     task_by_task_mh,
@@ -311,6 +312,54 @@ def test_mtpp_mh_matches_task_by_task_loop(kind):
     assert np.allclose(ensemble.log_likelihoods, log_liks, rtol=1e-12, atol=0.0)
     assert [r["reward"] for r in ensemble.metadata["acceptance_rates"]] == rates
     assert all(0.0 < rate < 1.0 for rate in rates)
+
+
+LOCKSTEP_PRIORS = {
+    "gamma": lambda rng: GammaHyperprior(4),
+    "dirichlet": lambda rng: FixedHyperprior(DirichletRewardPrior(np.full(4, 0.6)),
+                                             TemperaturePrior(2.0, 1.0)),
+    # The tiny temperature shape and a huge temperature step make some
+    # proposals zero or infinite, which are rejected without a uniform.
+    "discrete": lambda rng: FixedHyperprior(DiscreteRewardPrior(rng.dirichlet(np.ones(4), 5)),
+                                            TemperaturePrior(1e-4, 1.0)),
+}
+
+
+@pytest.mark.parametrize("n_chains", [1, 2, 4, 8])
+@pytest.mark.parametrize("kind", sorted(LOCKSTEP_PRIORS))
+def test_lockstep_chains_match_one_chain_at_a_time(kind, n_chains):
+    # Three fits of 1, 9 and 2 tasks and unequal lengths advance in one
+    # batch; each must give the bits its chains give run one at a time.
+    rng = np.random.default_rng(23)
+    cmp = random_cmp(rng, 4, 2)
+    hyper = LOCKSTEP_PRIORS[kind](rng)
+    fits = []
+    for index, (n_tasks, per_chain) in enumerate([(1, 14), (9, 9), (2, 20)]):
+        demos = []
+        for m in range(n_tasks):
+            mdp = Mdp(cmp, RewardFunction(rng.dirichlet(np.ones(4))), DISCOUNT)
+            teacher = make_demonstrator("softmax", mdp, eta=3.0)
+            demos.append(simulate(mdp, teacher, 12, substream(index, "demo", m), task_id=m))
+        fits.append((demos, per_chain * n_chains, 30 + index))
+    steps = {"temperature_step": 250.0} if kind == "discrete" else {}
+    with np.errstate(over="ignore"):
+        ensembles = _mtpp_mh_batch(cmp, fits, hyper, n_chains, DISCOUNT, **steps)
+        expected = [per_chain_mh(cmp, demos, hyper, n_iterations, n_chains, DISCOUNT, seed,
+                                 **steps) for demos, n_iterations, seed in fits]
+    unmovable = 0
+    for ensemble, (rewards, temperatures, log_liks, rates, stuck) in zip(ensembles, expected):
+        unmovable += stuck
+        assert np.array_equal(ensemble.rewards, rewards)
+        assert np.array_equal(ensemble.temperatures, temperatures)
+        assert np.array_equal(ensemble.log_likelihoods, log_liks)
+        assert ensemble.metadata["acceptance_rates"] == rates
+    # A lone fit through mtpp_mh is the same batch of one.
+    with np.errstate(over="ignore"):
+        demos, n_iterations, seed = fits[1]
+        alone = mtpp_mh(cmp, demos, hyper, n_iterations, n_chains, DISCOUNT, seed, **steps)
+    assert np.array_equal(alone.rewards, ensembles[1].rewards)
+    assert alone.metadata == ensembles[1].metadata
+    assert (unmovable > 0) == (kind == "discrete")
 
 
 def test_mtpp_mh_degenerate_hyperprior_skips_fixed_blocks():

@@ -150,6 +150,13 @@ def test_gamma_hyperprior_log_pdf_matches_scipy():
     assert abs(hyper.log_pdf(state) - expected) < 1e-10
     with pytest.raises(ValueError, match="state must have shape"):
         hyper.log_pdf(state[1:])
+    # A batch of states is scored row by row, bit for bit.
+    states = np.random.default_rng(4).gamma(1.0, size=(5, 4))
+    scores = hyper.log_pdf(states)
+    assert scores.shape == (5,)
+    assert scores.tolist() == [hyper.log_pdf(row) for row in states]
+    with pytest.raises(ValueError, match="state must have shape"):
+        hyper.log_pdf(states[None])
 
 
 def test_fixed_hyperprior_is_degenerate():
@@ -247,7 +254,7 @@ def _concentrations(kind: str, n_rows: int, n_states: int) -> np.ndarray:
 @pytest.mark.parametrize("kind, n_rows, n_states", [
     ("small", 40, 5), ("large", 40, 5), ("alternating", 41, 5), ("hyperprior", 3000, 5),
     ("small", 1, 4), ("large", 1, 4), ("small", 7, 1), ("large", 7, 1),
-    ("alternating", 9, 1), ("alternating", 9, 2), ("hyperprior", 200, 2),
+    ("alternating", 9, 1), ("alternating", 9, 2), ("hyperprior", 200, 2), ("large", 3000, 8),
 ])
 def test_dirichlet_rows_match_per_row_dirichlet(kind, n_rows, n_states):
     conc = _concentrations(kind, n_rows, n_states)
