@@ -261,6 +261,8 @@ def _fit_mtpp_mc(env, demos, cfg, budget, seed):
 def _fit_mtpp_mh(runs, cfg):
     """Every chain of every run advances in one lockstep batch."""
     cmp = runs[0][0].cmp
+    if not all(np.array_equal(env.cmp.transition, cmp.transition) for env, *_ in runs):
+        raise ValueError("the runs of one mtpp-mh batch must share a transition kernel")
     ensembles = _mtpp_mh_batch(
         cmp,
         [(demos, cfg.get("mh_iterations", 2000) if budget is None else budget, seed)
@@ -326,7 +328,8 @@ def _resolve(method: str, cfg):
 # --- templates --------------------------------------------------------------
 #
 # A template is data: its default (and permitted) methods, its default
-# replication count, and how it builds each replication's sweep points.
+# replication count, and how it builds each replication's sweep points,
+# which all share one transition kernel.
 
 
 @dataclass(frozen=True)
@@ -488,27 +491,13 @@ _TEMPLATES = {
 }
 
 
-def _kernel_groups(points):
-    """Indices of ``points`` grouped by equal transition arrays, each group
-    and the groups in order of first appearance."""
-    groups = []
-    for i, point in enumerate(points):
-        for group in groups:
-            if np.array_equal(points[group[0]].env.cmp.transition, point.env.cmp.transition):
-                group.append(i)
-                break
-        else:
-            groups.append([i])
-    return groups
-
-
 def run_experiment(config) -> ExperimentResult:
     """Run a named experiment template from a parsed configuration mapping.
 
     Every method named by ``methods`` (default: the template's list) is
     fitted at every sweep point of every replication, and scored per task
     with :func:`l1_loss`.  Each method is handed at once all of a
-    replication's points whose kernels are equal, so the Metropolis-Hastings
+    replication's points, which share one kernel, so the Metropolis-Hastings
     fits of a replication advance in lockstep; the rows are those of one fit
     per point, in point-then-method order.  Writes ``<name>-runs.csv`` and
     ``<name>-aggregate.csv`` into ``out_dir`` when the configuration names
@@ -535,25 +524,22 @@ def run_experiment(config) -> ExperimentResult:
     for rep in range(cfg.get("replications", template.replications)):
         points = list(template.points(seed, rep))
         optima = [_true_optima(point.true_mdps) for point in points]
-        groups = _kernel_groups(points)
         losses = {}
         for method, fit, method_cfg, tag in fits:
-            for group in groups:
-                runs = [
-                    (points[i].env, points[i].demos, points[i].budget,
-                     None if tag is None else subseed(seed, name, "rep", rep, *tag,
-                                                      points[i].key))
-                    for i in group
-                ]
-                fitted = iter(fit(runs, method_cfg))
-                for i in group:
-                    # Only the policies are kept, so a run's posterior is
-                    # dropped before the next run is fitted.
-                    policies = next(fitted)[0]
-                    losses[method, i] = tuple(
-                        _l1_loss(mdp, policy, optimal)
-                        for mdp, policy, optimal in zip(points[i].true_mdps, policies, optima[i])
-                    )
+            runs = [
+                (point.env, point.demos, point.budget,
+                 None if tag is None else subseed(seed, name, "rep", rep, *tag, point.key))
+                for point in points
+            ]
+            fitted = iter(fit(runs, method_cfg))
+            for i, point in enumerate(points):
+                # Only the policies are kept, so a run's posterior is
+                # dropped before the next run is fitted.
+                policies = next(fitted)[0]
+                losses[method, i] = tuple(
+                    _l1_loss(mdp, policy, optimal)
+                    for mdp, policy, optimal in zip(point.true_mdps, policies, optima[i])
+                )
         rows += [ResultRow(name, rep, method, point.x, losses[method, i])
                  for i, point in enumerate(points) for method, *_ in fits]
     meta = {

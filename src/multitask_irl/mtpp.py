@@ -99,16 +99,15 @@ def importance_weights(log_likelihoods) -> np.ndarray:
 def metropolis_accept(log_ratio, rng):
     """Metropolis-Hastings accept/reject decisions.
 
-    A scalar log-ratio gives one bool, a 1-d array gives a bool array.  A
+    A scalar log-ratio gives one bool, an array gives a bool array.  A
     ratio at or above zero is accepted outright; each other one (nan
     included) draws one uniform, in array order, so an array decision
     consumes the stream exactly as the same scalar decisions in turn.
     """
-    if np.ndim(log_ratio) == 0:
-        ratio = float(log_ratio)
-        return ratio >= 0 or bool(rng.random() < np.exp(ratio))
     ratios = np.asarray(log_ratio, dtype=float)
-    return _accept_rows(ratios, np.zeros(ratios.shape[0], dtype=np.int64), [rng])
+    flat = ratios.reshape(-1)
+    accept = _accept_rows(flat, np.zeros(flat.size, dtype=np.int64), [rng])
+    return bool(accept[0]) if ratios.ndim == 0 else accept.reshape(ratios.shape)
 
 
 @dataclass(frozen=True, eq=False)

@@ -257,6 +257,13 @@ def test_mh_rows_equal_one_mtpp_mh_call_per_fit(name, monkeypatch):
                     l1_loss(mdp, policy) for mdp, policy in zip(point.true_mdps, policies))
 
 
+def test_mh_batch_rejects_runs_on_different_kernels():
+    envs = [bench.Environment(chain_transition(3, slip)) for slip in (0.1, 0.3)]
+    demos = [Demonstration(0, np.array([0, 1]), np.array([1, 0]))]
+    with pytest.raises(ValueError, match="share a transition kernel"):
+        bench._fit_mtpp_mh([(env, demos, 10, 0) for env in envs], {})
+
+
 def test_multitask_gain_divisibility_check():
     cfg = {
         "experiment": "multitask-gain",

@@ -106,15 +106,17 @@ def test_metropolis_accept_shortcut_and_rejection():
 
 def test_metropolis_accept_array_draws_one_uniform_per_negative_ratio():
     ratios = np.array([0.0, -0.5, 2.0, np.log(0.9), -3.0, np.nan, -1e-3])
-    array_rng, scalar_rng, uniform_rng = (substream(4, "accept") for _ in range(3))
-    decisions = metropolis_accept(ratios, array_rng)
-    assert decisions.dtype == bool and decisions.shape == ratios.shape
-    assert decisions.tolist() == [metropolis_accept(r, scalar_rng) for r in ratios]
-    undecided = ~(ratios >= 0)
-    uniforms = uniform_rng.random(int(undecided.sum()))
-    assert np.array_equal(decisions[undecided], uniforms < np.exp(ratios[undecided]))
-    assert np.all(decisions[~undecided])
-    assert array_rng.random() == scalar_rng.random() == uniform_rng.random()
+    for ratios in (ratios, ratios[:6].reshape(2, 3)):
+        array_rng, scalar_rng, uniform_rng = (substream(4, "accept") for _ in range(3))
+        decisions = metropolis_accept(ratios, array_rng)
+        assert decisions.dtype == bool and decisions.shape == ratios.shape
+        assert decisions.ravel().tolist() == [metropolis_accept(r, scalar_rng)
+                                              for r in ratios.ravel()]
+        undecided = ~(ratios >= 0)
+        uniforms = uniform_rng.random(int(undecided.sum()))
+        assert np.array_equal(decisions[undecided], uniforms < np.exp(ratios[undecided]))
+        assert np.all(decisions[~undecided])
+        assert array_rng.random() == scalar_rng.random() == uniform_rng.random()
     # Ratios at or above zero draw nothing.
     quiet, fresh = substream(5, "accept"), substream(5, "accept")
     assert metropolis_accept(np.array([0.0, 1.5]), quiet).all()
