@@ -263,11 +263,17 @@ def _fit_mtpp_mh(runs, cfg):
     cmp = runs[0][0].cmp
     if not all(np.array_equal(env.cmp.transition, cmp.transition) for env, *_ in runs):
         raise ValueError("the runs of one mtpp-mh batch must share a transition kernel")
+    fits = [(demos, cfg.get("mh_iterations", 2000) if budget is None else budget, seed)
+            for _, demos, budget, seed in runs]
+    chains, fewest = cfg.get("mh_chains", 1), min(n for _, n, _ in fits)
+    if chains > fewest:
+        raise ConfigError(
+            f"mh_chains = {chains} exceeds the {fewest} iterations of an mtpp-mh fit "
+            "(mh_iterations, its default or a swept budget): every chain needs at least "
+            "one iteration"
+        )
     ensembles = _mtpp_mh_batch(
-        cmp,
-        [(demos, cfg.get("mh_iterations", 2000) if budget is None else budget, seed)
-         for _, demos, budget, seed in runs],
-        _hyperprior(cfg, cmp.n_states), cfg.get("mh_chains", 1), _discount(cfg),
+        cmp, fits, _hyperprior(cfg, cmp.n_states), chains, _discount(cfg),
         burn_in_fraction=cfg.get("burn_in_fraction", 0.1),
         reward_step=cfg.get("reward_step", 50.0),
         temperature_step=cfg.get("temperature_step", 0.25),

@@ -102,11 +102,11 @@ def _cmd_infer(args) -> int:
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     n_states, n_actions, demos = read_demonstrations(args.demos)
     truth = _infer_environment(config, n_states, n_actions)
-    os.makedirs(args.out, exist_ok=True)
     posterior_path = os.path.join(args.out, "posterior.jsonl")
     env = Environment(truth.cmp)
     fit, _ = METHODS[args.model]
     ((policies, posterior),) = fit([(env, demos, None, seed)], config)
+    os.makedirs(args.out, exist_ok=True)
     posterior.to_jsonl(posterior_path)
     ((baselines, _),) = METHODS["imitator"][0]([(env, demos, None, None)], config)
     task_ids = posterior.task_ids

@@ -7,6 +7,7 @@ offending key.  List values are comma separated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["ConfigError", "CONFIG_KEYS", "parse_config", "load_config", "describe_keys"]
@@ -34,8 +35,8 @@ def _parse_float(minimum=None, maximum=None, *, exclusive_max=False, exclusive_m
             value = float(text)
         except ValueError:
             raise ConfigError(f"{key}: expected a number, got {text!r}")
-        if value != value:
-            raise ConfigError(f"{key}: must not be NaN")
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: must be finite, got {value}")
         if minimum is not None and (value < minimum or (exclusive_min and value == minimum)):
             raise ConfigError(f"{key}: must be greater than {minimum}, got {value}"
                               if exclusive_min else

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .mdp import RewardFunction, StationaryPolicy, demo_counts
 
@@ -52,6 +51,10 @@ def _positive_vector(values, name: str) -> np.ndarray:
 
 
 def _gamma_log_pdf(x, shape: float, rate: float):
+    # Imported here: only the Metropolis-Hastings log densities need scipy,
+    # and loading it at module scope triples every process's start-up time.
+    from scipy.special import gammaln, xlogy
+
     x = np.asarray(x, dtype=float)
     return shape * np.log(rate) - gammaln(shape) + xlogy(shape - 1.0, x) - rate * x
 
@@ -59,6 +62,8 @@ def _gamma_log_pdf(x, shape: float, rate: float):
 def _dirichlet_log_pdf(values, concentration):
     """Dirichlet log-density of ``values`` (..., S) under ``concentration``
     (..., S), over the last axis."""
+    from scipy.special import gammaln, xlogy  # deferred, as in _gamma_log_pdf
+
     # xlogy keeps alpha = 1 coordinates finite at the simplex boundary.
     log_norm = gammaln(concentration.sum(axis=-1)) - gammaln(concentration).sum(axis=-1)
     return log_norm + xlogy(concentration - 1.0, values).sum(axis=-1)

@@ -163,6 +163,43 @@ def test_infer_rejects_more_chains_than_iterations(tmp_path, demo_file, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_infer_rejects_more_chains_than_the_default_iterations(tmp_path, demo_file, capsys):
+    cfg = tmp_path / "chains.cfg"
+    cfg.write_text("mh_chains = 5000\n")
+    code = main([
+        "infer", "--demos", str(demo_file), "--model", "mtpp-mh",
+        "--config", str(cfg), "--out", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert ("config error: mh_chains = 5000 exceeds the 2000 iterations of an mtpp-mh fit"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_rejects_more_chains_than_a_swept_budget(tmp_path, capsys):
+    cfg = tmp_path / "budget.cfg"
+    cfg.write_text(
+        "experiment = sampler-comparison\n"
+        "replications = 1\n"
+        "sample_budgets = 2, 20\n"
+        "mh_chain_counts = 4\n"
+        "demo_length = 5\n"
+        "chain_states = 3\n"
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "mh_chains = 4 exceeds the 2 iterations" in capsys.readouterr().err
+
+
+def test_run_rejects_an_infinite_temperature(tmp_path, capsys):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text("experiment = random-mdp-temperature-sweep\ntemperature_values = 1, inf\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: temperature_values: must be finite, got inf" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_infer_rejects_mismatched_state_count(tmp_path, demo_file, capsys):
     cfg = tmp_path / "wrong.cfg"
     cfg.write_text("chain_states = 4\n")
@@ -286,3 +323,38 @@ def test_console_script_help_runs():
     )
     assert completed.returncode == 0
     assert "multitask-irl" in completed.stdout
+
+
+_SCIPY_PROBE = """
+import json, sys
+from multitask_irl.cli import main
+loaded = ["scipy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded.append("scipy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_only_the_metropolis_sampler_loads_scipy(tmp_path, demo_file):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("mh_iterations = 20\nmc_samples = 20\n")
+
+    def infer(model):
+        return ["infer", "--demos", str(demo_file), "--model", model,
+                "--config", str(cfg), "--out", str(tmp_path / model)]
+
+    commands = [
+        infer("mtpp-mc"), ["show", str(tmp_path / "mtpp-mc" / "posterior.jsonl")],
+        infer("mtpo-mc"), ["show", str(tmp_path / "mtpo-mc" / "posterior.jsonl")],
+        infer("mtpp-mh"),
+    ]
+    completed = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
+        capture_output=True, text=True,
+    )
+    assert completed.returncode == 0, completed.stderr
+    # The fresh interpreter loads scipy at the first Metropolis-Hastings fit,
+    # and not before: not on import, nor for the other samplers or show.
+    loaded = json.loads(completed.stdout.splitlines()[-1])
+    assert loaded == [False, False, False, False, False, True]

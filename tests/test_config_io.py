@@ -62,6 +62,15 @@ def test_parse_config_rejects_more_chains_than_iterations():
     assert parse_config("mh_iterations = 1") == {"mh_iterations": 1}
 
 
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+def test_parse_config_rejects_non_finite_floats(text):
+    for key in ("reward_step", "hyper_rate", "demo_eta", "optimality_rate", "discount"):
+        with pytest.raises(ConfigError, match=f"^{key}: must be finite, got {text}$"):
+            parse_config(f"{key} = {text}")
+    with pytest.raises(ConfigError, match=f"^temperature_values: must be finite, got {text}$"):
+        parse_config(f"temperature_values = 1, {text}")
+
+
 def test_parse_config_empty_text():
     assert parse_config("") == {}
     assert parse_config("# only a comment\n\n") == {}
