@@ -27,7 +27,7 @@ from .mdp import (
     simulate,
     solve_optimal,
 )
-from .mtpo import RewardHypothesisSet, _loss_matrix, mtpo_mc, reward_posterior
+from .mtpo import RewardHypothesisSet, build_loss_matrix, mtpo_mc, reward_posterior
 from .mtpp import _group_demos, _mtpp_mh_batch, mtpp_mc, posterior_policy
 from .priors import (
     DirichletRewardPrior,
@@ -186,12 +186,12 @@ def _delta_start(n_states: int) -> np.ndarray:
 
 # --- methods ----------------------------------------------------------------
 #
-# A method fits a list of runs, each ``(env, demos, budget, seed)``: the
-# environment, the demonstrations, a budget (None: the method's own budget
-# key) and a seed.  It returns per run one policy per task in sorted task-id
-# order plus the posterior it came from (None for the baselines).  The runs
-# handed to one call share a kernel.  Each method reads its model's keys here
-# and only here.
+# A method fits a list of runs, each ``(method, env, demos, budget, seed)``:
+# the method's name, the environment, the demonstrations, a budget (None: the
+# method's own budget key) and a seed.  It returns per run one policy per task
+# in sorted task-id order plus the posterior it came from (None for the
+# baselines).  The runs handed to one call share a kernel.  Each method reads
+# its model's keys here and only here.
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,7 +228,7 @@ def _each(fit):
     budget, seed)``, as its results are read, so one run's posterior is
     dropped before the next is fitted."""
     return lambda runs, cfg: (fit(env, demos, cfg, budget, seed)
-                              for env, demos, budget, seed in runs)
+                              for _, env, demos, budget, seed in runs)
 
 
 @_each
@@ -259,40 +259,39 @@ def _fit_mtpp_mc(env, demos, cfg, budget, seed):
 
 
 def _fit_mtpp_mh(runs, cfg):
-    """Every chain of every run advances in one lockstep batch."""
-    cmp = runs[0][0].cmp
-    if not all(np.array_equal(env.cmp.transition, cmp.transition) for env, *_ in runs):
+    """Every chain of every run advances in one lockstep batch.
+
+    An ``mtpp-mh-N`` run has N chains, any other run ``mh_chains``.  An
+    ``mtpp-mh-flat`` run pools every demonstration into task 0, and its one
+    policy serves every task.
+    """
+    cmp = runs[0][1].cmp
+    if not all(np.array_equal(env.cmp.transition, cmp.transition) for _, env, *_ in runs):
         raise ValueError("the runs of one mtpp-mh batch must share a transition kernel")
-    fits = [(demos, cfg.get("mh_iterations", 2000) if budget is None else budget, seed)
-            for _, demos, budget, seed in runs]
-    chains, fewest = cfg.get("mh_chains", 1), min(n for _, n, _ in fits)
-    if chains > fewest:
-        raise ConfigError(
-            f"mh_chains = {chains} exceeds the {fewest} iterations of an mtpp-mh fit "
-            "(mh_iterations, its default or a swept budget): every chain needs at least "
-            "one iteration"
-        )
+    fits, copies = [], []       # a flat run's one policy is copied to each of its tasks
+    for method, _, demos, budget, seed in runs:
+        n_iterations = cfg.get("mh_iterations", 2000) if budget is None else budget
+        suffix = method.rpartition("-")[2]
+        chains = int(suffix) if suffix.isdigit() else cfg.get("mh_chains", 1)
+        if chains > n_iterations:
+            raise ConfigError(
+                f"mh_chains = {chains} exceeds the {n_iterations} iterations of an mtpp-mh "
+                "fit (mh_iterations, its default or a swept budget): every chain needs at "
+                "least one iteration"
+            )
+        flat = method == "mtpp-mh-flat"
+        copies.append(len({d.task_id for d in demos}) if flat else 1)
+        if flat:
+            demos = [Demonstration(0, d.states, d.actions) for d in demos]
+        fits.append((demos, n_iterations, chains, seed))
     ensembles = _mtpp_mh_batch(
-        cmp, fits, _hyperprior(cfg, cmp.n_states), chains, _discount(cfg),
+        cmp, fits, _hyperprior(cfg, cmp.n_states), _discount(cfg),
         burn_in_fraction=cfg.get("burn_in_fraction", 0.1),
         reward_step=cfg.get("reward_step", 50.0),
         temperature_step=cfg.get("temperature_step", 0.25),
         hyper_step=cfg.get("hyper_step", 0.25),
     )
-    return [(_greedy(ensemble, cmp, cfg), ensemble) for ensemble in ensembles]
-
-
-def _fit_mtpp_mh_flat(runs, cfg):
-    """The flat ablation: every demonstration pooled into one task."""
-    pooled = [
-        (env, [Demonstration(task_id=0, states=d.states, actions=d.actions) for d in demos],
-         budget, seed)
-        for env, demos, budget, seed in runs
-    ]
-    return [
-        ([shared] * len(_group_demos(demos, env.cmp)[0]), ensemble)
-        for (env, demos, _, _), ((shared,), ensemble) in zip(runs, _fit_mtpp_mh(pooled, cfg))
-    ]
+    return [(_greedy(ensemble, cmp, cfg) * n, ensemble) for n, ensemble in zip(copies, ensembles)]
 
 
 @_each
@@ -316,19 +315,16 @@ METHODS = {
     "mwal": (_fit_mwal, None),
     "mtpp-mc": (_fit_mtpp_mc, ("mc",)),
     "mtpp-mh": (_fit_mtpp_mh, ("mh",)),
-    "mtpp-mh-flat": (_fit_mtpp_mh_flat, ("mh-flat",)),
+    "mtpp-mh-flat": (_fit_mtpp_mh, ("mh-flat",)),
     "mtpo-mc": (_fit_mtpo_mc, ("mtpo",)),
 }
 
 
-def _resolve(method: str, cfg):
-    """(fit, config, seed-path tag) of a method; ``mtpp-mh-N`` is ``mtpp-mh``
-    with ``mh_chains = N`` and N in its seed path."""
-    base, _, chains = method.rpartition("-")
-    if method not in METHODS and base == "mtpp-mh" and chains.isdigit():
-        return METHODS[base][0], dict(cfg, mh_chains=int(chains)), ("mh", int(chains))
-    fit, tag = METHODS[method]
-    return fit, cfg, tag
+def _resolve(method: str):
+    """(fit, seed-path tag) of a method; ``mtpp-mh-N`` is an ``mtpp-mh`` fit
+    with N in its seed path."""
+    chains = method.rpartition("-")[2]
+    return (_fit_mtpp_mh, ("mh", int(chains))) if chains.isdigit() else METHODS[method]
 
 
 # --- templates --------------------------------------------------------------
@@ -502,10 +498,11 @@ def run_experiment(config) -> ExperimentResult:
 
     Every method named by ``methods`` (default: the template's list) is
     fitted at every sweep point of every replication, and scored per task
-    with :func:`l1_loss`.  Each method is handed at once all of a
-    replication's points, which share one kernel, so the Metropolis-Hastings
-    fits of a replication advance in lockstep; the rows are those of one fit
-    per point, in point-then-method order.  Writes ``<name>-runs.csv`` and
+    with :func:`l1_loss`.  Each fit is handed at once all of a replication's
+    points, which share one kernel, for every method that shares it, so all
+    the Metropolis-Hastings fits of a replication advance in one lockstep
+    batch; the rows are those of one fit per point and method, in
+    point-then-method order.  Writes ``<name>-runs.csv`` and
     ``<name>-aggregate.csv`` into ``out_dir`` when the configuration names
     one.
     """
@@ -525,29 +522,34 @@ def run_experiment(config) -> ExperimentResult:
                 f"unknown method {method!r} for {name}; expected some of "
                 + ", ".join(template.methods)
             )
-    fits = [(method, *_resolve(method, cfg)) for method in methods]
+    # The methods that share a fit (the mtpp-mh family) are fitted together.
+    groups = {}
+    for method in methods:
+        fit, tag = _resolve(method)
+        groups.setdefault(fit, []).append((method, tag))
     rows = []
     for rep in range(cfg.get("replications", template.replications)):
         points = list(template.points(seed, rep))
         optima = [_true_optima(point.true_mdps) for point in points]
         losses = {}
-        for method, fit, method_cfg, tag in fits:
+        for fit, group in groups.items():
             runs = [
-                (point.env, point.demos, point.budget,
+                (method, point.env, point.demos, point.budget,
                  None if tag is None else subseed(seed, name, "rep", rep, *tag, point.key))
-                for point in points
+                for method, tag in group for point in points
             ]
-            fitted = iter(fit(runs, method_cfg))
-            for i, point in enumerate(points):
-                # Only the policies are kept, so a run's posterior is
-                # dropped before the next run is fitted.
-                policies = next(fitted)[0]
-                losses[method, i] = tuple(
-                    _l1_loss(mdp, policy, optimal)
-                    for mdp, policy, optimal in zip(point.true_mdps, policies, optima[i])
-                )
+            fitted = iter(fit(runs, cfg))
+            for method, _ in group:
+                for i, point in enumerate(points):
+                    # Only the policies are kept, so a run's posterior is
+                    # dropped before the next run is fitted.
+                    policies = next(fitted)[0]
+                    losses[method, i] = tuple(
+                        _l1_loss(mdp, policy, optimal)
+                        for mdp, policy, optimal in zip(point.true_mdps, policies, optima[i])
+                    )
         rows += [ResultRow(name, rep, method, point.x, losses[method, i])
-                 for i, point in enumerate(points) for method, *_ in fits]
+                 for i, point in enumerate(points) for method in methods]
     meta = {
         "experiment": name,
         "methods": list(methods),
@@ -599,7 +601,7 @@ def bound_check(k_values=(10, 100, 1000), replications: int = 100, *, seed=0,
 
     def estimate(n_policies, rng):
         policies = sample_policies(posterior, n_policies, rng)
-        matrix = _loss_matrix(cmp, discount, policies, hypotheses, optimal_values)
+        matrix = build_loss_matrix(cmp, discount, policies, hypotheses, optimal_values)
         probs = reward_posterior(matrix, prior, hypotheses).probabilities
         return probs @ optimal_values
 

@@ -105,10 +105,10 @@ def _cmd_infer(args) -> int:
     posterior_path = os.path.join(args.out, "posterior.jsonl")
     env = Environment(truth.cmp)
     fit, _ = METHODS[args.model]
-    ((policies, posterior),) = fit([(env, demos, None, seed)], config)
+    ((policies, posterior),) = fit([(args.model, env, demos, None, seed)], config)
     os.makedirs(args.out, exist_ok=True)
     posterior.to_jsonl(posterior_path)
-    ((baselines, _),) = METHODS["imitator"][0]([(env, demos, None, None)], config)
+    ((baselines, _),) = METHODS["imitator"][0]([("imitator", env, demos, None, None)], config)
     task_ids = posterior.task_ids
     optimal, _ = solve_optimal(truth)
     summary = {"model": args.model, "seed": int(seed), "task_ids": [int(t) for t in task_ids],

@@ -27,7 +27,8 @@ from .mdp import (
 )
 from .mtpp import (_errors_name, _group_demos, _header_fields, _json_safe, _read_jsonl,
                    _seed_metadata, _stack)
-from .priors import OptimalityPrior, PolicyDirichletPrior, policy_posterior, sample_policies
+from .priors import (OptimalityPrior, PolicyDirichletPrior, exp_interval_mass, policy_posterior,
+                     sample_policies)
 from .seeding import substream
 
 __all__ = [
@@ -132,22 +133,18 @@ def _policies_to_array(policies, cmp: Cmp) -> np.ndarray:
     return arr
 
 
-def build_loss_matrix(cmp: Cmp, discount: float, policies,
-                      hypotheses: RewardHypothesisSet) -> LossMatrix:
+def build_loss_matrix(cmp: Cmp, discount: float, policies, hypotheses: RewardHypothesisSet,
+                      optimal=None) -> LossMatrix:
     """Sup-norm value losses of each policy under each hypothesis.
 
     Entry (i, j) is ``max_s V*_j(s) - V^{pi_i}_j(s)``, clamped at zero (the
-    gap can dip a hair negative at float precision).
+    gap can dip a hair negative at float precision).  ``optimal`` holds the
+    hypotheses' ``(N, S)`` optimal values when the caller has solved them.
     """
     if hypotheses.n_states != cmp.n_states:
         raise ValueError("hypothesis set does not match the CMP's state count")
-    optimal, _ = batch_solve_optimal(cmp.transition, hypotheses.values, discount)
-    return _loss_matrix(cmp, discount, policies, hypotheses, optimal)
-
-
-def _loss_matrix(cmp: Cmp, discount: float, policies, hypotheses: RewardHypothesisSet,
-                 optimal: np.ndarray) -> LossMatrix:
-    """:func:`build_loss_matrix` given the hypotheses' ``(N, S)`` optimal values."""
+    if optimal is None:
+        optimal, _ = batch_solve_optimal(cmp.transition, hypotheses.values, discount)
     arr = _policies_to_array(policies, cmp)
     policy_values = batch_policy_values(cmp.transition, hypotheses.values, arr, discount)
     gaps = optimal[None, :, :] - policy_values  # (K, N, S)
@@ -193,8 +190,7 @@ def reward_posterior(loss_matrix: LossMatrix, prior: OptimalityPrior,
     upper = np.concatenate(
         [sorted_losses[:, 1:], np.full((losses.shape[0], 1), np.inf)], axis=1
     )
-    interval_mass = prior.interval_mass(sorted_losses, upper)
-    ratio = interval_mass / admitted
+    ratio = exp_interval_mass(prior.rate, sorted_losses, upper) / admitted
     suffix = np.flip(np.cumsum(np.flip(ratio, axis=1), axis=1), axis=1)
     contribution = np.empty_like(losses)
     np.put_along_axis(contribution, order, sorted_measure * suffix, axis=1)
@@ -303,7 +299,7 @@ def mtpo_mc(cmp: Cmp, demos, policy_prior: PolicyDirichletPrior, *,
         rng = substream(seed, "mtpo-mc", "task", tid)
         task_posterior = policy_posterior(policy_prior, group)
         sampled = sample_policies(task_posterior, int(n_policy_samples), rng)
-        loss_matrix = _loss_matrix(cmp, discount, sampled, hypotheses, optimal)
+        loss_matrix = build_loss_matrix(cmp, discount, sampled, hypotheses, optimal)
         posteriors.append(reward_posterior(loss_matrix, optimality_prior, hypotheses))
     return MtpoResult(
         task_ids=resolved,

@@ -63,7 +63,6 @@ __all__ = [
     "mtpp_mh",
     "posterior_policy",
     "importance_weights",
-    "metropolis_accept",
 ]
 
 # Totals at or below this are treated as "no sample had usable likelihood".
@@ -94,20 +93,6 @@ def importance_weights(log_likelihoods) -> np.ndarray:
         raise DegeneratePosteriorError("all importance weights underflowed to zero", max_total)
     weights = np.exp(totals - max_total)
     return weights / weights.sum()
-
-
-def metropolis_accept(log_ratio, rng):
-    """Metropolis-Hastings accept/reject decisions.
-
-    A scalar log-ratio gives one bool, an array gives a bool array.  A
-    ratio at or above zero is accepted outright; each other one (nan
-    included) draws one uniform, in array order, so an array decision
-    consumes the stream exactly as the same scalar decisions in turn.
-    """
-    ratios = np.asarray(log_ratio, dtype=float)
-    flat = ratios.reshape(-1)
-    accept = _accept_rows(flat, np.zeros(flat.size, dtype=np.int64), [rng])
-    return bool(accept[0]) if ratios.ndim == 0 else accept.reshape(ratios.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,9 +418,9 @@ def _accept_rows(log_ratio: np.ndarray, owner: np.ndarray, rngs) -> np.ndarray:
     """Metropolis-Hastings decisions for rows that chains own.
 
     ``owner`` (ascending) names the chain of each entry of ``log_ratio``.
-    Chain c draws from ``rngs[c]`` one uniform for each of its rows that is
-    not accepted outright (nan included), in row order: what
-    :func:`metropolis_accept` draws for its rows alone.
+    A ratio at or above zero is accepted outright; chain c draws from
+    ``rngs[c]`` one uniform for each of its other rows (nan included), in
+    row order, so its draws do not depend on the other chains' rows.
     """
     accept = log_ratio >= 0
     undecided = np.flatnonzero(~accept)
@@ -610,17 +595,18 @@ def _lockstep_chains(transition, discount: float, hyperprior, chains, reward_ste
     return out
 
 
-def _mtpp_mh_batch(cmp: Cmp, fits, hyperprior, n_chains: int, discount: float, *,
+def _mtpp_mh_batch(cmp: Cmp, fits, hyperprior, discount: float, *,
                    burn_in_fraction: float = 0.1, reward_step: float = 50.0,
                    temperature_step: float = 0.25, hyper_step: float = 0.25):
     """:func:`mtpp_mh` for several fits on one CMP, advanced in one lockstep
-    batch: ``fits`` lists ``(demos, n_iterations, seed)`` and the result is
-    one ensemble per fit, the one ``mtpp_mh`` returns for that fit alone."""
-    n_chains = int(n_chains)
-    if n_chains < 1:
-        raise ValueError(f"n_chains must be at least 1, got {n_chains}")
-    fits = [(demos, int(n_iterations), seed) for demos, n_iterations, seed in fits]
-    for _, n_iterations, _ in fits:
+    batch: ``fits`` lists ``(demos, n_iterations, n_chains, seed)`` and the
+    result is one ensemble per fit, the one ``mtpp_mh`` returns for that fit
+    alone."""
+    fits = [(demos, int(n_iterations), int(n_chains), seed)
+            for demos, n_iterations, n_chains, seed in fits]
+    for _, n_iterations, n_chains, _ in fits:
+        if n_chains < 1:
+            raise ValueError(f"n_chains must be at least 1, got {n_chains}")
         if n_iterations // n_chains < 1:
             raise ValueError(
                 f"n_iterations={n_iterations} leaves no iterations for {n_chains} chains"
@@ -631,19 +617,19 @@ def _mtpp_mh_batch(cmp: Cmp, fits, hyperprior, n_chains: int, discount: float, *
     if reward_step <= 0 or temperature_step <= 0 or hyper_step <= 0:
         raise ValueError("proposal step parameters must be positive")
     chains, task_ids = [], []
-    for demos, n_iterations, seed in fits:
+    for demos, n_iterations, n_chains, seed in fits:
         tasks, _, counts = _group_demos(demos, cmp)
         task_ids.append(tasks)
         per_chain = n_iterations // n_chains
         burn = int(np.floor(burn_in_fraction * per_chain))
         chains += [(counts, per_chain, burn, substream(seed, "mtpp-mh", "chain", chain))
                    for chain in range(n_chains)]
-    runs = _lockstep_chains(cmp.transition, discount, hyperprior, chains, reward_step,
-                            temperature_step, hyper_step)
+    runs = iter(_lockstep_chains(cmp.transition, discount, hyperprior, chains, reward_step,
+                                 temperature_step, hyper_step))
     ensembles = []
-    for index, (tasks, (_, n_iterations, seed)) in enumerate(zip(task_ids, fits)):
+    for tasks, (_, n_iterations, n_chains, seed) in zip(task_ids, fits):
         rewards, temperatures, log_liks, acceptance = zip(
-            *runs[index * n_chains:(index + 1) * n_chains])
+            *(next(runs) for _ in range(n_chains)))
         kept = sum(len(chain) for chain in rewards)
         ensembles.append(PosteriorEnsemble(
             task_ids=tasks,
@@ -695,7 +681,7 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
     tasks, and each chain's draws and results are those it has alone.
     """
     (ensemble,) = _mtpp_mh_batch(
-        cmp, [(demos, n_iterations, seed)], hyperprior, n_chains, discount,
+        cmp, [(demos, n_iterations, n_chains, seed)], hyperprior, discount,
         burn_in_fraction=burn_in_fraction, reward_step=reward_step,
         temperature_step=temperature_step, hyper_step=hyper_step,
     )

@@ -387,9 +387,6 @@ class OptimalityPrior:
             raise ValueError(f"rate must be finite and positive, got {rate}")
         object.__setattr__(self, "rate", rate)
 
-    def interval_mass(self, a, b) -> float:
-        return exp_interval_mass(self.rate, a, b)
-
 
 def exp_interval_mass(rate: float, a, b):
     """Mass the Exponential(rate) law places on ``[a, b)``; ``b`` may be inf."""

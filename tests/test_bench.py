@@ -217,9 +217,9 @@ MH_HARNESS_CASES = {
 
 @pytest.mark.parametrize("name", sorted(MH_HARNESS_CASES))
 def test_mh_rows_equal_one_mtpp_mh_call_per_fit(name, monkeypatch):
-    # The harness hands each MH method all of a replication's points at once;
-    # every row must be the one a lone mtpp_mh call per fit gives, on the
-    # seed path subseed(seed, name, "rep", rep, *tag, point key).
+    # The harness hands all of a replication's MH fits, every method at every
+    # point, to one batch; every row must be the one a lone mtpp_mh call per
+    # fit gives, on the seed path subseed(seed, name, "rep", rep, *tag, point key).
     batches = []
     real = bench._mtpp_mh_batch
 
@@ -231,7 +231,7 @@ def test_mh_rows_equal_one_mtpp_mh_call_per_fit(name, monkeypatch):
     overrides, replications = MH_HARNESS_CASES[name]
     cfg = dict(overrides, experiment=name, seed=5, replications=replications)
     rows = {(row.method, row.x, row.seed): row.task_losses for row in run_experiment(cfg).rows}
-    assert batches == [3] * (len(cfg["methods"]) * replications)
+    assert batches == [3 * len(cfg["methods"])] * replications
     discount = 0.95
     for rep in range(replications):
         for point in bench._TEMPLATES[name](cfg, name).points(5, rep):
@@ -261,7 +261,7 @@ def test_mh_batch_rejects_runs_on_different_kernels():
     envs = [bench.Environment(chain_transition(3, slip)) for slip in (0.1, 0.3)]
     demos = [Demonstration(0, np.array([0, 1]), np.array([1, 0]))]
     with pytest.raises(ValueError, match="share a transition kernel"):
-        bench._fit_mtpp_mh([(env, demos, 10, 0) for env in envs], {})
+        bench._fit_mtpp_mh([("mtpp-mh", env, demos, 10, 0) for env in envs], {})
 
 
 def test_multitask_gain_divisibility_check():

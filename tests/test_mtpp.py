@@ -20,14 +20,13 @@ from multitask_irl import (
     counts_log_likelihood,
     importance_weights,
     make_demonstrator,
-    metropolis_accept,
     mtpp_mc,
     mtpp_mh,
     posterior_policy,
     simulate,
     substream,
 )
-from multitask_irl.mtpp import _group_demos, _mtpp_mh_batch
+from multitask_irl.mtpp import _accept_rows, _group_demos, _mtpp_mh_batch
 from oracles import (
     batch_means_se,
     enumerate_atom_posterior,
@@ -96,44 +95,42 @@ def test_importance_weights_degenerate_and_validation():
         importance_weights(np.zeros(0))
 
 
-def test_metropolis_accept_shortcut_and_rejection():
+def test_accept_rows_shortcut_and_rejection():
     rng = substream(0, "mh")
-    assert metropolis_accept(0.0, rng)
-    assert metropolis_accept(3.2, rng)
-    hits = sum(metropolis_accept(np.log(0.25), rng) for _ in range(20000))
-    assert abs(hits / 20000 - 0.25) < 0.01
+    assert _accept_rows(np.array([0.0, 3.2]), np.zeros(2, dtype=np.int64), [rng]).all()
+    hits = _accept_rows(np.full(20000, np.log(0.25)), np.zeros(20000, dtype=np.int64), [rng])
+    assert abs(hits.mean() - 0.25) < 0.01
 
 
-def test_metropolis_accept_array_draws_one_uniform_per_negative_ratio():
-    ratios = np.array([0.0, -0.5, 2.0, np.log(0.9), -3.0, np.nan, -1e-3])
-    for ratios in (ratios, ratios[:6].reshape(2, 3)):
-        array_rng, scalar_rng, uniform_rng = (substream(4, "accept") for _ in range(3))
-        decisions = metropolis_accept(ratios, array_rng)
-        assert decisions.dtype == bool and decisions.shape == ratios.shape
-        assert decisions.ravel().tolist() == [metropolis_accept(r, scalar_rng)
-                                              for r in ratios.ravel()]
-        undecided = ~(ratios >= 0)
-        uniforms = uniform_rng.random(int(undecided.sum()))
-        assert np.array_equal(decisions[undecided], uniforms < np.exp(ratios[undecided]))
-        assert np.all(decisions[~undecided])
-        assert array_rng.random() == scalar_rng.random() == uniform_rng.random()
-    # Ratios at or above zero draw nothing.
+def test_accept_rows_draw_one_uniform_per_ratio_not_accepted_outright():
+    # Chain 1 owns no row and chain 3 only rows accepted outright: neither
+    # draws.  Every other chain draws one uniform per ratio below zero (nan
+    # included), in its row order, as deciding its rows one by one does.
+    ratios = np.array([0.0, -0.5, 2.0, np.log(0.9), -3.0, np.nan, -1e-3, 0.5, 1.0])
+    owner = np.array([0, 0, 0, 2, 2, 2, 2, 3, 3])
+    rngs, alone = ([substream(4, "accept", c) for c in range(4)] for _ in range(2))
+    decisions = _accept_rows(ratios, owner, rngs)
+    assert decisions.dtype == bool and decisions.shape == ratios.shape
+    for c in range(4):
+        expected = [r >= 0 or alone[c].random() < np.exp(r) for r in ratios[owner == c]]
+        assert decisions[owner == c].tolist() == expected
+        assert rngs[c].random() == alone[c].random()
     quiet, fresh = substream(5, "accept"), substream(5, "accept")
-    assert metropolis_accept(np.array([0.0, 1.5]), quiet).all()
+    assert _accept_rows(np.array([0.0, 1.5]), np.zeros(2, dtype=np.int64), [quiet]).all()
     assert quiet.random() == fresh.random()
 
 
 def test_metropolis_chain_reaches_target_distribution():
-    # Two-state flip chain targeting (0.3, 0.7).
+    # Eight two-state flip chains targeting (0.3, 0.7), each on its own stream.
     target = np.array([0.3, 0.7])
-    rng = substream(1, "balance")
-    state = 0
+    rngs = [substream(1, "balance", c) for c in range(8)]
+    owner = np.arange(8)
+    states = np.zeros(8, dtype=np.int64)
     visits = np.zeros(2)
-    for _ in range(100_000):
-        other = 1 - state
-        if metropolis_accept(np.log(target[other]) - np.log(target[state]), rng):
-            state = other
-        visits[state] += 1
+    for _ in range(12_500):
+        ratios = np.log(target[1 - states]) - np.log(target[states])
+        states = np.where(_accept_rows(ratios, owner, rngs), 1 - states, states)
+        visits += np.bincount(states, minlength=2)
     assert abs(visits[1] / visits.sum() - 0.7) < 0.01
 
 
@@ -327,14 +324,16 @@ LOCKSTEP_PRIORS = {
 }
 
 
-@pytest.mark.parametrize("n_chains", [1, 2, 4, 8])
+@pytest.mark.parametrize("n_chains", [1, 2, 4, 8, pytest.param((1, 4, 2), id="1-4-2")])
 @pytest.mark.parametrize("kind", sorted(LOCKSTEP_PRIORS))
 def test_lockstep_chains_match_one_chain_at_a_time(kind, n_chains):
     # Three fits of 1, 9 and 2 tasks and unequal lengths advance in one
-    # batch; each must give the bits its chains give run one at a time.
+    # batch, each with n_chains chains or with its own count of a tuple;
+    # each must give the bits its chains give run one at a time.
     rng = np.random.default_rng(23)
     cmp = random_cmp(rng, 4, 2)
     hyper = LOCKSTEP_PRIORS[kind](rng)
+    counts = n_chains if isinstance(n_chains, tuple) else (n_chains,) * 3
     fits = []
     for index, (n_tasks, per_chain) in enumerate([(1, 14), (9, 9), (2, 20)]):
         demos = []
@@ -342,12 +341,12 @@ def test_lockstep_chains_match_one_chain_at_a_time(kind, n_chains):
             mdp = Mdp(cmp, RewardFunction(rng.dirichlet(np.ones(4))), DISCOUNT)
             teacher = make_demonstrator("softmax", mdp, eta=3.0)
             demos.append(simulate(mdp, teacher, 12, substream(index, "demo", m), task_id=m))
-        fits.append((demos, per_chain * n_chains, 30 + index))
+        fits.append((demos, per_chain * counts[index], counts[index], 30 + index))
     steps = {"temperature_step": 250.0} if kind == "discrete" else {}
     with np.errstate(over="ignore"):
-        ensembles = _mtpp_mh_batch(cmp, fits, hyper, n_chains, DISCOUNT, **steps)
-        expected = [per_chain_mh(cmp, demos, hyper, n_iterations, n_chains, DISCOUNT, seed,
-                                 **steps) for demos, n_iterations, seed in fits]
+        ensembles = _mtpp_mh_batch(cmp, fits, hyper, DISCOUNT, **steps)
+        expected = [per_chain_mh(cmp, demos, hyper, n_iterations, chains, DISCOUNT, seed,
+                                 **steps) for demos, n_iterations, chains, seed in fits]
     unmovable = 0
     for ensemble, (rewards, temperatures, log_liks, rates, stuck) in zip(ensembles, expected):
         unmovable += stuck
@@ -357,8 +356,8 @@ def test_lockstep_chains_match_one_chain_at_a_time(kind, n_chains):
         assert ensemble.metadata["acceptance_rates"] == rates
     # A lone fit through mtpp_mh is the same batch of one.
     with np.errstate(over="ignore"):
-        demos, n_iterations, seed = fits[1]
-        alone = mtpp_mh(cmp, demos, hyper, n_iterations, n_chains, DISCOUNT, seed, **steps)
+        demos, n_iterations, chains, seed = fits[1]
+        alone = mtpp_mh(cmp, demos, hyper, n_iterations, chains, DISCOUNT, seed, **steps)
     assert np.array_equal(alone.rewards, ensembles[1].rewards)
     assert alone.metadata == ensembles[1].metadata
     assert (unmovable > 0) == (kind == "discrete")

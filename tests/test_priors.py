@@ -213,8 +213,7 @@ def test_exponential_interval_mass_known_values():
     assert abs(exp_interval_mass(1.0, 0.0, np.log(2.0)) - 0.5) < 1e-12
     assert exp_interval_mass(2.0, 0.3, 0.3) == 0.0
     assert abs(exp_interval_mass(1.0, 0.0, np.inf) - 1.0) < 1e-15
-    prior = OptimalityPrior(2.0)
-    assert abs(prior.interval_mass(0.0, np.inf) - 1.0) < 1e-15
+    assert abs(exp_interval_mass(OptimalityPrior(2.0).rate, 0.0, np.inf) - 1.0) < 1e-15
 
 
 def test_exponential_partition_of_unity():
