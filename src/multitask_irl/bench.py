@@ -274,9 +274,12 @@ def _fit_mtpp_mh(runs, cfg):
         suffix = method.rpartition("-")[2]
         chains = int(suffix) if suffix.isdigit() else cfg.get("mh_chains", 1)
         if chains > n_iterations:
+            # An mtpp-mh-N method's chain count comes from mh_chain_counts.
+            named = (f"{method} (chain count {chains} from mh_chain_counts)"
+                     if suffix.isdigit() else f"mh_chains = {chains}")
             raise ConfigError(
-                f"mh_chains = {chains} exceeds the {n_iterations} iterations of an mtpp-mh "
-                "fit (mh_iterations, its default or a swept budget): every chain needs at "
+                f"{named} exceeds the {n_iterations} iterations of an mtpp-mh fit "
+                "(mh_iterations, its default or a swept budget): every chain needs at "
                 "least one iteration"
             )
         flat = method == "mtpp-mh-flat"

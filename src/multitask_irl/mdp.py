@@ -346,13 +346,8 @@ def _batch_q(transition: np.ndarray, rewards: np.ndarray, values: np.ndarray,
     return rewards[:, :, None] + discount * np.einsum("sat,kt->ksa", transition, values)
 
 
-def _greedy(q: np.ndarray) -> np.ndarray:
-    """Lowest action index within the tie margin of each row's maximum."""
-    return np.argmax(q >= q.max(axis=-1, keepdims=True) - _TIE_MARGIN, axis=-1)
-
-
 def batch_solve_optimal(transition: np.ndarray, rewards: np.ndarray, discount: float,
-                        start=None):
+                        start=None, *, with_q: bool = False):
     """Optimal values and greedy actions for a batch of reward vectors.
 
     ``rewards`` has shape (K, S) or (S,); returns ``(values, actions)`` of
@@ -364,7 +359,9 @@ def batch_solve_optimal(transition: np.ndarray, rewards: np.ndarray, discount: f
     of that round's policy and its actions the greedy ones of that round's
     Q.  Each row's linear system is solved on its own, so a row's values do
     not depend on which other rows are still in the batch; they are the same
-    bits as a solve of that row alone.  A start nearer the optimum (the
+    bits as a solve of that row alone.  With ``with_q`` the result also
+    holds that last round's Q, (K, S, A) or (S, A): the bits ``_batch_q``
+    gives from the returned values.  A start nearer the optimum (the
     previous solution of a nearby reward) saves rounds.  Raises
     ``RuntimeError`` if some row has no optimal policy among the first
     ``_MAX_POLICY_ITERATIONS`` evaluated.
@@ -392,25 +389,34 @@ def batch_solve_optimal(transition: np.ndarray, rewards: np.ndarray, discount: f
         rows = transition[states, actions]  # (K, S, S')
         values = np.linalg.solve(eye[None] - discount * rows, rewards[:, :, None])[:, :, 0]
         q = _batch_q(transition, rewards, values, discount)
-        current = np.take_along_axis(q, actions[:, :, None], axis=2)[:, :, 0]
-        improvable = q.max(axis=2) - current > _TIE_MARGIN
+        best = q.max(axis=2)
+        improvable = best - q[np.arange(q.shape[0])[:, None], states, actions] > _TIE_MARGIN
         pending = improvable.any(axis=1)
-        greedy = _greedy(q)
+        # The lowest action index within the tie margin of each state's best.
+        greedy = np.argmax(q >= (best - _TIE_MARGIN)[:, :, None], axis=2)
         if not pending.any():
             if active is None:
-                return (values[0], greedy[0]) if squeeze else (values, greedy)
-            out_values[active] = values
-            out_actions[active] = greedy
-            return out_values, out_actions
+                out = (values[0], greedy[0], q[0]) if squeeze else (values, greedy, q)
+            else:
+                out = (out_values, out_actions, out_q)
+                out_values[active] = values
+                out_actions[active] = greedy
+                if with_q:
+                    out_q[active] = q
+            return out if with_q else out[:2]
         actions = np.where(improvable, greedy, actions)
         if not pending.all():
             if active is None:
                 active = np.arange(rewards.shape[0])
                 out_values = np.empty(rewards.shape)
                 out_actions = np.empty(rewards.shape, dtype=np.int64)
+                # A caller that drops Q does not pay for assembling it.
+                out_q = np.empty(q.shape) if with_q else None
             done = ~pending
             out_values[active[done]] = values[done]
             out_actions[active[done]] = greedy[done]
+            if with_q:
+                out_q[active[done]] = q[done]
             active, rewards, actions = active[pending], rewards[pending], actions[pending]
     raise RuntimeError(
         f"policy iteration did not converge within {_MAX_POLICY_ITERATIONS} iterations"

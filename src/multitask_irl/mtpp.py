@@ -37,7 +37,6 @@ from .mdp import (
     Mdp,
     RewardFunction,
     StationaryPolicy,
-    _batch_q,
     _batch_softmax,
     batch_solve_optimal,
     counts_log_likelihood,
@@ -51,9 +50,12 @@ from .priors import (
     FixedTemperature,
     GammaHyperprior,
     TemperaturePrior,
+    _dirichlet_log_norm,
     _dirichlet_log_pdf,
     _dirichlet_rows,
+    _gamma_log_norm,
     _gamma_log_pdf,
+    _gamma_to_simplex,
 )
 from .seeding import substream
 
@@ -341,8 +343,7 @@ def mtpp_mc(cmp: Cmp, demos, hyperprior, n_samples: int, discount: float,
         else:
             rewards_m = _dirichlet_rows(rng, conc)
             etas_m = rng.gamma(t_shapes) / t_rates
-        values, _ = batch_solve_optimal(transition, rewards_m, discount)
-        q = _batch_q(transition, rewards_m, values, discount)
+        _, _, q = batch_solve_optimal(transition, rewards_m, discount, with_q=True)
         rewards[:, m, :] = rewards_m
         temperatures[:, m] = etas_m
         log_liks[:, m] = counts_log_likelihood(counts[m], _batch_softmax(q, etas_m))
@@ -382,6 +383,8 @@ def _population_priors(hyper: np.ndarray):
     return DirichletRewardPrior(hyper[:-2]), TemperaturePrior(hyper[-2], hyper[-1])
 
 
+# At least _DIRICHLET_STICK_BREAKING, so that Generator.dirichlet would draw
+# every reward proposal from standard gammas.
 _PROPOSAL_FLOOR = 0.1
 
 
@@ -394,9 +397,11 @@ def _propose_rewards(discrete, current: np.ndarray, rngs, bounds, step: float):
     draw per row in row order.  A discrete grid (``discrete`` is its
     :class:`DiscreteRewardPrior`) resamples an atom uniformly.  Otherwise
     (``discrete`` is None) a Dirichlet proposal is centered at the current
-    point (precision ``step``, with a small concentration floor so
-    parameters stay positive at sparse points) with the exact Hastings
-    correction.
+    point (precision ``step``, with a concentration floor so parameters
+    stay positive at sparse points) with the exact Hastings correction.
+    Every concentration is at least the floor, so the draw is the one
+    ``rng.dirichlet`` makes of each row: standard gammas, one call per
+    stream, then one normalization over every row.
     """
     spans = list(zip(rngs, bounds))
     if discrete is not None:
@@ -404,7 +409,10 @@ def _propose_rewards(discrete, current: np.ndarray, rngs, bounds, step: float):
                                 for rng, (lo, hi) in spans])
         return discrete.atoms[picks], np.zeros(current.shape[0])
     forward = step * current + _PROPOSAL_FLOOR
-    proposal = np.concatenate([_dirichlet_rows(rng, forward[lo:hi]) for rng, (lo, hi) in spans])
+    if not (forward.min() >= _PROPOSAL_FLOOR and forward.max() < np.inf):
+        raise ValueError("reward proposal concentrations must be finite")
+    proposal = _gamma_to_simplex(np.concatenate(
+        [rng.standard_gamma(forward[lo:hi]) for rng, (lo, hi) in spans]))
     # Tiny concentrations can underflow a coordinate to exact zero; keep the
     # chain state interior so both Hastings densities stay finite.
     proposal = np.clip(proposal, 1e-300, None)
@@ -429,6 +437,14 @@ def _accept_rows(log_ratio: np.ndarray, owner: np.ndarray, rngs) -> np.ndarray:
         uniforms = np.concatenate([rng.random(n) for rng, n in zip(rngs, draws) if n])
         accept[undecided] = uniforms < np.exp(log_ratio[undecided])
     return accept
+
+
+def _log_norms(hyper: np.ndarray) -> np.ndarray:
+    """Per population state (row of ``hyper``), the log-normalizers of the
+    Dirichlet reward prior and the Gamma temperature prior it sets: (C, 2).
+    Computed once per chain, they serve every task row of the chain."""
+    return np.array([_dirichlet_log_norm(hyper[:, :-2]),
+                     _gamma_log_norm(hyper[:, -2], hyper[:, -1])]).T
 
 
 def _lockstep_chains(transition, discount: float, hyperprior, chains, reward_step: float,
@@ -470,21 +486,24 @@ def _lockstep_chains(transition, discount: float, hyperprior, chains, reward_ste
     if fixed:
         discrete = reward_prior if isinstance(reward_prior, DiscreteRewardPrior) else None
         temp_moves = not isinstance(temp_prior, FixedTemperature)
+        hyper = hyper_norm = None
     else:
         discrete, temp_moves = None, True
         hyper = np.array(states)                    # (chains, S + 2)
         hyper_lp = hyperprior.log_pdf(hyper)
+        hyper_norm = _log_norms(hyper)
 
     # The priors of rows whose chains are ``local`` (indices into the
-    # chains still running).
-    def reward_log_pdf(values, local):
+    # chains still running), under the chains' population states ``state``
+    # and their log-normalizers ``norm``.
+    def reward_log_pdf(values, local, state, norm):
         return reward_prior.log_pdf(values) if fixed else _dirichlet_log_pdf(
-            values, hyper[local, :-2])
+            values, state[local, :-2], norm[:, 0][local])
 
-    def temperature_log_pdf(values, local):
+    def temperature_log_pdf(values, local, state, norm):
         # Temperatures stay positive, where this is TemperaturePrior.log_pdf.
         return temp_prior.log_pdf(values) if fixed else _gamma_log_pdf(
-            values, hyper[local, -2], hyper[local, -1])
+            values, state[local, -2], state[local, -1], norm[:, 1][local])
 
     def rows_of(active):
         """Each row's index into ``active``, each chain's (lo, hi) rows, and
@@ -496,11 +515,10 @@ def _lockstep_chains(transition, discount: float, hyperprior, chains, reward_ste
 
     active = np.arange(len(chains))                 # the chains still running
     local, bounds, streams = rows_of(active)
-    values, greedy = batch_solve_optimal(transition, rho, discount)
-    q = _batch_q(transition, rho, values, discount)
+    _, greedy, q = batch_solve_optimal(transition, rho, discount, with_q=True)
     log_lik = counts_log_likelihood(counts, _batch_softmax(q, eta))
-    log_prior_rho = reward_log_pdf(rho, local)
-    log_prior_eta = temperature_log_pdf(eta, local)
+    log_prior_rho = reward_log_pdf(rho, local, hyper, hyper_norm)
+    log_prior_eta = temperature_log_pdf(eta, local, hyper, hyper_norm)
 
     records = [tuple(np.empty((n - burn, m) + shape) for shape in ((transition.shape[0],), (), ()))
                for m, (_, n, burn, _) in zip(sizes, chains)]
@@ -513,7 +531,7 @@ def _lockstep_chains(transition, discount: float, hyperprior, chains, reward_ste
                 a[rows] for a in (rho, eta, q, greedy, log_lik, log_prior_rho,
                                   log_prior_eta, counts))
             if not fixed:
-                hyper, hyper_lp = hyper[~leaving], hyper_lp[~leaving]
+                hyper, hyper_lp, hyper_norm = (a[~leaving] for a in (hyper, hyper_lp, hyper_norm))
             active = active[~leaving]
             local, bounds, streams = rows_of(active)
 
@@ -523,8 +541,9 @@ def _lockstep_chains(transition, discount: float, hyperprior, chains, reward_ste
             normals = np.array([rng.standard_normal(hyper.shape[1]) for rng in streams])
             new_hyper = hyper * np.exp(hyper_step * normals)
             new_hyper_lp = hyperprior.log_pdf(new_hyper)
-            new_prior_rho = _dirichlet_log_pdf(rho, new_hyper[local, :-2])
-            new_prior_eta = _gamma_log_pdf(eta, new_hyper[local, -2], new_hyper[local, -1])
+            new_norm = _log_norms(new_hyper)
+            new_prior_rho = reward_log_pdf(rho, local, new_hyper, new_norm)
+            new_prior_eta = temperature_log_pdf(eta, local, new_hyper, new_norm)
             terms = np.stack([new_prior_rho, log_prior_rho, new_prior_eta, log_prior_eta])
             sums = np.array([terms[:, lo:hi].sum(axis=1) for lo, hi in bounds]).T
             delta = (
@@ -537,6 +556,7 @@ def _lockstep_chains(transition, discount: float, hyperprior, chains, reward_ste
             hits[0, active] += accepted
             hyper[accepted] = new_hyper[accepted]
             hyper_lp[accepted] = new_hyper_lp[accepted]
+            hyper_norm[accepted] = new_norm[accepted]
             moved = accepted[local]
             log_prior_rho[moved] = new_prior_rho[moved]
             log_prior_eta[moved] = new_prior_eta[moved]
@@ -544,10 +564,10 @@ def _lockstep_chains(transition, discount: float, hyperprior, chains, reward_ste
         proposals, hastings = _propose_rewards(discrete, rho, streams, bounds, reward_step)
         # A proposal lies near its task's reward, so the task's greedy
         # actions are a close start for policy iteration.
-        values, prop_greedy = batch_solve_optimal(transition, proposals, discount, start=greedy)
-        q_prop = _batch_q(transition, proposals, values, discount)
+        _, prop_greedy, q_prop = batch_solve_optimal(transition, proposals, discount,
+                                                     start=greedy, with_q=True)
         new_ll = counts_log_likelihood(counts, _batch_softmax(q_prop, eta))
-        new_lp = reward_log_pdf(proposals, local)
+        new_lp = reward_log_pdf(proposals, local, hyper, hyper_norm)
         accepted = _accept_rows(new_lp - log_prior_rho + new_ll - log_lik + hastings, local,
                                 streams)
         hits[1, active] += np.bincount(local[accepted], minlength=active.size)
@@ -566,7 +586,7 @@ def _lockstep_chains(transition, discount: float, hyperprior, chains, reward_ste
             movable = np.flatnonzero(np.isfinite(new_eta) & (new_eta > 0.0))
             new_eta = new_eta[movable]
             new_ll = counts_log_likelihood(counts[movable], _batch_softmax(q[movable], new_eta))
-            new_lp = temperature_log_pdf(new_eta, local[movable])
+            new_lp = temperature_log_pdf(new_eta, local[movable], hyper, hyper_norm)
             delta = (
                 new_lp - log_prior_eta[movable]
                 + new_ll - log_lik[movable]

@@ -50,28 +50,55 @@ def _positive_vector(values, name: str) -> np.ndarray:
     return out
 
 
-def _gamma_log_pdf(x, shape: float, rate: float):
+def _gamma_log_norm(shape, rate):
+    """Log-normalizer of the Gamma(shape, rate) density."""
     # Imported here: only the Metropolis-Hastings log densities need scipy,
     # and loading it at module scope triples every process's start-up time.
-    from scipy.special import gammaln, xlogy
+    from scipy.special import gammaln
+
+    return shape * np.log(rate) - gammaln(shape)
+
+
+def _gamma_log_pdf(x, shape, rate, log_norm=None):
+    """Gamma(shape, rate) log-density of ``x``; ``log_norm``, if given, is
+    ``_gamma_log_norm(shape, rate)`` computed beforehand."""
+    from scipy.special import xlogy  # deferred, as in _gamma_log_norm
 
     x = np.asarray(x, dtype=float)
-    return shape * np.log(rate) - gammaln(shape) + xlogy(shape - 1.0, x) - rate * x
+    if log_norm is None:
+        log_norm = _gamma_log_norm(shape, rate)
+    return log_norm + xlogy(shape - 1.0, x) - rate * x
 
 
-def _dirichlet_log_pdf(values, concentration):
+def _dirichlet_log_norm(concentration):
+    """Log-normalizer of the Dirichlet density over the last axis."""
+    from scipy.special import gammaln  # deferred, as in _gamma_log_norm
+
+    return gammaln(concentration.sum(axis=-1)) - gammaln(concentration).sum(axis=-1)
+
+
+def _dirichlet_log_pdf(values, concentration, log_norm=None):
     """Dirichlet log-density of ``values`` (..., S) under ``concentration``
-    (..., S), over the last axis."""
-    from scipy.special import gammaln, xlogy  # deferred, as in _gamma_log_pdf
+    (..., S), over the last axis; ``log_norm``, if given, is
+    ``_dirichlet_log_norm(concentration)`` computed beforehand."""
+    from scipy.special import xlogy  # deferred, as in _gamma_log_norm
 
+    if log_norm is None:
+        log_norm = _dirichlet_log_norm(concentration)
     # xlogy keeps alpha = 1 coordinates finite at the simplex boundary.
-    log_norm = gammaln(concentration.sum(axis=-1)) - gammaln(concentration).sum(axis=-1)
     return log_norm + xlogy(concentration - 1.0, values).sum(axis=-1)
 
 
 # Generator.dirichlet stick-breaks a row whose largest concentration is
 # below this, and normalizes standard gamma draws otherwise.
 _DIRICHLET_STICK_BREAKING = 0.1
+
+
+def _gamma_to_simplex(draws: np.ndarray) -> np.ndarray:
+    """Scale standard gamma draws (K, S), in place, by the reciprocal of
+    each row's left-to-right sum, as ``Generator.dirichlet`` does."""
+    draws *= 1.0 / np.cumsum(draws, axis=1)[:, -1:]
+    return draws
 
 
 def _dirichlet_rows(rng, concentration) -> np.ndarray:
@@ -89,8 +116,8 @@ def _dirichlet_rows(rng, concentration) -> np.ndarray:
     ``standard_gamma`` or ``beta``, which consumes the stream as the rows'
     own calls would; the normalization and the products then run over all
     rows at once, with ``cumsum`` and ``cumprod`` keeping numpy's order of
-    operations.  When no row stick-breaks, as for every proposal of
-    ``mtpp_mh``, one ``standard_gamma`` call and the normalization are all.
+    operations.  When no row stick-breaks, one ``standard_gamma`` call and
+    the normalization are all.
     """
     conc = np.asarray(concentration, dtype=float)
     if conc.ndim != 2 or conc.shape[1] < 1:
@@ -100,9 +127,7 @@ def _dirichlet_rows(rng, concentration) -> np.ndarray:
     n_rows, n_states = conc.shape
     small = conc.max(axis=1) < _DIRICHLET_STICK_BREAKING
     if not small.any():
-        draws = rng.standard_gamma(conc)
-        draws *= 1.0 / np.cumsum(draws, axis=1)[:, -1:]
-        return draws
+        return _gamma_to_simplex(rng.standard_gamma(conc))
     # Beta parameters of the stick-breaking rows: each coordinate against
     # the sum of the coordinates after it.
     tails = np.cumsum(conc[:, :0:-1], axis=1)[:, ::-1]
@@ -114,7 +139,7 @@ def _dirichlet_rows(rng, concentration) -> np.ndarray:
         else:
             draws[lo:hi] = rng.standard_gamma(conc[lo:hi])
     gamma = ~small
-    draws[gamma] *= 1.0 / np.cumsum(draws[gamma], axis=1)[:, -1:]
+    draws[gamma] = _gamma_to_simplex(draws[gamma])
     sticks = draws[small, :-1]
     # acc[:, j] is what is left of the stick before coordinate j.
     acc = np.cumprod(np.hstack([np.ones((sticks.shape[0], 1)), 1.0 - sticks]), axis=1)

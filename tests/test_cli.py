@@ -187,7 +187,10 @@ def test_run_rejects_more_chains_than_a_swept_budget(tmp_path, capsys):
         "chain_states = 3\n"
     )
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "mh_chains = 4 exceeds the 2 iterations" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert ("mtpp-mh-4 (chain count 4 from mh_chain_counts) exceeds the 2 iterations"
+            in err)
+    assert "mh_chains" not in err
 
 
 def test_run_rejects_an_infinite_temperature(tmp_path, capsys):

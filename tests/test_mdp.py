@@ -234,6 +234,36 @@ def test_batch_solve_optimal_active_set_is_bit_identical(monkeypatch):
     assert np.array_equal(actions, cold_actions)
 
 
+def test_batch_solve_optimal_q_is_the_bits_of_its_values(monkeypatch):
+    # The Q handed back with the values is the last round's Q of each row,
+    # which must be the bits _batch_q gives from the returned values, for
+    # rows that leave the batch in different rounds, cold or warm started.
+    rng = np.random.default_rng(23)
+    cmp = random_cmp(rng, 8, 3)
+    rewards = rng.random((60, 8)) ** 3
+    start = rng.integers(3, size=(60, 8))
+    batch_sizes = []
+    batch_q = mdp_module._batch_q
+
+    def recording(transition, rewards, values, discount):
+        batch_sizes.append(rewards.shape[0])
+        return batch_q(transition, rewards, values, discount)
+
+    monkeypatch.setattr(mdp_module, "_batch_q", recording)
+    for begin in (None, start):
+        batch_sizes.clear()
+        values, actions, q = batch_solve_optimal(cmp.transition, rewards, 0.97, start=begin,
+                                                 with_q=True)
+        assert len(set(batch_sizes)) > 2
+        assert np.array_equal(q, batch_q(cmp.transition, rewards, values, 0.97))
+        expected = batch_solve_optimal(cmp.transition, rewards, 0.97, start=begin)
+        assert np.array_equal(values, expected[0]) and np.array_equal(actions, expected[1])
+    values, actions, q = batch_solve_optimal(cmp.transition, rewards[5], 0.97, with_q=True)
+    assert q.shape == (8, 3)
+    assert np.array_equal(q, batch_q(cmp.transition, rewards[5][None], values[None], 0.97)[0])
+    assert np.array_equal(actions, batch_solve_optimal(cmp.transition, rewards[5], 0.97)[1])
+
+
 def test_batch_solve_optimal_rejects_bad_start():
     rng = np.random.default_rng(29)
     cmp = random_cmp(rng, 3, 2)

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -20,15 +21,25 @@ from multitask_irl import (
     counts_log_likelihood,
     importance_weights,
     make_demonstrator,
+    mdp as mdp_module,
+    mtpp as mtpp_module,
     mtpp_mc,
     mtpp_mh,
     posterior_policy,
     simulate,
     substream,
 )
-from multitask_irl.mtpp import _accept_rows, _group_demos, _mtpp_mh_batch
+from multitask_irl.mtpp import (
+    _PROPOSAL_FLOOR,
+    _accept_rows,
+    _group_demos,
+    _mtpp_mh_batch,
+    _propose_rewards,
+)
+from multitask_irl.priors import _DIRICHLET_STICK_BREAKING, _dirichlet_log_pdf
 from oracles import (
     batch_means_se,
+    dirichlet_rows_reference,
     enumerate_atom_posterior,
     importance_se,
     per_chain_mh,
@@ -118,6 +129,71 @@ def test_accept_rows_draw_one_uniform_per_ratio_not_accepted_outright():
     quiet, fresh = substream(5, "accept"), substream(5, "accept")
     assert _accept_rows(np.array([0.0, 1.5]), np.zeros(2, dtype=np.int64), [quiet]).all()
     assert quiet.random() == fresh.random()
+
+
+def test_proposal_floor_keeps_numpys_gamma_draw():
+    # Generator.dirichlet stick-breaks a row whose concentrations all lie
+    # below its threshold; a floor at or above it keeps every reward
+    # proposal on the standard-gamma draw that _propose_rewards makes.
+    assert _PROPOSAL_FLOOR >= _DIRICHLET_STICK_BREAKING
+
+
+def test_propose_rewards_draw_what_per_row_dirichlet_draws():
+    # Four chains of 1, 4, 2 and 6 tasks, each on its own stream; some rows
+    # sit at a simplex vertex, where a forward concentration is the floor.
+    rng = np.random.default_rng(31)
+    sizes, step = [1, 4, 2, 6], 50.0
+    current = rng.dirichlet(np.full(5, 0.3), size=sum(sizes))
+    current[[0, 3, 9]] = np.eye(5)[[2, 0, 4]]
+    ends = np.cumsum(sizes)
+    bounds = list(zip((ends - sizes).tolist(), ends.tolist()))
+    rngs, alone = ([substream(6, "propose", c) for c in range(4)] for _ in range(2))
+    proposals, hastings = _propose_rewards(None, current, rngs, bounds, step)
+    forward = step * current + _PROPOSAL_FLOOR
+    assert forward.min() == _PROPOSAL_FLOOR
+    for c, (lo, hi) in enumerate(bounds):
+        expected = np.clip(dirichlet_rows_reference(alone[c], forward[lo:hi]), 1e-300, None)
+        expected = expected / expected.sum(axis=1, keepdims=True)
+        assert np.array_equal(proposals[lo:hi], expected)
+        reverse = step * expected + _PROPOSAL_FLOOR
+        assert np.array_equal(hastings[lo:hi],
+                              _dirichlet_log_pdf(current[lo:hi], reverse)
+                              - _dirichlet_log_pdf(expected, forward[lo:hi]))
+        assert rngs[c].random() == alone[c].random()
+
+
+def test_mtpp_mh_iteration_makes_one_planner_call_and_no_dirichlet_rows(monkeypatch):
+    # Guards the fixed cost of a lockstep iteration: the reward proposals of
+    # every chain are drawn without _dirichlet_rows, the planner runs once
+    # at the start and once per iteration, and it hands back the Q that
+    # mtpp would otherwise recompute.
+    rng = np.random.default_rng(37)
+    cmp = random_cmp(rng, 4, 2)
+    demos = []
+    for m in range(3):
+        mdp = Mdp(cmp, RewardFunction(rng.dirichlet(np.ones(4))), DISCOUNT)
+        teacher = make_demonstrator("softmax", mdp, eta=3.0)
+        demos.append(simulate(mdp, teacher, 12, substream(2, "demo", m), task_id=m))
+    calls = {"planner": 0, "dirichlet_rows": 0, "q outside the planner": 0}
+    planner, dirichlet_rows, batch_q = (mtpp_module.batch_solve_optimal,
+                                        mtpp_module._dirichlet_rows, mdp_module._batch_q)
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return counted
+
+    def watched_q(*args):
+        calls["q outside the planner"] += sys._getframe(1).f_code.co_name != "batch_solve_optimal"
+        return batch_q(*args)
+
+    monkeypatch.setattr(mtpp_module, "batch_solve_optimal", counting("planner", planner))
+    monkeypatch.setattr(mtpp_module, "_dirichlet_rows", counting("dirichlet_rows", dirichlet_rows))
+    monkeypatch.setattr(mdp_module, "_batch_q", watched_q)
+    mtpp_mh(cmp, demos, GammaHyperprior(4), 60, 3, DISCOUNT, 5)
+    assert calls == {"planner": 60 // 3 + 1, "dirichlet_rows": 0, "q outside the planner": 0}
+    assert not hasattr(mtpp_module, "_batch_q")
 
 
 def test_metropolis_chain_reaches_target_distribution():
