@@ -12,11 +12,10 @@ from multitask_irl import (
     ADVANCE,
     RESET,
     StationaryPolicy,
+    batch_solve_optimal,
     l1_loss,
     make_chain,
     make_demonstrator,
-    q_from_v,
-    solve_optimal,
 )
 
 
@@ -26,10 +25,11 @@ def main():
           f"discount {mdp.discount}")
     print(f"rewards by state: {mdp.reward.values}")
 
-    values, policy = solve_optimal(mdp)
+    values, actions, q = batch_solve_optimal(mdp.cmp.transition, mdp.reward.values,
+                                             mdp.discount, with_q=True)
     names = {ADVANCE: "advance", RESET: "reset"}
     print("\noptimal values and actions:")
-    for s, (v, a) in enumerate(zip(values, policy.greedy_actions())):
+    for s, (v, a) in enumerate(zip(values, actions)):
         print(f"  state {s}: V* = {v:7.3f}  act = {names[a]}")
 
     n = mdp.cmp.n_states
@@ -39,7 +39,6 @@ def main():
     print(f"\nalways-reset loss (sum of per-state value gaps): "
           f"{l1_loss(mdp, always_reset):.3f}")
 
-    q = q_from_v(mdp, values)
     print("\nsoftmax demonstrators (sharper temperature, smaller loss):")
     for eta in (0.5, 2.0, 8.0):
         demon = make_demonstrator("softmax", mdp, eta=eta)

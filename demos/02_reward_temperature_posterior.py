@@ -16,7 +16,8 @@ from multitask_irl import (
     Mdp,
     RewardFunction,
     chain_transition,
-    log_likelihood,
+    counts_log_likelihood,
+    demo_counts,
     make_demonstrator,
     mtpp_mc,
     mtpp_mh,
@@ -35,7 +36,8 @@ def exact_posterior(cmp, demo):
     logs = []
     for atom in ATOMS:
         mdp = Mdp(cmp, RewardFunction(atom), DISCOUNT)
-        logs.append(log_likelihood(make_demonstrator("softmax", mdp, eta=ETA), demo))
+        policy = make_demonstrator("softmax", mdp, eta=ETA)
+        logs.append(counts_log_likelihood(demo_counts([demo], 2, 2), policy.action_probs))
     logs = np.array(logs)
     w = np.exp(logs - logs.max())
     return w / w.sum()

@@ -26,12 +26,10 @@ __all__ = [
     "Mdp",
     "StationaryPolicy",
     "Demonstration",
-    "q_from_v",
     "softmax_policy",
     "simulate",
     "demo_counts",
     "counts_log_likelihood",
-    "log_likelihood",
     "batch_solve_optimal",
     "solve_optimal",
     "batch_policy_values",
@@ -202,23 +200,6 @@ class Demonstration:
             )
 
 
-def _expected_next_values(transition: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # (S, A, S') @ (S',) -> (S, A)
-    return transition @ v
-
-
-def q_from_v(mdp: Mdp, values: np.ndarray) -> np.ndarray:
-    """Action values ``Q(s, a) = rho(s) + gamma * sum_s' T(s'|s,a) V(s')``."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (mdp.cmp.n_states,):
-        raise ValueError(f"values must have shape ({mdp.cmp.n_states},), got {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("values must be finite")
-    return mdp.reward.values[:, None] + mdp.discount * _expected_next_values(
-        mdp.cmp.transition, values
-    )
-
-
 def softmax_policy(q: np.ndarray, eta: float) -> StationaryPolicy:
     """Boltzmann policy ``pi(a|s) proportional to exp(eta * Q(s, a))``.
 
@@ -321,12 +302,6 @@ def counts_log_likelihood(counts: np.ndarray, action_probs: np.ndarray):
     dead = np.any((counts > 0) & ~positive, axis=(-2, -1))
     total = np.where(dead, LOG_ZERO, total)
     return float(total) if total.ndim == 0 else total
-
-
-def log_likelihood(policy: StationaryPolicy, demo: Demonstration) -> float:
-    """``sum_t log pi(a_t | s_t)``; ``LOG_ZERO`` if any step is impossible."""
-    counts = demo_counts([demo], policy.n_states, policy.n_actions)
-    return counts_log_likelihood(counts, policy.action_probs)
 
 
 # ---------------------------------------------------------------------------

@@ -478,10 +478,10 @@ def _lockstep_chains(transition, discount: float, hyperprior, chains, reward_ste
             states.append(np.concatenate(hyperprior.sample_batch(rng, 1), axis=None))
             reward_prior, temp_prior = _population_priors(states[-1])
         for _ in range(task_counts.shape[0]):
-            rho.append(_interior(reward_prior, reward_prior.sample(rng).values))
+            rho.append(_interior(reward_prior, reward_prior.sample_batch(rng, 1)[0]))
             # A tiny temperature shape can underflow the draw to exact zero,
             # where the log prior is -inf and multiplicative moves are stuck.
-            eta.append(max(temp_prior.sample(rng), 1e-12))
+            eta.append(max(temp_prior.sample_batch(rng, 1)[0], 1e-12))
     rho, eta = np.array(rho), np.array(eta)
     if fixed:
         discrete = reward_prior if isinstance(reward_prior, DiscreteRewardPrior) else None

@@ -1,14 +1,13 @@
 """Prior families over rewards, softmax temperatures, policies and optimality.
 
 A sampler's reward prior is a :class:`DirichletRewardPrior` or a
-:class:`DiscreteRewardPrior`.  Both have ``n_states``, ``sample(rng)``
-returning a :class:`~multitask_irl.mdp.RewardFunction`, ``sample_batch(rng,
-k)`` returning a ``(k, n_states)`` array, and ``log_pdf(values)`` for the
-Metropolis-Hastings target, which takes one ``(n_states,)`` vector
-(returning a float) or an ``(M, n_states)`` batch (returning ``(M,)``).  Its
-temperature prior is a :class:`TemperaturePrior` or a
-:class:`FixedTemperature`, with the same ``sample``, ``sample_batch`` and
-``log_pdf``, the last taking a float or an array.
+:class:`DiscreteRewardPrior`.  Both have ``n_states``, ``sample_batch(rng,
+k)`` returning a ``(k, n_states)`` array (one draw is ``sample_batch(rng,
+1)[0]``), and ``log_pdf(values)`` for the Metropolis-Hastings target, which
+takes one ``(n_states,)`` vector (returning a float) or an ``(M, n_states)``
+batch (returning ``(M,)``).  Its temperature prior is a
+:class:`TemperaturePrior` or a :class:`FixedTemperature`, with the same
+``sample_batch`` and ``log_pdf``, the last taking a float or an array.
 
 The population level is a :class:`GammaHyperprior`, whose ``sample_batch(rng,
 k)`` draws k population states as (concentrations, shapes, rates) arrays and
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import RewardFunction, StationaryPolicy, demo_counts
+from .mdp import StationaryPolicy, demo_counts
 
 __all__ = [
     "DirichletRewardPrior",
@@ -175,9 +174,6 @@ class DirichletRewardPrior:
     def n_states(self) -> int:
         return self.concentration.shape[0]
 
-    def sample(self, rng) -> RewardFunction:
-        return RewardFunction(rng.dirichlet(self.concentration))
-
     def sample_batch(self, rng, k: int) -> np.ndarray:
         return rng.dirichlet(self.concentration, size=k)
 
@@ -224,9 +220,6 @@ class DiscreteRewardPrior:
     def n_atoms(self) -> int:
         return self.atoms.shape[0]
 
-    def sample(self, rng) -> RewardFunction:
-        return RewardFunction(self.atoms[rng.choice(self.n_atoms, p=self.weights)])
-
     def sample_batch(self, rng, k: int) -> np.ndarray:
         return self.atoms[rng.choice(self.n_atoms, size=k, p=self.weights)]
 
@@ -258,9 +251,6 @@ class TemperaturePrior:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
             object.__setattr__(self, name, value)
 
-    def sample(self, rng) -> float:
-        return float(rng.gamma(self.shape) / self.rate)
-
     def sample_batch(self, rng, k: int) -> np.ndarray:
         return rng.gamma(self.shape, size=k) / self.rate
 
@@ -284,9 +274,6 @@ class FixedTemperature:
         if not (np.isfinite(value) and value >= 0):
             raise ValueError(f"temperature must be finite and non-negative, got {value}")
         object.__setattr__(self, "value", value)
-
-    def sample(self, rng) -> float:
-        return self.value
 
     def sample_batch(self, rng, k: int) -> np.ndarray:
         return np.full(k, self.value)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import Cmp, Mdp, RewardFunction, StationaryPolicy, q_from_v, softmax_policy, solve_optimal
+from .mdp import Cmp, Mdp, RewardFunction, StationaryPolicy, batch_solve_optimal, softmax_policy
 from .seeding import as_generator
 
 __all__ = [
@@ -152,12 +152,13 @@ def make_random_mdp_population(spec: RandomMdpSpec, rng) -> RandomMdpPopulation:
 
 def make_demonstrator(kind: str, mdp: Mdp, *, eta: float = None,
                       epsilon: float = None) -> StationaryPolicy:
-    """Expert policy for an MDP: ``softmax`` over Q* or ``eps_greedy``."""
-    values, greedy = solve_optimal(mdp)
+    """Expert policy for an MDP from one planner solve: ``softmax`` over its
+    Q*, or ``eps_greedy`` on its greedy actions."""
+    _, greedy, q = batch_solve_optimal(mdp.cmp.transition, mdp.reward.values, mdp.discount,
+                                       with_q=True)
     if kind == "softmax":
         if eta is None:
             raise ValueError("softmax demonstrator needs eta")
-        q = q_from_v(mdp, values)
         return softmax_policy(q, float(eta))
     if kind == "eps_greedy":
         if epsilon is None:
@@ -167,6 +168,6 @@ def make_demonstrator(kind: str, mdp: Mdp, *, eta: float = None,
             raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
         n_actions = mdp.cmp.n_actions
         probs = np.full((mdp.cmp.n_states, n_actions), epsilon / n_actions)
-        probs[np.arange(mdp.cmp.n_states), greedy.greedy_actions()] += 1.0 - epsilon
+        probs[np.arange(mdp.cmp.n_states), greedy] += 1.0 - epsilon
         return StationaryPolicy(probs)
     raise ValueError(f"unknown demonstrator kind {kind!r} (expected 'softmax' or 'eps_greedy')")

@@ -26,7 +26,6 @@ from multitask_irl import (
     counts_log_likelihood,
     demo_counts,
     exp_interval_mass,
-    q_from_v,
     softmax_policy,
     substream,
 )
@@ -61,6 +60,12 @@ def value_iteration(mdp, tolerance=1e-10):
                mdp.cmp.n_states, gamma, tolerance)
     q = rewards[:, None] + gamma * transition @ v
     return v, StationaryPolicy.from_actions(q.argmax(axis=1), mdp.cmp.n_actions)
+
+
+def bellman_q(mdp, values):
+    """Action values ``rho(s) + gamma * sum_s' T(s'|s,a) V(s')`` of one MDP
+    by a matrix product, a second route to the planner's batched einsum."""
+    return mdp.reward.values[:, None] + mdp.discount * (mdp.cmp.transition @ values)
 
 
 def policy_evaluation(mdp, policy, tolerance=1e-10):
@@ -144,7 +149,7 @@ def softmax_demo_log_lik(cmp, reward, eta, discount, demos):
     """Log-likelihood of demos under the softmax policy for one reward."""
     mdp = Mdp(cmp, RewardFunction(reward), discount)
     values, _ = value_iteration(mdp, 1e-12)
-    policy = softmax_policy(q_from_v(mdp, values), eta)
+    policy = softmax_policy(bellman_q(mdp, values), eta)
     return per_step_log_lik(policy.action_probs, demos)
 
 
@@ -180,14 +185,14 @@ def task_by_task_mh(cmp, demos, hyperprior, n_iterations, n_chains, discount, se
     def policy_for(reward):
         mdp = Mdp(cmp, RewardFunction(reward), discount)
         values, _ = batch_solve_optimal(cmp.transition, reward, discount)
-        return softmax_policy(q_from_v(mdp, values), eta).action_probs
+        return softmax_policy(bellman_q(mdp, values), eta).action_probs
 
     kept_rewards, kept_lls, rates = [], [], []
     for chain in range(n_chains):
         rng = substream(seed, "mtpp-mh", "chain", chain)
         rho, log_lik, log_prior = [], [], []
         for group in groups:
-            reward = prior.sample(rng).values
+            reward = prior.sample_batch(rng, 1)[0]
             if isinstance(prior, DirichletRewardPrior):
                 reward = (1.0 - 1e-3) * reward + 1e-3 / n_states
             rho.append(reward)
@@ -272,10 +277,10 @@ def per_chain_mh(cmp, demos, hyperprior, n_iterations, n_chains, discount, seed,
         rho = np.empty((n_tasks, n_states))
         eta = np.empty(n_tasks)
         for m in range(n_tasks):
-            rho[m] = reward_prior.sample(rng).values
+            rho[m] = reward_prior.sample_batch(rng, 1)[0]
             if isinstance(reward_prior, DirichletRewardPrior):
                 rho[m] = (1.0 - 1e-3) * rho[m] + 1e-3 / n_states
-            eta[m] = max(temp_prior.sample(rng), 1e-12)
+            eta[m] = max(temp_prior.sample_batch(rng, 1)[0], 1e-12)
         q, greedy = action_values(rho)
         log_lik = counts_log_likelihood(counts, _batch_softmax(q, eta))
         log_prior_rho = np.array([reward_prior.log_pdf(r) for r in rho])

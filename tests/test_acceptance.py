@@ -41,7 +41,6 @@ from multitask_irl import (
     mtpp_mc,
     mtpp_mh,
     policy_posterior,
-    q_from_v,
     reward_posterior,
     run_experiment,
     simulate,
@@ -52,6 +51,7 @@ from multitask_irl import (
 )
 from oracles import (
     batch_means_se,
+    bellman_q,
     enumerate_atom_posterior,
     importance_se,
     quadrature_posterior,
@@ -240,7 +240,7 @@ def test_criterion_7_randomized_invariants(capsys):
     rewards = np.empty((1000, 4))
     for i in range(1000):
         conc = rng.uniform(0.05, 5.0, size=4)
-        rewards[i] = DirichletRewardPrior(conc).sample(substream(i, "simplex")).values
+        rewards[i] = DirichletRewardPrior(conc).sample_batch(substream(i, "simplex"), 1)[0]
     kernels = rng.dirichlet(np.ones(3), size=(1000, 3, 2))
     if not (np.all(rewards >= 0) and np.max(np.abs(rewards.sum(axis=1) - 1)) < 1e-9
             and np.max(np.abs(kernels.sum(axis=-1) - 1)) < 1e-9):
@@ -256,7 +256,7 @@ def test_criterion_7_randomized_invariants(capsys):
         discount = float(rng.uniform(0.5, 0.9))
         mdp = Mdp(cmp, RewardFunction(rng.uniform(0, 1, size=n_states)), discount)
         values, _ = solve_optimal(mdp)
-        backup = np.max(q_from_v(mdp, values), axis=1)
+        backup = np.max(bellman_q(mdp, values), axis=1)
         worst_residual = max(worst_residual, float(np.max(np.abs(values - backup))))
     if worst_residual > 1e-6:
         failures.append(f"bellman residual {worst_residual:.1e}")

@@ -15,10 +15,10 @@ from multitask_irl import (
     StationaryPolicy,
     batch_policy_values,
     batch_solve_optimal,
-    log_likelihood,
+    counts_log_likelihood,
+    demo_counts,
     make_chain,
     mdp as mdp_module,
-    q_from_v,
     simulate,
     softmax_policy,
     solve_optimal,
@@ -51,8 +51,8 @@ def test_chain_optimal_values_match_hand_solution(chain3):
 
 
 def test_chain_q_values_match_hand_solution(chain3):
-    values, _ = solve_optimal(chain3)
-    q = q_from_v(chain3, values)
+    _, _, q = batch_solve_optimal(chain3.cmp.transition, chain3.reward.values, chain3.discount,
+                                  with_q=True)
     assert abs(q[0, ADVANCE] - 18.25) < 1e-7
     assert abs(q[0, RESET] - 17.5375) < 1e-7
 
@@ -312,20 +312,21 @@ def test_softmax_policy_rejects_bad_inputs():
 def test_log_likelihood_uniform_policy():
     policy = StationaryPolicy.uniform(3, 2)
     demo = Demonstration(0, np.zeros(10, dtype=int), np.zeros(10, dtype=int))
-    assert abs(log_likelihood(policy, demo) - (-10.0 * np.log(2.0))) < 1e-12
+    log_lik = counts_log_likelihood(demo_counts([demo], 3, 2), policy.action_probs)
+    assert abs(log_lik - (-10.0 * np.log(2.0))) < 1e-12
 
 
 def test_log_likelihood_impossible_step_is_log_zero():
     policy = StationaryPolicy.from_actions([0, 0], 2)
     demo = Demonstration(0, np.array([0, 1]), np.array([0, 1]))
-    assert log_likelihood(policy, demo) == LOG_ZERO
+    assert counts_log_likelihood(demo_counts([demo], 2, 2), policy.action_probs) == LOG_ZERO
 
 
 def test_log_likelihood_checks_bounds():
     policy = StationaryPolicy.uniform(2, 2)
     demo = Demonstration(0, np.array([5]), np.array([0]))
-    with pytest.raises(ValueError):
-        log_likelihood(policy, demo)
+    with pytest.raises(ValueError, match="outside"):
+        counts_log_likelihood(demo_counts([demo], 2, 2), policy.action_probs)
 
 
 def test_simulate_reproducible_and_in_bounds(chain3):

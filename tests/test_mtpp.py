@@ -33,6 +33,7 @@ from multitask_irl.mtpp import (
     _PROPOSAL_FLOOR,
     _accept_rows,
     _group_demos,
+    _interior,
     _mtpp_mh_batch,
     _propose_rewards,
 )
@@ -129,6 +130,24 @@ def test_accept_rows_draw_one_uniform_per_ratio_not_accepted_outright():
     quiet, fresh = substream(5, "accept"), substream(5, "accept")
     assert _accept_rows(np.array([0.0, 1.5]), np.zeros(2, dtype=np.int64), [quiet]).all()
     assert quiet.random() == fresh.random()
+
+
+def test_interior_keeps_atoms_and_lifts_dirichlet_zeros():
+    # A discrete atom must still match its grid exactly; a Dirichlet draw
+    # with exact zeros must start strictly inside the simplex.
+    atoms = np.array([[1.0, 0.0, 0.0], [0.1, 0.2, 0.7]])
+    discrete = DiscreteRewardPrior(atoms)
+    for atom in discrete.sample_batch(substream(0, "atoms"), 8):
+        assert _interior(discrete, atom).tobytes() == atom.tobytes()
+    n_states = 6
+    dirichlet = DirichletRewardPrior(np.full(n_states, 1e-3))
+    draws = dirichlet.sample_batch(substream(0, "sparse"), 20)
+    draws = np.vstack([draws[(draws == 0.0).any(axis=1)], np.eye(n_states)[2]])
+    assert draws.shape[0] > 1
+    for row in draws:
+        lifted = _interior(dirichlet, row)
+        assert lifted.min() >= 1e-3 / n_states
+        assert abs(lifted.sum() - 1.0) <= 1e-12
 
 
 def test_proposal_floor_keeps_numpys_gamma_draw():

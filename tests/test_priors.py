@@ -24,8 +24,8 @@ from oracles import dirichlet_rows_reference
 def test_dirichlet_prior_mean_and_samples():
     prior = DirichletRewardPrior([2.0, 1.0, 1.0])
     rng = substream(0, "dir")
-    reward = prior.sample(rng)
-    assert abs(reward.values.sum() - 1.0) < 1e-9
+    reward = prior.sample_batch(rng, 1)[0]
+    assert abs(reward.sum() - 1.0) < 1e-9
     batch = prior.sample_batch(rng, 50)
     assert batch.shape == (50, 3)
     assert np.allclose(batch.sum(axis=1), 1.0, atol=1e-9)
@@ -90,7 +90,7 @@ def test_temperature_prior_moments_and_log_pdf():
 
 def test_fixed_temperature_is_a_point_mass():
     prior = FixedTemperature(3.5)
-    assert prior.sample(substream(0, "ft")) == 3.5
+    assert prior.sample_batch(substream(0, "ft"), 1)[0] == 3.5
     assert np.array_equal(prior.sample_batch(None, 4), np.full(4, 3.5))
     assert prior.log_pdf(3.5) == 0.0
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from multitask_irl import (
     ADVANCE,
     RESET,
     ChainSpec,
+    Cmp,
     Mdp,
     RandomMdpSpec,
     RewardFunction,
@@ -12,11 +15,13 @@ from multitask_irl import (
     make_chain,
     make_demonstrator,
     make_random_mdp_population,
-    q_from_v,
+    mdp as mdp_module,
     softmax_policy,
     substream,
+    tasks as tasks_module,
 )
-from oracles import value_iteration
+from multitask_irl.mdp import _batch_softmax
+from oracles import bellman_q, value_iteration
 
 
 def test_chain_transition_rows_are_distributions():
@@ -107,7 +112,7 @@ def test_population_demonstrators_are_softmax_experts():
     for task in range(3):
         mdp = population.mdp(task)
         values, _ = value_iteration(mdp)
-        expected = softmax_policy(q_from_v(mdp, values), population.temperatures[task])
+        expected = softmax_policy(bellman_q(mdp, values), population.temperatures[task])
         assert np.allclose(
             population.demonstrators[task].action_probs,
             expected.action_probs,
@@ -147,8 +152,43 @@ def test_demonstrator_softmax_matches_direct_construction():
     mdp = make_chain(ChainSpec(n_states=4, slip=0.1))
     policy = make_demonstrator("softmax", mdp, eta=2.5)
     values, _ = value_iteration(mdp)
-    expected = softmax_policy(q_from_v(mdp, values), 2.5)
+    expected = softmax_policy(bellman_q(mdp, values), 2.5)
     assert np.allclose(policy.action_probs, expected.action_probs, atol=1e-9)
+
+
+def test_demonstrators_take_one_planner_solve_and_its_q(monkeypatch):
+    # One action-value route: each demonstrator comes from one planner call
+    # that hands back its Q, the softmax is that Q's softmax bit for bit, and
+    # nothing outside the planner recomputes a Q.  On these random MDPs a
+    # matrix-product Q differs from the planner's in the last bits.
+    calls = {"planner": [], "q outside the planner": 0}
+    planner, batch_q = mdp_module.batch_solve_optimal, mdp_module._batch_q
+
+    def watched_planner(*args, **kwargs):
+        calls["planner"].append(kwargs.get("with_q", False))
+        return planner(*args, **kwargs)
+
+    def watched_q(*args):
+        calls["q outside the planner"] += sys._getframe(1).f_code.co_name != "batch_solve_optimal"
+        return batch_q(*args)
+
+    monkeypatch.setattr(mdp_module, "batch_solve_optimal", watched_planner)
+    monkeypatch.setattr(tasks_module, "batch_solve_optimal", watched_planner, raising=False)
+    monkeypatch.setattr(mdp_module, "_batch_q", watched_q)
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        n_states, n_actions = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+        cmp = Cmp(rng.dirichlet(np.ones(n_states), size=(n_states, n_actions)))
+        mdp = Mdp(cmp, RewardFunction(rng.random(n_states)), float(rng.uniform(0.5, 0.95)))
+        eta = float(rng.uniform(0.5, 8.0))
+        _, greedy, q = planner(cmp.transition, mdp.reward.values, mdp.discount, with_q=True)
+        calls["planner"].clear()
+        softmax = make_demonstrator("softmax", mdp, eta=eta)
+        eps_greedy = make_demonstrator("eps_greedy", mdp, epsilon=0.2)
+        assert calls["planner"] == [True, True]
+        assert np.array_equal(softmax.action_probs, _batch_softmax(q, eta))
+        assert np.array_equal(eps_greedy.action_probs.argmax(axis=1), greedy)
+    assert calls["q outside the planner"] == 0
 
 
 def test_demonstrator_validation():
