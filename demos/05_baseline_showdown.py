@@ -11,6 +11,7 @@ from multitask_irl import (
     DirichletRewardPrior,
     GammaHyperprior,
     PolicyDirichletPrior,
+    demo_counts,
     imitator,
     l1_loss,
     make_chain,
@@ -38,7 +39,8 @@ def main():
     scores = {}
 
     policy_prior = PolicyDirichletPrior(np.ones((n, 2)))
-    scores["imitator (action marginals)"] = l1_loss(truth, imitator([demo], policy_prior))
+    counts = demo_counts([demo], n, 2)
+    scores["imitator (action marginals)"] = l1_loss(truth, imitator(counts, policy_prior))
 
     scores["mwal (feature matching)"] = l1_loss(truth, mwal(cmp, DISCOUNT, [demo]))
 

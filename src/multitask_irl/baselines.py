@@ -57,9 +57,9 @@ class MixedPolicy:
         return cls(policies, np.full(len(policies), 1.0 / len(policies)))
 
 
-def imitator(demos, policy_prior: PolicyDirichletPrior) -> StationaryPolicy:
-    """Posterior mean policy given the demonstrations' action counts."""
-    return policy_posterior(policy_prior, list(demos)).mean()
+def imitator(counts, policy_prior: PolicyDirichletPrior) -> StationaryPolicy:
+    """Posterior mean policy given a task's (S, A) state-action count matrix."""
+    return policy_posterior(policy_prior, counts).mean()
 
 
 def mwal(cmp: Cmp, discount: float, demos, n_iterations: int = 100) -> MixedPolicy:

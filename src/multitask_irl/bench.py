@@ -24,6 +24,7 @@ from .mdp import (
     RewardFunction,
     batch_policy_values,
     batch_solve_optimal,
+    demo_counts,
     simulate,
     solve_optimal,
 )
@@ -69,19 +70,16 @@ EXPERIMENTS = (
 )
 
 
-def l1_loss(mdp: Mdp, policy) -> float:
+def l1_loss(mdp: Mdp, policy, optimal: np.ndarray = None) -> float:
     """Sum over states of the optimal-minus-achieved value gap.
 
     Accepts a stationary or mixed policy (a stationary policy is a
     one-component mixture); per-state gaps are clamped at zero before
     summing, so float noise on an optimal policy cannot go negative.
+    ``optimal``, the MDP's optimal values, is solved here unless given.
     """
-    optimal, _ = solve_optimal(mdp)
-    return _l1_loss(mdp, policy, optimal)
-
-
-def _l1_loss(mdp: Mdp, policy, optimal: np.ndarray) -> float:
-    """:func:`l1_loss` against the MDP's optimal values, solved beforehand."""
+    if optimal is None:
+        optimal, _ = solve_optimal(mdp)
     if not isinstance(policy, MixedPolicy):
         policy = MixedPolicy.uniform([policy])
     stacked = np.stack([p.action_probs for p in policy.policies])
@@ -234,8 +232,8 @@ def _each(fit):
 @_each
 def _fit_imitator(env, demos, cfg, budget, seed):
     prior = _policy_prior(cfg, env.cmp)
-    _, groups, _ = _group_demos(demos, env.cmp)
-    return [imitator(group, prior) for group in groups], None
+    _, counts = _group_demos(demos, env.cmp)
+    return [imitator(task_counts, prior) for task_counts in counts], None
 
 
 @_each
@@ -246,8 +244,8 @@ def _fit_soft(env, demos, cfg, budget, seed):
 @_each
 def _fit_mwal(env, demos, cfg, budget, seed):
     rounds = cfg.get("mwal_iterations", 100) if budget is None else budget
-    _, groups, _ = _group_demos(demos, env.cmp)
-    return [mwal(env.cmp, _discount(cfg), group, n_iterations=rounds) for group in groups], None
+    return [mwal(env.cmp, _discount(cfg), [d for d in demos if d.task_id == tid],
+                 n_iterations=rounds) for tid in sorted({d.task_id for d in demos})], None
 
 
 @_each
@@ -356,6 +354,15 @@ class _Template:
     points: object           # (seed, rep) -> iterable of _Point
 
 
+def _list_key(cfg, key: str, default) -> tuple:
+    """A list key's values; a repeat would be fitted again as a duplicate row."""
+    values = tuple(cfg.get(key, default))
+    repeats = [value for i, value in enumerate(values) if value in values[:i]]
+    if repeats:
+        raise ConfigError(f"{key} lists {repeats[0]!r} more than once")
+    return values
+
+
 def _chain_mdp(cfg) -> Mdp:
     spec = ChainSpec(
         n_states=cfg.get("chain_states", 5),
@@ -382,7 +389,7 @@ def _chain_budget_sweep(cfg, name, methods, n_tasks, length, budgets) -> _Templa
     env = Environment(mdp.cmp)
     true_mdps = [mdp] * n_tasks
     length = cfg.get("demo_length", length)
-    budgets = cfg.get("sample_budgets", budgets)
+    budgets = _list_key(cfg, "sample_budgets", budgets)
 
     def points(seed, rep):
         demos = _chain_demos(true_mdps, [demonstrator] * n_tasks, 1, length,
@@ -394,7 +401,7 @@ def _chain_budget_sweep(cfg, name, methods, n_tasks, length, budgets) -> _Templa
 
 
 def _sampler_comparison(cfg, name):
-    counts = cfg.get("mh_chain_counts", (1, 2, 4, 8))
+    counts = _list_key(cfg, "mh_chain_counts", (1, 2, 4, 8))
     methods = ("mtpp-mc",) + tuple(f"mtpp-mh-{n}" for n in counts)
     return _chain_budget_sweep(cfg, name, methods, cfg.get("n_tasks", 1), 50,
                                (100, 300, 1000, 3000))
@@ -412,7 +419,7 @@ def _data_efficiency(cfg, name):
 
 def _multitask_gain(cfg, name):
     """A fixed demonstration budget split across more and more chain tasks."""
-    task_counts = cfg.get("task_counts", (1, 2, 5, 10))
+    task_counts = _list_key(cfg, "task_counts", (1, 2, 5, 10))
     total_demos = cfg.get("total_demos", 10)
     for count in task_counts:
         if total_demos % count != 0:
@@ -443,11 +450,11 @@ def _multitask_gain(cfg, name):
 def _random_mdp_sweep(cfg, name):
     """Random-MDP populations swept over demonstrator temperature or task count."""
     if name == "random-mdp-temperature-sweep":
-        x_values = cfg.get("temperature_values", (2.0, 4.0, 6.0, 8.0))
+        x_values = _list_key(cfg, "temperature_values", (2.0, 4.0, 6.0, 8.0))
         task_counts = [cfg.get("n_tasks", 20)] * len(x_values)
         temperatures = list(x_values)
     else:
-        x_values = cfg.get("task_counts", (5, 10, 20))
+        x_values = _list_key(cfg, "task_counts", (5, 10, 20))
         task_counts = [int(v) for v in x_values]
         temperatures = [cfg.get("demo_eta", 8.0)] * len(x_values)
     length = cfg.get("demo_length", 50)
@@ -505,9 +512,9 @@ def run_experiment(config) -> ExperimentResult:
     points, which share one kernel, for every method that shares it, so all
     the Metropolis-Hastings fits of a replication advance in one lockstep
     batch; the rows are those of one fit per point and method, in
-    point-then-method order.  Writes ``<name>-runs.csv`` and
-    ``<name>-aggregate.csv`` into ``out_dir`` when the configuration names
-    one.
+    point-then-method order.  A method or sweep value listed twice raises
+    ``ConfigError``.  Writes ``<name>-runs.csv`` and ``<name>-aggregate.csv``
+    into ``out_dir`` when the configuration names one.
     """
     cfg = dict(config)
     name = cfg.get("experiment")
@@ -518,7 +525,7 @@ def run_experiment(config) -> ExperimentResult:
     seed = cfg.get("seed", 0)
     started = time.perf_counter()
     template = _TEMPLATES[name](cfg, name)
-    methods = tuple(cfg.get("methods", template.methods))
+    methods = _list_key(cfg, "methods", template.methods)
     for method in methods:
         if method not in template.methods:
             raise ConfigError(
@@ -548,7 +555,7 @@ def run_experiment(config) -> ExperimentResult:
                     # dropped before the next run is fitted.
                     policies = next(fitted)[0]
                     losses[method, i] = tuple(
-                        _l1_loss(mdp, policy, optimal)
+                        l1_loss(mdp, policy, optimal)
                         for mdp, policy, optimal in zip(point.true_mdps, policies, optima[i])
                     )
         rows += [ResultRow(name, rep, method, point.x, losses[method, i])
@@ -598,7 +605,8 @@ def bound_check(k_values=(10, 100, 1000), replications: int = 100, *, seed=0,
     demonstrator = make_demonstrator("softmax", mdp, eta=demo_eta)
     demo = simulate(mdp, demonstrator, demo_length, substream(seed, "bound", "demo"),
                     task_id=0, initial_state_probs=_delta_start(cmp.n_states))
-    posterior = policy_posterior(PolicyDirichletPrior.uniform(cmp.n_states, cmp.n_actions), [demo])
+    posterior = policy_posterior(PolicyDirichletPrior.uniform(cmp.n_states, cmp.n_actions),
+                                 demo_counts([demo], cmp.n_states, cmp.n_actions))
     optimal_values, _ = batch_solve_optimal(cmp.transition, hypotheses.values, discount)
     prior = OptimalityPrior(1.0)
 

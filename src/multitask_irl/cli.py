@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from .bench import EXPERIMENTS, METHODS, Environment, _chain_mdp, _l1_loss, run_experiment
+from .bench import EXPERIMENTS, METHODS, Environment, _chain_mdp, l1_loss, run_experiment
 from .config import ConfigError, load_config
 from .io import DataError, read_demonstrations
 from .mdp import DegeneratePosteriorError, Mdp, solve_optimal
@@ -118,8 +118,8 @@ def _cmd_infer(args) -> int:
         summary["tasks"][str(tid)] = {
             "posterior_mean_reward": [float(v) for v in mean_reward],
             "greedy_actions": [int(a) for a in policy.greedy_actions()],
-            "loss_vs_config_env": _l1_loss(truth, policy, optimal),
-            "imitator_loss_vs_config_env": _l1_loss(truth, baseline, optimal),
+            "loss_vs_config_env": l1_loss(truth, policy, optimal),
+            "imitator_loss_vs_config_env": l1_loss(truth, baseline, optimal),
         }
 
     summary_path = os.path.join(args.out, "summary.json")

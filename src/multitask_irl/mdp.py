@@ -251,7 +251,8 @@ def simulate(
         state = 0
     else:
         p0 = np.asarray(initial_state_probs, dtype=float)
-        if p0.shape != (cmp.n_states,) or np.any(p0 < 0) or abs(p0.sum() - 1.0) > _ROW_ATOL:
+        if (p0.shape != (cmp.n_states,) or not np.all(np.isfinite(p0)) or np.any(p0 < 0)
+                or abs(p0.sum() - 1.0) > _ROW_ATOL):
             raise ValueError("initial_state_probs must be a distribution over states")
         state = int(np.searchsorted(np.cumsum(p0), rng.random(), side="right"))
         state = min(state, cmp.n_states - 1)

@@ -264,16 +264,15 @@ class MtpoResult:
 def mtpo_mc(cmp: Cmp, demos, policy_prior: PolicyDirichletPrior, *,
             optimality_prior: OptimalityPrior = None, n_policy_samples: int = 100,
             hypotheses: RewardHypothesisSet = None, reward_prior=None,
-            n_hypotheses: int = None, discount: float = 0.95, seed=0,
-            task_ids=None) -> MtpoResult:
+            n_hypotheses: int = None, discount: float = 0.95, seed=0) -> MtpoResult:
     """Monte Carlo posterior over a reward hypothesis set, one per task.
 
     Either pass a ready ``hypotheses`` set, or a ``reward_prior`` plus
-    ``n_hypotheses`` to sample one (shared across tasks).  For each task,
-    ``n_policy_samples`` policies are drawn from the conjugate policy
-    posterior around that task's demonstrations (the prior itself for tasks
-    listed in ``task_ids`` with no demonstrations), their loss matrix against
-    the hypothesis set is built, and the slack-averaged posterior computed.
+    ``n_hypotheses`` to sample one (shared across tasks).  For each task the
+    demonstrations carry, ``n_policy_samples`` policies are drawn from the
+    conjugate policy posterior around its (state, action) count matrix,
+    their loss matrix against the hypothesis set is built, and the
+    slack-averaged posterior computed.
     """
     if optimality_prior is None:
         optimality_prior = OptimalityPrior(1.0)
@@ -291,18 +290,18 @@ def mtpo_mc(cmp: Cmp, demos, policy_prior: PolicyDirichletPrior, *,
     if hypotheses.n_states != cmp.n_states:
         raise ValueError("hypothesis set does not match the CMP's state count")
 
-    resolved, groups, _ = _group_demos(demos, cmp, task_ids)
+    task_ids, counts = _group_demos(demos, cmp)
     # One hypothesis set serves every task, so its optima are solved once.
     optimal, _ = batch_solve_optimal(cmp.transition, hypotheses.values, discount)
     posteriors = []
-    for tid, group in zip(resolved, groups):
+    for tid, task_counts in zip(task_ids, counts):
         rng = substream(seed, "mtpo-mc", "task", tid)
-        task_posterior = policy_posterior(policy_prior, group)
+        task_posterior = policy_posterior(policy_prior, task_counts)
         sampled = sample_policies(task_posterior, int(n_policy_samples), rng)
         loss_matrix = build_loss_matrix(cmp, discount, sampled, hypotheses, optimal)
         posteriors.append(reward_posterior(loss_matrix, optimality_prior, hypotheses))
     return MtpoResult(
-        task_ids=resolved,
+        task_ids=task_ids,
         posteriors=tuple(posteriors),
         hypotheses=hypotheses,
         metadata={

@@ -260,33 +260,17 @@ def _json_safe(value) -> bool:
         return False
 
 
-def _group_demos(demos, cmp: Cmp, task_ids=None):
-    """Validate demos against the CMP and group them by sorted task id.
-
-    Returns the task ids, each task's demonstrations, and their ``(M, S, A)``
-    state-action count matrix.  ``task_ids`` lists the tasks explicitly,
-    tasks without demonstrations included; by default the tasks are the
-    ids the demonstrations carry.
-    """
+def _group_demos(demos, cmp: Cmp):
+    """Validate demos against the CMP and count them: the sorted task ids they
+    carry and their ``(M, S, A)`` state-action count matrix."""
     groups = {}
     for demo in demos:
         groups.setdefault(demo.task_id, []).append(demo)
-    if task_ids is None:
-        if not groups:
-            raise ValueError("need at least one demonstration")
-        resolved = tuple(sorted(groups))
-    else:
-        resolved = tuple(sorted(int(t) for t in task_ids))
-        if not resolved:
-            raise ValueError("task_ids must name at least one task, got []")
-        if len(set(resolved)) < len(resolved) or any(t < 0 for t in resolved):
-            raise ValueError(f"task_ids must be distinct and non-negative, got {list(task_ids)}")
-        missing = set(groups) - set(resolved)
-        if missing:
-            raise ValueError(f"demonstrations reference tasks outside task_ids: {sorted(missing)}")
-    grouped = [groups.get(tid, []) for tid in resolved]
-    counts = np.stack([demo_counts(group, cmp.n_states, cmp.n_actions) for group in grouped])
-    return resolved, grouped, counts
+    if not groups:
+        raise ValueError("need at least one demonstration")
+    task_ids = tuple(sorted(groups))
+    counts = np.stack([demo_counts(groups[t], cmp.n_states, cmp.n_actions) for t in task_ids])
+    return task_ids, counts
 
 
 def _check_sampler_inputs(cmp: Cmp, hyperprior, discount: float) -> None:
@@ -323,7 +307,7 @@ def mtpp_mc(cmp: Cmp, demos, hyperprior, n_samples: int, discount: float,
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     _check_sampler_inputs(cmp, hyperprior, discount)
-    task_ids, _, counts = _group_demos(demos, cmp)
+    task_ids, counts = _group_demos(demos, cmp)
     transition = cmp.transition
     n_tasks = len(task_ids)
 
@@ -638,7 +622,7 @@ def _mtpp_mh_batch(cmp: Cmp, fits, hyperprior, discount: float, *,
         raise ValueError("proposal step parameters must be positive")
     chains, task_ids = [], []
     for demos, n_iterations, n_chains, seed in fits:
-        tasks, _, counts = _group_demos(demos, cmp)
+        tasks, counts = _group_demos(demos, cmp)
         task_ids.append(tasks)
         per_chain = n_iterations // n_chains
         burn = int(np.floor(burn_in_fraction * per_chain))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import StationaryPolicy, demo_counts
+from .mdp import StationaryPolicy
 
 __all__ = [
     "DirichletRewardPrior",
@@ -369,13 +369,15 @@ class PolicyDirichletPrior:
         return StationaryPolicy(probs)
 
 
-def policy_posterior(prior: PolicyDirichletPrior, demos) -> PolicyDirichletPrior:
-    """Conjugate update: add observed (state, action) counts to the prior.
+def policy_posterior(prior: PolicyDirichletPrior, counts) -> PolicyDirichletPrior:
+    """Conjugate update: add a task's ``(S, A)`` (state, action) count matrix
+    (``demo_counts`` of its demonstrations) to the prior.
 
-    Rows of states never visited keep the prior concentration; an empty
-    demonstration list returns the prior unchanged.
+    Rows of states never visited keep the prior concentration; an all-zero
+    matrix returns the prior unchanged.
     """
-    counts = demo_counts(demos, prior.n_states, prior.n_actions)
+    if np.shape(counts) != prior.concentration.shape:
+        raise ValueError(f"counts must be a {prior.concentration.shape} matrix")
     return PolicyDirichletPrior(prior.concentration + counts)
 
 

@@ -34,6 +34,7 @@ from multitask_irl import (
     bound_check,
     build_loss_matrix,
     chain_transition,
+    demo_counts,
     exp_interval_mass,
     load_config,
     make_demonstrator,
@@ -288,8 +289,9 @@ def test_criterion_7_randomized_invariants(capsys):
         first = Demonstration(0, states[:7], actions[:7])
         second = Demonstration(0, states[7:], actions[7:])
         prior = PolicyDirichletPrior(rng.uniform(0.2, 3.0, size=(3, 2)))
-        joint = policy_posterior(prior, [first, second]).concentration
-        staged = policy_posterior(policy_posterior(prior, [first]), [second]).concentration
+        joint = policy_posterior(prior, demo_counts([first, second], 3, 2)).concentration
+        staged = policy_posterior(policy_posterior(prior, demo_counts([first], 3, 2)),
+                                  demo_counts([second], 3, 2)).concentration
         if np.max(np.abs(joint - staged)) > 1e-12:
             failures.append("conjugacy composition")
             break

@@ -8,6 +8,7 @@ from multitask_irl import (
     MixedPolicy,
     PolicyDirichletPrior,
     StationaryPolicy,
+    demo_counts,
     imitator,
     make_chain,
     make_demonstrator,
@@ -43,7 +44,7 @@ def test_mixed_policy_validation():
 
 def test_imitator_matches_conjugate_mean():
     demo = Demonstration(0, np.array([0, 0, 1]), np.array([0, 1, 0]))
-    policy = imitator([demo], PolicyDirichletPrior.uniform(2, 2))
+    policy = imitator(demo_counts([demo], 2, 2), PolicyDirichletPrior.uniform(2, 2))
     # State 0 saw one of each action on top of the (1, 1) prior; state 1 saw
     # action 0 once.
     assert np.allclose(policy.action_probs[0], [0.5, 0.5])
@@ -51,7 +52,7 @@ def test_imitator_matches_conjugate_mean():
 
 
 def test_imitator_without_demos_returns_prior_mean():
-    policy = imitator([], PolicyDirichletPrior.uniform(3, 2))
+    policy = imitator(np.zeros((3, 2)), PolicyDirichletPrior.uniform(3, 2))
     assert np.allclose(policy.action_probs, 0.5)
 
 

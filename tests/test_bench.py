@@ -17,6 +17,7 @@ from multitask_irl import (
     batch_solve_optimal,
     bound_check,
     chain_transition,
+    demo_counts,
     imitator,
     l1_loss,
     make_chain,
@@ -64,6 +65,13 @@ def test_l1_loss_frozen_chain_values():
     assert abs(l1_loss(mdp, reset) - 44.65) < 1e-6
     mixed = MixedPolicy.uniform([optimal, reset])
     assert abs(l1_loss(mdp, mixed) - 22.325) < 1e-6
+
+
+def test_l1_loss_takes_a_solved_optimum():
+    mdp = make_chain(ChainSpec(n_states=3, slip=0.2))
+    policy = StationaryPolicy.from_actions([1, 0, 1], 2)
+    optimum, _ = batch_solve_optimal(mdp.cmp.transition, mdp.reward.values, mdp.discount)
+    assert l1_loss(mdp, policy, optimum) == l1_loss(mdp, policy)
 
 
 def test_result_row_total_loss():
@@ -139,6 +147,28 @@ def test_data_efficiency_unknown_method(monkeypatch):
     }
     with pytest.raises(ConfigError, match="bogus"):
         run_experiment(cfg)
+    assert fitted == []
+
+
+@pytest.mark.parametrize("key, cfg", [
+    ("methods", {"experiment": "data-efficiency", "methods": ("imitator", "imitator")}),
+    ("methods", {"experiment": "sampler-comparison", "methods": ("mtpp-mc", "mtpp-mc")}),
+    ("mh_chain_counts", {"experiment": "sampler-comparison", "mh_chain_counts": (1, 1)}),
+    ("sample_budgets", {"experiment": "model-comparison", "sample_budgets": (10, 10)}),
+    ("task_counts", {"experiment": "multitask-gain", "task_counts": (1, 2, 1)}),
+    ("task_counts", {"experiment": "random-mdp-task-sweep", "task_counts": (5, 5)}),
+    ("temperature_values",
+     {"experiment": "random-mdp-temperature-sweep", "temperature_values": (2.0, 2.0)}),
+])
+def test_repeated_method_or_sweep_value_is_rejected(monkeypatch, key, cfg):
+    # A repeat would be fitted again and written as a duplicate row, which
+    # the aggregate would count as a second replication with zero spread.
+    # It is refused before any method is fitted.
+    fitted = []
+    monkeypatch.setattr(bench, "imitator", lambda *args: fitted.append(args))
+    monkeypatch.setattr(bench, "mtpp_mc", lambda *args: fitted.append(args))
+    with pytest.raises(ConfigError, match=f"^{key} lists"):
+        run_experiment(dict(cfg, replications=1))
     assert fitted == []
 
 
@@ -344,7 +374,8 @@ def test_multitask_gain_rows_reconstructable_from_documented_streams():
     for m in range(count):
         policy = posterior_policy(ensemble, m, cmp, discount)
         expected_mc.append(l1_loss(true_mdps[m], policy))
-        mimic = imitator([d for d in demos if d.task_id == m], policy_prior)
+        mimic = imitator(demo_counts([d for d in demos if d.task_id == m], n_states,
+                                     cmp.n_actions), policy_prior)
         expected_imitator.append(l1_loss(true_mdps[m], mimic))
     assert by_method["mtpp-mc"].task_losses == pytest.approx(expected_mc, abs=1e-12)
     assert by_method["imitator"].task_losses == pytest.approx(expected_imitator, abs=1e-12)

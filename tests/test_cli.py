@@ -193,6 +193,15 @@ def test_run_rejects_more_chains_than_a_swept_budget(tmp_path, capsys):
     assert "mh_chains" not in err
 
 
+def test_run_rejects_a_repeated_chain_count(tmp_path, capsys):
+    cfg = tmp_path / "repeat.cfg"
+    cfg.write_text("experiment = sampler-comparison\nmh_chain_counts = 1, 1\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: mh_chain_counts lists 1 more than once" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_rejects_an_infinite_temperature(tmp_path, capsys):
     cfg = tmp_path / "inf.cfg"
     cfg.write_text("experiment = random-mdp-temperature-sweep\ntemperature_values = 1, inf\n")

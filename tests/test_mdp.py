@@ -360,6 +360,22 @@ def test_simulate_empirical_frequencies_match_policy_and_kernel():
     assert abs(np.mean(landed == 1) - 0.7) < 0.03
 
 
+def test_simulate_rejects_non_finite_start(chain3):
+    # A nan passes the sign test and makes the sum test compare nan, so
+    # without a finiteness check the run would silently start at state 0.
+    policy = StationaryPolicy.uniform(3, 2)
+    for start in ([np.nan, 0.0, 1.0], [np.inf, 0.0, 1.0], [0.0, np.nan, np.nan]):
+        with pytest.raises(ValueError, match="initial_state_probs"):
+            simulate(chain3, policy, 5, substream(0, "x"), initial_state_probs=start)
+    # A valid start law costs one uniform, before the per-step draws.
+    rng, replay = substream(3, "start"), substream(3, "start")
+    demo = simulate(chain3, policy, 5, rng, initial_state_probs=[0.25, 0.5, 0.25])
+    first = replay.random()
+    replay.random((5, 2))
+    assert demo.states[0] == int(np.searchsorted([0.25, 0.75, 1.0], first, side="right"))
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
 def test_simulate_accepts_bare_cmp(chain3):
     policy = StationaryPolicy.uniform(3, 2)
     demo = simulate(chain3.cmp, policy, 5, substream(1, "cmp"))

@@ -16,6 +16,7 @@ from multitask_irl import (
     StationaryPolicy,
     build_loss_matrix,
     chain_transition,
+    demo_counts,
     exp_interval_mass,
     make_chain,
     make_demonstrator,
@@ -218,12 +219,13 @@ def test_mtpo_mc_prior_only_task_is_symmetric():
     # prior-only posterior must be close to (1/2, 1/2).
     cmp = chain_transition(2, 0.0)
     hypotheses = RewardHypothesisSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    # A task without demonstrations has an all-zero count matrix; this is
+    # mtpo_mc's per-task route, on its task-0 stream.
     prior = PolicyDirichletPrior.uniform(2, 2)
-    result = mtpo_mc(
-        cmp, [], prior, hypotheses=hypotheses, n_policy_samples=4000,
-        discount=DISCOUNT, seed=11, task_ids=[0],
-    )
-    probs = result.posterior(0).probabilities
+    policies = sample_policies(policy_posterior(prior, np.zeros((2, 2))), 4000,
+                               substream(11, "mtpo-mc", "task", 0))
+    matrix = build_loss_matrix(cmp, DISCOUNT, policies, hypotheses)
+    probs = reward_posterior(matrix, OptimalityPrior(1.0), hypotheses).probabilities
     assert abs(probs[0] - 0.5) < 0.05
 
 
@@ -271,8 +273,7 @@ def test_mtpo_mc_shares_hypotheses_and_separates_tasks():
 
 def test_mtpo_mc_matches_public_per_task_route():
     # mtpo_mc solves the shared hypotheses' optima once for all tasks; the
-    # public route re-solves them per task.  Both must give the same floats,
-    # including for a listed task (2) that has no demonstrations.
+    # public route re-solves them per task.  Both must give the same floats.
     cmp = chain_transition(3, 0.1)
     prior = PolicyDirichletPrior.uniform(3, 2)
     hypotheses = sample_hypotheses(DirichletRewardPrior(np.ones(3)), 12, substream(4, "hyp"))
@@ -283,11 +284,11 @@ def test_mtpo_mc_matches_public_per_task_route():
                               substream(tid, "demo"), task_id=tid))
     optimality = OptimalityPrior(0.7)
     result = mtpo_mc(cmp, demos, prior, optimality_prior=optimality, hypotheses=hypotheses,
-                     n_policy_samples=50, discount=DISCOUNT, seed=8, task_ids=[0, 1, 2])
-    assert result.task_ids == (0, 1, 2)
+                     n_policy_samples=50, discount=DISCOUNT, seed=8)
+    assert result.task_ids == (0, 1)
     for tid in result.task_ids:
-        task_demos = [d for d in demos if d.task_id == tid]
-        policies = sample_policies(policy_posterior(prior, task_demos), 50,
+        counts = demo_counts([d for d in demos if d.task_id == tid], 3, 2)
+        policies = sample_policies(policy_posterior(prior, counts), 50,
                                    substream(8, "mtpo-mc", "task", tid))
         matrix = build_loss_matrix(cmp, DISCOUNT, policies, hypotheses)
         expected = reward_posterior(matrix, optimality, hypotheses)
@@ -329,14 +330,6 @@ def test_mtpo_mc_validation():
         mtpo_mc(cmp, [demo], prior, hypotheses=hypotheses, n_policy_samples=0)
     with pytest.raises(ValueError):
         mtpo_mc(cmp, [], prior, hypotheses=hypotheses)
-    with pytest.raises(ValueError):
-        mtpo_mc(cmp, [demo], prior, hypotheses=hypotheses, task_ids=[1, 2])
-    with pytest.raises(ValueError, match="distinct"):
-        mtpo_mc(cmp, [demo], prior, hypotheses=hypotheses, task_ids=[0, 0])
-    with pytest.raises(ValueError, match="non-negative"):
-        mtpo_mc(cmp, [demo], prior, hypotheses=hypotheses, task_ids=[-1, 0])
-    with pytest.raises(ValueError, match="task_ids must name at least one task"):
-        mtpo_mc(cmp, [], prior, hypotheses=hypotheses, task_ids=[])
     with pytest.raises(ValueError):
         mtpo_mc(cmp, [demo], PolicyDirichletPrior.uniform(3, 2), hypotheses=hypotheses)
 

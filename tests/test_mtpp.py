@@ -238,11 +238,12 @@ def test_counts_log_likelihood_matches_per_step_oracle():
     ]
     policies = rng.dirichlet(np.full(n_actions, 0.7), size=(6, n_states))
     cmp = random_cmp(rng, n_states, n_actions)
-    task_ids, groups, counts = _group_demos(demos, cmp)
+    task_ids, counts = _group_demos(demos, cmp)
+    groups = [[d for d in demos if d.task_id == tid] for tid in task_ids]
     assert task_ids == (0, 1, 2) and [len(g) for g in groups] == [1, 2, 3]
     # Multi-demo tasks, and every demonstration pooled into one task.
     cases = [(counts[m], group) for m, group in enumerate(groups)]
-    cases.append((_group_demos([Demonstration(0, d.states, d.actions) for d in demos], cmp)[2][0],
+    cases.append((_group_demos([Demonstration(0, d.states, d.actions) for d in demos], cmp)[1][0],
                   demos))
     for task_counts, group in cases:
         batch = counts_log_likelihood(task_counts, policies)

@@ -12,6 +12,7 @@ from multitask_irl import (
     OptimalityPrior,
     PolicyDirichletPrior,
     TemperaturePrior,
+    demo_counts,
     exp_interval_mass,
     policy_posterior,
     sample_policies,
@@ -182,7 +183,7 @@ def test_policy_prior_uniform_mean_and_validation():
 def test_policy_posterior_conjugate_counts():
     prior = PolicyDirichletPrior.uniform(2, 2)
     demo = Demonstration(0, np.array([0, 0, 0, 0]), np.array([0, 0, 0, 1]))
-    posterior = policy_posterior(prior, [demo])
+    posterior = policy_posterior(prior, demo_counts([demo], 2, 2))
     assert np.allclose(posterior.concentration[0], [4.0, 2.0])
     # State 1 was never visited: its row keeps the prior.
     assert np.allclose(posterior.concentration[1], [1.0, 1.0])
@@ -191,14 +192,32 @@ def test_policy_posterior_conjugate_counts():
 
 def test_policy_posterior_empty_and_composition():
     prior = PolicyDirichletPrior.uniform(2, 2)
-    assert np.array_equal(policy_posterior(prior, []).concentration, prior.concentration)
+    assert np.array_equal(policy_posterior(prior, np.zeros((2, 2))).concentration,
+                          prior.concentration)
     a = Demonstration(0, np.array([0, 1]), np.array([1, 0]))
     b = Demonstration(1, np.array([1, 1]), np.array([1, 1]))
-    together = policy_posterior(prior, [a, b])
-    stepwise = policy_posterior(policy_posterior(prior, [a]), [b])
+    together = policy_posterior(prior, demo_counts([a, b], 2, 2))
+    stepwise = policy_posterior(policy_posterior(prior, demo_counts([a], 2, 2)),
+                                demo_counts([b], 2, 2))
     assert np.array_equal(together.concentration, stepwise.concentration)
-    with pytest.raises(TypeError):
-        policy_posterior(prior, [object()])
+    with pytest.raises(ValueError, match="counts must be a"):
+        policy_posterior(prior, np.zeros(2))
+
+
+def test_policy_posterior_adds_the_count_matrix():
+    # The posterior reads a task's demonstrations only as its (S, A) count
+    # matrix: the update is the prior plus that matrix, bit for bit, and any
+    # other shape is refused.
+    rng = np.random.default_rng(19)
+    for _ in range(50):
+        n_states, n_actions = rng.integers(1, 6, size=2)
+        prior = PolicyDirichletPrior(rng.uniform(0.1, 3.0, size=(n_states, n_actions)))
+        counts = rng.integers(0, 20, size=(n_states, n_actions)).astype(float)
+        posterior = policy_posterior(prior, counts)
+        assert np.array_equal(posterior.concentration, prior.concentration + counts)
+        for shape in ((n_states,), (n_states, n_actions + 1)):
+            with pytest.raises(ValueError, match="counts must be a"):
+                policy_posterior(prior, np.zeros(shape))
 
 
 def test_sample_policies_shape_and_mean():
