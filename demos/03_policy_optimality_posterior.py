@@ -32,8 +32,7 @@ DISCOUNT = 0.95
 
 def main():
     cmp = chain_transition(3, 0.0)
-    hypotheses = RewardHypothesisSet.from_rewards(
-        [RewardFunction(row) for row in np.eye(3)])
+    hypotheses = RewardHypothesisSet(np.eye(3))
     truth = Mdp(cmp, RewardFunction([0.0, 0.0, 1.0]), DISCOUNT)
     print("3-state chain; candidate rewards pay one unit in exactly one state")
 

@@ -47,10 +47,6 @@ class MixedPolicy:
         object.__setattr__(self, "policies", policies)
         object.__setattr__(self, "weights", weights)
 
-    @property
-    def n_components(self) -> int:
-        return len(self.policies)
-
     @classmethod
     def uniform(cls, policies) -> "MixedPolicy":
         policies = tuple(policies)

@@ -503,6 +503,16 @@ _TEMPLATES = {
 }
 
 
+def _check_out_dir(path) -> None:
+    """Fail before any fitting if a file stands where the output directory
+    ``path`` or one of its missing parents would go."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):  # ends at the root, which exists
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"cannot create output directory {path}: {existing} is not a directory")
+
+
 def run_experiment(config) -> ExperimentResult:
     """Run a named experiment template from a parsed configuration mapping.
 
@@ -537,8 +547,12 @@ def run_experiment(config) -> ExperimentResult:
     for method in methods:
         fit, tag = _resolve(method)
         groups.setdefault(fit, []).append((method, tag))
+    replications = cfg.get("replications", template.replications)
+    out_dir = cfg.get("out_dir")
+    if out_dir:
+        _check_out_dir(out_dir)
     rows = []
-    for rep in range(cfg.get("replications", template.replications)):
+    for rep in range(replications):
         points = list(template.points(seed, rep))
         optima = [_true_optima(point.true_mdps) for point in points]
         losses = {}
@@ -564,11 +578,10 @@ def run_experiment(config) -> ExperimentResult:
         "experiment": name,
         "methods": list(methods),
         "seed": int(seed),
-        "replications": cfg.get("replications"),
+        "replications": int(replications),
         "wall_clock_seconds": time.perf_counter() - started,
     }
     result = ExperimentResult(name=name, rows=tuple(rows), metadata=meta)
-    out_dir = cfg.get("out_dir")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         write_runs_csv(result, os.path.join(out_dir, f"{name}-runs.csv"))

@@ -11,7 +11,8 @@ import json
 import os
 import sys
 
-from .bench import EXPERIMENTS, METHODS, Environment, _chain_mdp, l1_loss, run_experiment
+from .bench import (EXPERIMENTS, METHODS, Environment, _chain_mdp, _check_out_dir, l1_loss,
+                    run_experiment)
 from .config import ConfigError, load_config
 from .io import DataError, read_demonstrations
 from .mdp import DegeneratePosteriorError, Mdp, solve_optimal
@@ -105,6 +106,7 @@ def _cmd_infer(args) -> int:
     posterior_path = os.path.join(args.out, "posterior.jsonl")
     env = Environment(truth.cmp)
     fit, _ = METHODS[args.model]
+    _check_out_dir(args.out)
     ((policies, posterior),) = fit([(args.model, env, demos, None, seed)], config)
     os.makedirs(args.out, exist_ok=True)
     posterior.to_jsonl(posterior_path)
@@ -150,7 +152,7 @@ def _cmd_show(args) -> int:
         with open(args.path, "r", encoding="utf-8") as handle:
             first = handle.readline()
         header = json.loads(first)
-    except (OSError, json.JSONDecodeError) as error:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as error:
         raise DataError(f"cannot read posterior file {args.path}: {error}")
     kind = header.get("format") if isinstance(header, dict) else None
     if kind == "mtpp-ensemble":

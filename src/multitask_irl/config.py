@@ -138,7 +138,7 @@ def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         raise ConfigError(f"cannot read config {path}: {error}")
     return parse_config(text)
 

@@ -30,7 +30,7 @@ def read_demonstrations(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         raise DataError(f"cannot read demonstrations {path}: {error}")
     lines = _data_lines(text)
     try:

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import as_generator
-
 __all__ = [
     "LOG_ZERO",
     "Cmp",
@@ -228,7 +226,7 @@ def simulate(
     model,
     policy: StationaryPolicy,
     horizon: int,
-    rng,
+    rng: np.random.Generator,
     *,
     task_id: int = 0,
     initial_state_probs=None,
@@ -236,8 +234,9 @@ def simulate(
     """Roll out ``policy`` for ``horizon`` steps and record the trajectory.
 
     ``model`` may be an ``Mdp`` or a bare ``Cmp``.  The initial state is drawn
-    from ``initial_state_probs`` (default: point mass on state 0).  A fixed
-    seed produces a bit-identical trajectory.
+    from ``initial_state_probs`` (default: point mass on state 0).  All draws
+    come from the generator ``rng``, so a generator in the same state (such
+    as a fresh ``substream``) produces a bit-identical trajectory.
     """
     cmp = model.cmp if isinstance(model, Mdp) else model
     if not isinstance(cmp, Cmp):
@@ -246,7 +245,6 @@ def simulate(
         raise ValueError("policy shape does not match the CMP")
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    rng = as_generator(rng)
     if initial_state_probs is None:
         state = 0
     else:
@@ -418,10 +416,6 @@ def batch_policy_values(transition: np.ndarray, rewards: np.ndarray,
     """
     rewards = np.asarray(rewards, dtype=float)
     action_probs = np.asarray(action_probs, dtype=float)
-    if rewards.ndim == 1:
-        rewards = rewards[None, :]
-    if action_probs.ndim == 2:
-        action_probs = action_probs[None]
     n_states = transition.shape[0]
     kernels = np.einsum("ksa,sat->kst", action_probs, transition)  # (K, S, S')
     systems = np.eye(n_states)[None] - discount * kernels

@@ -18,17 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import (
-    Cmp,
-    RewardFunction,
-    StationaryPolicy,
-    batch_policy_values,
-    batch_solve_optimal,
-)
+from .mdp import Cmp, RewardFunction, batch_policy_values, batch_solve_optimal
 from .mtpp import (_errors_name, _group_demos, _header_fields, _json_safe, _read_jsonl,
                    _seed_metadata, _stack)
-from .priors import (OptimalityPrior, PolicyDirichletPrior, exp_interval_mass, policy_posterior,
-                     sample_policies)
+from .priors import OptimalityPrior, PolicyDirichletPrior, policy_posterior, sample_policies
 from .seeding import substream
 
 __all__ = [
@@ -36,7 +29,6 @@ __all__ = [
     "LossMatrix",
     "RewardPosterior",
     "MtpoResult",
-    "sample_hypotheses",
     "build_loss_matrix",
     "reward_posterior",
     "mtpo_mc",
@@ -75,20 +67,6 @@ class RewardHypothesisSet:
     def n_states(self) -> int:
         return self.values.shape[1]
 
-    @classmethod
-    def from_rewards(cls, rewards, measure=None) -> "RewardHypothesisSet":
-        return cls(np.stack([r.values for r in rewards]), measure)
-
-    def reward(self, index: int) -> RewardFunction:
-        return RewardFunction(self.values[index])
-
-
-def sample_hypotheses(reward_prior, n: int, rng) -> RewardHypothesisSet:
-    """Draw a hypothesis set of ``n`` rewards i.i.d. from a reward prior."""
-    if n < 1:
-        raise ValueError(f"need at least one hypothesis, got {n}")
-    return RewardHypothesisSet(reward_prior.sample_batch(rng, n))
-
 
 @dataclass(frozen=True, eq=False)
 class LossMatrix:
@@ -107,35 +85,10 @@ class LossMatrix:
         losses.setflags(write=False)
         object.__setattr__(self, "losses", losses)
 
-    @property
-    def n_policies(self) -> int:
-        return self.losses.shape[0]
-
-    @property
-    def n_hypotheses(self) -> int:
-        return self.losses.shape[1]
-
-
-def _policies_to_array(policies, cmp: Cmp) -> np.ndarray:
-    if isinstance(policies, np.ndarray):
-        arr = policies
-        if arr.ndim == 2:
-            arr = arr[None]
-    else:
-        arr = np.stack([
-            p.action_probs if isinstance(p, StationaryPolicy) else np.asarray(p, dtype=float)
-            for p in policies
-        ])
-    if arr.shape[1:] != (cmp.n_states, cmp.n_actions):
-        raise ValueError(
-            f"policies must have shape (*, {cmp.n_states}, {cmp.n_actions}), got {arr.shape}"
-        )
-    return arr
-
 
 def build_loss_matrix(cmp: Cmp, discount: float, policies, hypotheses: RewardHypothesisSet,
                       optimal=None) -> LossMatrix:
-    """Sup-norm value losses of each policy under each hypothesis.
+    """Sup-norm value losses of ``(K, S, A)`` policies under each hypothesis.
 
     Entry (i, j) is ``max_s V*_j(s) - V^{pi_i}_j(s)``, clamped at zero (the
     gap can dip a hair negative at float precision).  ``optimal`` holds the
@@ -145,8 +98,12 @@ def build_loss_matrix(cmp: Cmp, discount: float, policies, hypotheses: RewardHyp
         raise ValueError("hypothesis set does not match the CMP's state count")
     if optimal is None:
         optimal, _ = batch_solve_optimal(cmp.transition, hypotheses.values, discount)
-    arr = _policies_to_array(policies, cmp)
-    policy_values = batch_policy_values(cmp.transition, hypotheses.values, arr, discount)
+    policies = np.asarray(policies, dtype=float)
+    if policies.shape[1:] != (cmp.n_states, cmp.n_actions):
+        raise ValueError(
+            f"policies must have shape (K, {cmp.n_states}, {cmp.n_actions}), got {policies.shape}"
+        )
+    policy_values = batch_policy_values(cmp.transition, hypotheses.values, policies, discount)
     gaps = optimal[None, :, :] - policy_values  # (K, N, S)
     return LossMatrix(np.maximum(gaps.max(axis=2), 0.0))
 
@@ -190,7 +147,9 @@ def reward_posterior(loss_matrix: LossMatrix, prior: OptimalityPrior,
     upper = np.concatenate(
         [sorted_losses[:, 1:], np.full((losses.shape[0], 1), np.inf)], axis=1
     )
-    ratio = exp_interval_mass(prior.rate, sorted_losses, upper) / admitted
+    # Exponential prior mass on [lower, upper); exp(-inf) is exactly 0.
+    mass = np.exp(-prior.rate * sorted_losses) - np.exp(-prior.rate * upper)
+    ratio = mass / admitted
     suffix = np.flip(np.cumsum(np.flip(ratio, axis=1), axis=1), axis=1)
     contribution = np.empty_like(losses)
     np.put_along_axis(contribution, order, sorted_measure * suffix, axis=1)
@@ -286,7 +245,7 @@ def mtpo_mc(cmp: Cmp, demos, policy_prior: PolicyDirichletPrior, *,
         if n_hypotheses is None or int(n_hypotheses) < 1:
             raise ValueError("reward_prior requires a positive n_hypotheses")
         hyp_rng = substream(seed, "mtpo-mc", "hypotheses")
-        hypotheses = sample_hypotheses(reward_prior, int(n_hypotheses), hyp_rng)
+        hypotheses = RewardHypothesisSet(reward_prior.sample_batch(hyp_rng, int(n_hypotheses)))
     if hypotheses.n_states != cmp.n_states:
         raise ValueError("hypothesis set does not match the CMP's state count")
 

@@ -74,20 +74,16 @@ _DEGENERATE_CUTOFF = LOG_ZERO / 2
 def importance_weights(log_likelihoods) -> np.ndarray:
     """Normalize joint log-likelihoods into importance weights.
 
-    ``log_likelihoods`` is either a ``(K,)`` vector of per-sample joint
-    log-likelihoods or a ``(K, M)`` matrix of per-sample per-task values
-    (summed across tasks here).  Weights are computed in log space, so they
+    ``log_likelihoods`` is a ``(K, M)`` matrix of per-sample per-task values,
+    summed across tasks here.  Weights are computed in log space, so they
     are invariant under any per-task positive rescaling of the likelihoods
     and underflow to exact zeros gracefully.  Raises
     :class:`DegeneratePosteriorError` if every sample is impossible.
     """
     arr = np.asarray(log_likelihoods, dtype=float)
-    if arr.ndim == 2:
-        totals = arr.sum(axis=1)
-    elif arr.ndim == 1:
-        totals = arr.copy()
-    else:
-        raise ValueError(f"log_likelihoods must be 1-d or 2-d, got shape {arr.shape}")
+    if arr.ndim != 2:
+        raise ValueError(f"log_likelihoods must have shape (K, M), got {arr.shape}")
+    totals = arr.sum(axis=1)
     if totals.shape[0] < 1:
         raise ValueError("need at least one sample")
     max_total = float(totals.max())
@@ -131,10 +127,6 @@ class PosteriorEnsemble:
     @property
     def n_samples(self) -> int:
         return self.weights.shape[0]
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.task_ids)
 
     def task_index(self, task_id: int) -> int:
         try:

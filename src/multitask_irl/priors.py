@@ -35,7 +35,6 @@ __all__ = [
     "OptimalityPrior",
     "policy_posterior",
     "sample_policies",
-    "exp_interval_mass",
 ]
 
 
@@ -400,16 +399,3 @@ class OptimalityPrior:
         if not (np.isfinite(rate) and rate > 0):
             raise ValueError(f"rate must be finite and positive, got {rate}")
         object.__setattr__(self, "rate", rate)
-
-
-def exp_interval_mass(rate: float, a, b):
-    """Mass the Exponential(rate) law places on ``[a, b)``; ``b`` may be inf."""
-    if not (np.isfinite(rate) and rate > 0):
-        raise ValueError(f"rate must be finite and positive, got {rate}")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.any(a < 0) or np.any(np.isnan(b)) or np.any(b < a):
-        raise ValueError("interval must satisfy 0 <= a <= b")
-    result = np.exp(-rate * a) - np.exp(-rate * b)  # exp(-inf) is exactly 0
-    return float(result) if result.ndim == 0 else result
-

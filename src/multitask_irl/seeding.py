@@ -12,7 +12,7 @@ import zlib
 
 import numpy as np
 
-__all__ = ["subseed", "substream", "as_generator"]
+__all__ = ["subseed", "substream"]
 
 
 def _key_to_int(key) -> int:
@@ -52,10 +52,3 @@ def substream(seed, *key) -> np.random.Generator:
     keys yield independent streams.
     """
     return np.random.default_rng(subseed(seed, *key))
-
-
-def as_generator(rng) -> np.random.Generator:
-    """Normalize ``rng`` (None, int seed, or Generator) to a Generator."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)

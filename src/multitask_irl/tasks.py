@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import Cmp, Mdp, RewardFunction, StationaryPolicy, batch_solve_optimal, softmax_policy
-from .seeding import as_generator
 
 __all__ = [
     "ADVANCE",
@@ -116,16 +115,15 @@ class RandomMdpPopulation:
     demonstrators: tuple             # M StationaryPolicy
     discount: float
 
-    @property
-    def n_tasks(self) -> int:
-        return self.rewards.shape[0]
-
     def mdp(self, task: int) -> Mdp:
         return Mdp(self.cmp, RewardFunction(self.rewards[task]), self.discount)
 
 
-def make_random_mdp_population(spec: RandomMdpSpec, rng) -> RandomMdpPopulation:
-    rng = as_generator(rng)
+def make_random_mdp_population(spec: RandomMdpSpec,
+                               rng: np.random.Generator) -> RandomMdpPopulation:
+    """Draw the dynamics, rewards, temperatures and experts from the
+    generator ``rng``; a generator in the same state gives the same
+    population."""
     s, a = spec.n_states, spec.n_actions
     transition = np.empty((s, a, s))
     for i in range(s):

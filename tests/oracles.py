@@ -25,7 +25,6 @@ from multitask_irl import (
     batch_solve_optimal,
     counts_log_likelihood,
     demo_counts,
-    exp_interval_mass,
     softmax_policy,
     substream,
 )
@@ -375,6 +374,12 @@ def batch_means_se(draws, n_batches: int = 20):
     return float(batches.std(ddof=1) / np.sqrt(n_batches))
 
 
+def exponential_mass(rate, lo, hi):
+    """Exponential(rate) mass on ``[lo, hi)``, one interval at a time in
+    scalar ``math.exp``; ``hi`` may be inf, where ``math.exp`` gives 0."""
+    return math.exp(-rate * lo) - math.exp(-rate * hi)
+
+
 def _edges(losses):
     return np.unique(np.concatenate([[0.0], np.asarray(losses, dtype=float).ravel()]))
 
@@ -398,7 +403,7 @@ def midpoint_reference_posterior(losses, measure, rate):
         if hi == lo:
             continue
         probe = lo + 0.5 * (hi - lo) if np.isfinite(hi) else lo + 1.0
-        mass = exp_interval_mass(rate, lo, hi)
+        mass = exponential_mass(rate, lo, hi)
         for row in losses:
             member = np.where(row < probe, measure, 0.0)
             total = member.sum()

@@ -29,13 +29,11 @@ from multitask_irl import (
     PolicyDirichletPrior,
     RewardFunction,
     RewardHypothesisSet,
-    StationaryPolicy,
     batch_solve_optimal,
     bound_check,
     build_loss_matrix,
     chain_transition,
     demo_counts,
-    exp_interval_mass,
     load_config,
     make_demonstrator,
     mtpo_mc,
@@ -54,6 +52,7 @@ from oracles import (
     batch_means_se,
     bellman_q,
     enumerate_atom_posterior,
+    exponential_mass,
     importance_se,
     quadrature_posterior,
 )
@@ -276,7 +275,7 @@ def test_criterion_7_randomized_invariants(capsys):
     cuts = np.sort(rng.uniform(0.0, 5.0, size=(1000, 4)), axis=1)
     lo = np.concatenate([np.zeros((1000, 1)), cuts], axis=1)
     hi = np.concatenate([cuts, np.full((1000, 1), np.inf)], axis=1)
-    totals = np.array([exp_interval_mass(rate, a, b).sum()
+    totals = np.array([sum(exponential_mass(rate, x, y) for x, y in zip(a, b))
                        for rate, a, b in zip(rates, lo, hi)])
     if np.max(np.abs(totals - 1.0)) > 1e-12:
         failures.append("exponential partition of unity")
@@ -304,8 +303,7 @@ def test_criterion_7_randomized_invariants(capsys):
         hyp_rewards = rng.dirichlet(np.ones(3), size=2)
         hypotheses = RewardHypothesisSet(hyp_rewards)
         _, greedy = batch_solve_optimal(cmp.transition, hyp_rewards, DISCOUNT)
-        policies = [StationaryPolicy(np.eye(2)[g]) for g in greedy]
-        matrix = build_loss_matrix(cmp, DISCOUNT, policies, hypotheses)
+        matrix = build_loss_matrix(cmp, DISCOUNT, np.eye(2)[greedy], hypotheses)
         if np.any(matrix.losses < 0):
             failures.append("loss matrix negativity")
             break

@@ -26,7 +26,7 @@ def test_mixed_policy_uniform_and_mean():
     a = StationaryPolicy.from_actions([0, 0], 2)
     b = StationaryPolicy.from_actions([1, 1], 2)
     mixture = MixedPolicy.uniform([a, b])
-    assert mixture.n_components == 2
+    assert len(mixture.policies) == 2
     assert np.allclose(mixture.weights, [0.5, 0.5])
 
 
@@ -70,8 +70,8 @@ def test_mwal_structure_and_determinism(chain_demos):
     mdp, demos = chain_demos
     a = mwal(mdp.cmp, mdp.discount, demos, n_iterations=20)
     b = mwal(mdp.cmp, mdp.discount, demos, n_iterations=20)
-    tables = np.stack([p.action_probs for p in a.policies]).reshape(a.n_components, -1)
-    assert np.unique(tables, axis=0).shape[0] == a.n_components
+    tables = np.stack([p.action_probs for p in a.policies]).reshape(len(a.policies), -1)
+    assert np.unique(tables, axis=0).shape[0] == len(a.policies)
     assert abs(a.weights.sum() - 1.0) < 1e-12
     rounds = a.weights * 20
     assert np.allclose(rounds, np.round(rounds), atol=1e-9)
@@ -87,7 +87,7 @@ def test_mwal_single_feature_edge_case():
     cmp = Cmp(np.ones((1, 2, 1)))
     demo = Demonstration(0, np.array([0, 0]), np.array([1, 1]))
     mixture = mwal(cmp, DISCOUNT, [demo], n_iterations=3)
-    assert mixture.n_components == 1
+    assert len(mixture.policies) == 1
     assert np.allclose(mixture.weights, [1.0])
     assert np.array_equal(mixture.policies[0].greedy_actions(), [0])
 

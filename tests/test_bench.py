@@ -125,6 +125,14 @@ def test_run_experiment_rows_deterministic(tiny_sampler_runs):
     assert first.metadata["wall_clock_seconds"] > 0
 
 
+def test_metadata_records_the_replications_the_template_ran():
+    # The config leaves the count to the template, whose default is 100.
+    result = run_experiment({"experiment": "data-efficiency", "methods": ("imitator",),
+                             "sample_budgets": (100,), "demo_length": 5, "chain_states": 3})
+    assert len({row.seed for row in result.rows}) == 100
+    assert result.metadata["replications"] == 100
+
+
 def test_run_experiment_unknown_template():
     with pytest.raises(ConfigError):
         run_experiment({"experiment": "nope"})

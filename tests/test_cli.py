@@ -18,6 +18,7 @@ from multitask_irl import (
     substream,
     write_demonstrations,
 )
+from multitask_irl import bench
 from multitask_irl.cli import main
 
 
@@ -57,6 +58,13 @@ def test_validate_rejects_bad_contents(tmp_path, capsys):
     assert main(["validate", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
     assert main(["validate", "--config", str(tmp_path / "absent.cfg")]) == 2
+
+
+def test_validate_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"seed = 1\nout_dir = \xff\n")
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot read config {path}:")
 
 
 def test_run_requires_experiment_and_out_dir(tmp_path, capsys):
@@ -238,6 +246,44 @@ def test_infer_missing_demo_file(tmp_path, capsys):
     assert code == 3
 
 
+def test_infer_rejects_demos_that_are_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"3 2\n0 0 0 \xff 1\n")
+    code = main(["infer", "--demos", str(path), "--model", "mtpp-mc",
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"data error: cannot read demonstrations {path}:")
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["file", "under-a-file"])
+def test_infer_out_blocked_by_a_file_fails_before_fitting(tmp_path, demo_file, capsys,
+                                                          monkeypatch, nested):
+    blocker = tmp_path / "afile"
+    blocker.write_text("keep\n")
+    out = blocker / "sub" if nested else blocker
+    fitted = []
+    monkeypatch.setitem(bench.METHODS, "mtpp-mc", (lambda *args: fitted.append(args), None))
+    code = main(["infer", "--demos", str(demo_file), "--model", "mtpp-mc",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create output directory {out}:")
+    assert fitted == []
+    assert blocker.read_text() == "keep\n"
+
+
+def test_run_out_blocked_by_a_file_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("experiment = sampler-comparison\nreplications = 1\nsample_budgets = 20\n"
+                   "mh_chain_counts = 1\ndemo_length = 5\nchain_states = 3\n")
+    blocker = tmp_path / "afile"
+    blocker.write_text("keep\n")
+    assert main(["run", "--config", str(cfg), "--out", str(blocker)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create output directory {blocker}:")
+    assert blocker.read_text() == "keep\n"
+
+
 def test_show_mtpp_posterior(tmp_path, demo_file, capsys):
     out = tmp_path / "posterior"
     cfg = tmp_path / "infer.cfg"
@@ -258,6 +304,14 @@ def test_show_error_paths(tmp_path, capsys):
     wrong = tmp_path / "wrong.jsonl"
     wrong.write_text('{"format": "something-else"}\n')
     assert main(["show", str(wrong)]) == 3
+
+
+def test_show_rejects_a_posterior_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin.jsonl"
+    path.write_bytes(b'{"format": "\xff"}\n')
+    assert main(["show", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"data error: cannot read posterior file {path}:")
 
 
 MTPO_HEADER = {"format": "mtpo-posterior", "hypotheses": [[1.0, 0.0], [0.0, 1.0]],

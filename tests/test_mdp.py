@@ -40,7 +40,7 @@ def chain3():
 
 def policy_values(mdp, policy):
     return batch_policy_values(
-        mdp.cmp.transition, mdp.reward.values, policy.action_probs, mdp.discount
+        mdp.cmp.transition, mdp.reward.values[None], policy.action_probs[None], mdp.discount
     )[0, 0]
 
 

@@ -17,14 +17,12 @@ from multitask_irl import (
     build_loss_matrix,
     chain_transition,
     demo_counts,
-    exp_interval_mass,
     make_chain,
     make_demonstrator,
     mtpo_mc,
     policy_posterior,
     posterior_policy,
     reward_posterior,
-    sample_hypotheses,
     sample_policies,
     simulate,
     solve_optimal,
@@ -50,10 +48,7 @@ def test_hypothesis_set_validation_and_accessors():
     assert hypotheses.n_hypotheses == 2
     assert hypotheses.n_states == 2
     assert np.array_equal(hypotheses.measure, np.ones(2))
-    assert np.array_equal(hypotheses.reward(1).values, [1.0, 0.0])
-    weighted = RewardHypothesisSet.from_rewards(
-        [RewardFunction(row) for row in values], measure=[2.0, 1.0]
-    )
+    weighted = RewardHypothesisSet(values.tolist(), measure=[2.0, 1.0])
     assert np.array_equal(weighted.values, values)
     assert np.array_equal(weighted.measure, [2.0, 1.0])
     with pytest.raises(ValueError):
@@ -64,13 +59,6 @@ def test_hypothesis_set_validation_and_accessors():
         RewardHypothesisSet(values, measure=[1.0, -1.0])
 
 
-def test_sample_hypotheses_from_prior():
-    prior = DirichletRewardPrior([1.0, 1.0, 1.0])
-    hypotheses = sample_hypotheses(prior, 20, substream(0, "hyp"))
-    assert hypotheses.values.shape == (20, 3)
-    assert np.allclose(hypotheses.values.sum(axis=1), 1.0, atol=1e-9)
-
-
 def test_loss_matrix_hand_oracle_on_chain():
     # 3-state deterministic chain: the always-reset policy is 15.2 below
     # optimal in sup norm under the default rewards (0.2, 0, 1).
@@ -78,9 +66,9 @@ def test_loss_matrix_hand_oracle_on_chain():
     hypotheses = RewardHypothesisSet(mdp.reward.values[None, :])
     reset = StationaryPolicy.from_actions([1, 1, 1], 2)
     optimal = StationaryPolicy.from_actions([0, 0, 0], 2)  # always advance
-    matrix = build_loss_matrix(mdp.cmp, DISCOUNT, [reset, optimal], hypotheses)
-    assert matrix.n_policies == 2
-    assert matrix.n_hypotheses == 1
+    policies = np.stack([reset.action_probs, optimal.action_probs])
+    matrix = build_loss_matrix(mdp.cmp, DISCOUNT, policies, hypotheses)
+    assert matrix.losses.shape == (2, 1)
     assert abs(matrix.losses[0, 0] - 15.2) < 1e-6
     assert abs(matrix.losses[1, 0]) < 1e-6
 
@@ -92,19 +80,21 @@ def test_loss_matrix_accepts_policy_arrays_and_validates():
         StationaryPolicy.uniform(2, 2).action_probs,
         StationaryPolicy.from_actions([0, 0], 2).action_probs,
     ])
-    a = build_loss_matrix(cmp, DISCOUNT, stacked, hypotheses)
-    b = build_loss_matrix(
-        cmp, DISCOUNT,
-        [StationaryPolicy.uniform(2, 2), StationaryPolicy.from_actions([0, 0], 2)],
-        hypotheses,
-    )
-    assert np.allclose(a.losses, b.losses, atol=1e-12)
-    assert np.all(a.losses >= 0.0)
+    matrix = build_loss_matrix(cmp, DISCOUNT, stacked, hypotheses)
+    assert matrix.losses.shape == (2, 2)
+    assert np.all(matrix.losses >= 0.0)
+    # The uniform policy is never optimal here; always-advance is optimal
+    # under the far-state reward (the chain's advance action is 0).
+    assert np.all(matrix.losses[0] > 0.0)
+    assert abs(matrix.losses[1, 1]) < 1e-9
     with pytest.raises(ValueError):
-        build_loss_matrix(cmp, DISCOUNT, [StationaryPolicy.uniform(3, 2)], hypotheses)
+        build_loss_matrix(cmp, DISCOUNT, stacked[0], hypotheses)  # one (S, A) policy
+    with pytest.raises(ValueError):
+        build_loss_matrix(cmp, DISCOUNT, StationaryPolicy.uniform(3, 2).action_probs[None],
+                          hypotheses)
     bad_set = RewardHypothesisSet(np.array([[0.1, 0.2, 0.3]]))
     with pytest.raises(ValueError):
-        build_loss_matrix(cmp, DISCOUNT, [StationaryPolicy.uniform(2, 2)], bad_set)
+        build_loss_matrix(cmp, DISCOUNT, stacked, bad_set)
 
 
 def test_reward_posterior_two_hypothesis_closed_form():
@@ -276,10 +266,11 @@ def test_mtpo_mc_matches_public_per_task_route():
     # public route re-solves them per task.  Both must give the same floats.
     cmp = chain_transition(3, 0.1)
     prior = PolicyDirichletPrior.uniform(3, 2)
-    hypotheses = sample_hypotheses(DirichletRewardPrior(np.ones(3)), 12, substream(4, "hyp"))
+    hypotheses = RewardHypothesisSet(
+        DirichletRewardPrior(np.ones(3)).sample_batch(substream(4, "hyp"), 12))
     demos = []
     for tid in (0, 1):
-        truth = Mdp(cmp, hypotheses.reward(tid), DISCOUNT)
+        truth = Mdp(cmp, RewardFunction(hypotheses.values[tid]), DISCOUNT)
         demos.append(simulate(truth, make_demonstrator("softmax", truth, eta=4.0), 30,
                               substream(tid, "demo"), task_id=tid))
     optimality = OptimalityPrior(0.7)

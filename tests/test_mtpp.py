@@ -81,8 +81,8 @@ def atom_indicators(ensemble, task_id):
 
 
 def test_importance_weights_basics():
-    assert np.array_equal(importance_weights([0.0]), [1.0])
-    weights = importance_weights(np.full(5, -3.7))
+    assert np.array_equal(importance_weights([[0.0]]), [1.0])
+    weights = importance_weights(np.full((5, 1), -3.7))
     assert np.allclose(weights, 0.2, atol=1e-12)
     ll = np.array([[-1.0, -2.0], [-3.0, -0.5], [-2.0, -2.0]])
     direct = importance_weights(ll)
@@ -99,12 +99,14 @@ def test_importance_weights_per_task_rescaling_invariance():
 
 def test_importance_weights_degenerate_and_validation():
     with pytest.raises(DegeneratePosteriorError) as info:
-        importance_weights(np.array([-1e300, -1e300]))
+        importance_weights(np.array([[-1e300], [-1e300]]))
     assert info.value.max_log_likelihood <= -1e299
     with pytest.raises(ValueError):
         importance_weights(np.zeros((2, 2, 2)))
     with pytest.raises(ValueError):
-        importance_weights(np.zeros(0))
+        importance_weights(np.zeros(2))  # a (K,) vector is not a (K, M) matrix
+    with pytest.raises(ValueError):
+        importance_weights(np.zeros((0, 1)))
 
 
 def test_accept_rows_shortcut_and_rejection():
@@ -574,7 +576,7 @@ def test_posterior_ensemble_accessors_and_mean():
     mean = ensemble.posterior_mean_reward(4)
     assert np.allclose(mean.values, [0.25, 0.75], atol=1e-12)
     assert ensemble.n_samples == 2
-    assert ensemble.n_tasks == 1
+    assert len(ensemble.task_ids) == 1
     with pytest.raises(KeyError):
         ensemble.task_index(0)
     with pytest.raises(ValueError):

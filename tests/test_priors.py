@@ -13,7 +13,6 @@ from multitask_irl import (
     PolicyDirichletPrior,
     TemperaturePrior,
     demo_counts,
-    exp_interval_mass,
     policy_posterior,
     sample_policies,
     substream,
@@ -228,28 +227,7 @@ def test_sample_policies_shape_and_mean():
     assert np.allclose(draws.mean(axis=0), prior.mean().action_probs, atol=5e-2)
 
 
-def test_exponential_interval_mass_known_values():
-    assert abs(exp_interval_mass(1.0, 0.0, np.log(2.0)) - 0.5) < 1e-12
-    assert exp_interval_mass(2.0, 0.3, 0.3) == 0.0
-    assert abs(exp_interval_mass(1.0, 0.0, np.inf) - 1.0) < 1e-15
-    assert abs(exp_interval_mass(OptimalityPrior(2.0).rate, 0.0, np.inf) - 1.0) < 1e-15
-
-
-def test_exponential_partition_of_unity():
-    rng = np.random.default_rng(5)
-    edges = np.concatenate([[0.0], np.sort(rng.random(9)) * 4.0, [np.inf]])
-    masses = exp_interval_mass(1.3, edges[:-1], edges[1:])
-    assert np.all(masses >= 0)
-    assert abs(masses.sum() - 1.0) < 1e-12
-
-
 def test_exponential_interval_validation():
-    with pytest.raises(ValueError):
-        exp_interval_mass(0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        exp_interval_mass(1.0, -0.1, 1.0)
-    with pytest.raises(ValueError):
-        exp_interval_mass(1.0, 2.0, 1.0)
     with pytest.raises(ValueError):
         OptimalityPrior(-1.0)
 

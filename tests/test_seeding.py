@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multitask_irl import as_generator, subseed, substream
+from multitask_irl import subseed, substream
 
 
 def test_same_key_reproduces_stream():
@@ -48,11 +48,3 @@ def test_invalid_seeds_and_keys():
         subseed(0, -2)
     with pytest.raises(TypeError):
         subseed(0, 1.5)
-
-
-def test_as_generator_passthrough_and_coercion():
-    rng = np.random.default_rng(0)
-    assert as_generator(rng) is rng
-    assert isinstance(as_generator(5), np.random.Generator)
-    assert isinstance(as_generator(None), np.random.Generator)
-    assert np.array_equal(as_generator(5).random(3), np.random.default_rng(5).random(3))

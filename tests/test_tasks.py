@@ -77,7 +77,7 @@ def test_population_shapes_and_simplexes():
     assert np.all(population.concentration > 0)
     assert population.temperatures.shape == (4,)
     assert len(population.demonstrators) == 4
-    assert population.n_tasks == 4
+    assert len(population.rewards) == 4
     task_mdp = population.mdp(2)
     assert np.array_equal(task_mdp.reward.values, population.rewards[2])
 
