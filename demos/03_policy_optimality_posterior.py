@@ -36,10 +36,8 @@ def main():
     truth = Mdp(cmp, RewardFunction([0.0, 0.0, 1.0]), DISCOUNT)
     print("3-state chain; candidate rewards pay one unit in exactly one state")
 
-    # Hand-built route: sample policies from a prior updated on demos,
-    # price every (policy, hypothesis) pair, integrate out the slack.
-    teacher = make_demonstrator("softmax", truth, eta=6.0)
-    demo = simulate(truth, teacher, 40, substream(0, "demo"), task_id=0)
+    # Hand-built route: sample policies from the prior, price every
+    # (policy, hypothesis) pair, integrate out the slack.
     prior = PolicyDirichletPrior(np.ones((3, 2)))
     policies = sample_policies(prior, 200, substream(0, "policies"))
     matrix = build_loss_matrix(cmp, DISCOUNT, policies, hypotheses)
@@ -54,6 +52,7 @@ def main():
 
     # End-to-end sampler: policies now come from the demo-updated prior.
     print("\nmtpo_mc posterior over hypotheses vs demonstration length:")
+    teacher = make_demonstrator("softmax", truth, eta=6.0)
     for horizon in (5, 40, 200):
         d = simulate(truth, teacher, horizon, substream(1, "demo", horizon),
                      task_id=0)

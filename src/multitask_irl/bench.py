@@ -16,12 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import MixedPolicy, imitator, mwal
-from .config import ConfigError
+from .config import ConfigError, _check_chain_rewards
 from .mdp import (
     Cmp,
     Demonstration,
     Mdp,
     RewardFunction,
+    StationaryPolicy,
     batch_policy_values,
     batch_solve_optimal,
     demo_counts,
@@ -29,7 +30,7 @@ from .mdp import (
     solve_optimal,
 )
 from .mtpo import RewardHypothesisSet, build_loss_matrix, mtpo_mc, reward_posterior
-from .mtpp import _group_demos, _mtpp_mh_batch, mtpp_mc, posterior_policy
+from .mtpp import _group_demos, _mtpp_mh_batch, mtpp_mc
 from .priors import (
     DirichletRewardPrior,
     GammaHyperprior,
@@ -188,8 +189,9 @@ def _delta_start(n_states: int) -> np.ndarray:
 # the method's name, the environment, the demonstrations, a budget (None: the
 # method's own budget key) and a seed.  It returns per run one policy per task
 # in sorted task-id order plus the posterior it came from (None for the
-# baselines).  The runs handed to one call share a kernel.  Each method reads
-# its model's keys here and only here.
+# baselines).  The runs handed to one call may come from several
+# replications, each on its own kernel.  Each method reads its model's keys
+# here and only here.
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,8 +219,18 @@ def _policy_prior(cfg, cmp: Cmp) -> PolicyDirichletPrior:
     )
 
 
-def _greedy(posterior, cmp: Cmp, cfg):
-    return [posterior_policy(posterior, tid, cmp, _discount(cfg)) for tid in posterior.task_ids]
+def _greedy(fitted, cfg):
+    """Per ``(posterior, cmp)`` pair of ``fitted``, the greedy policy of each
+    task's posterior-mean reward, in sorted task order: the policies
+    :func:`posterior_policy` gives, from one planner call with a kernel per
+    task."""
+    tasks = [(posterior, cmp, tid) for posterior, cmp in fitted for tid in posterior.task_ids]
+    means = np.stack([posterior.posterior_mean_reward(tid).values for posterior, _, tid in tasks])
+    kernels = np.stack([cmp.transition for _, cmp, _ in tasks])
+    _, actions = batch_solve_optimal(kernels, means, _discount(cfg))
+    policies = iter(StationaryPolicy.from_actions(greedy, cmp.n_actions)
+                    for greedy, (_, cmp, _) in zip(actions, tasks))
+    return [[next(policies) for _ in posterior.task_ids] for posterior, _ in fitted]
 
 
 def _each(fit):
@@ -253,21 +265,19 @@ def _fit_mtpp_mc(env, demos, cfg, budget, seed):
     n_samples = cfg.get("mc_samples", 1000) if budget is None else budget
     ensemble = mtpp_mc(env.cmp, demos, _hyperprior(cfg, env.cmp.n_states), n_samples,
                        _discount(cfg), seed)
-    return _greedy(ensemble, env.cmp, cfg), ensemble
+    return _greedy([(ensemble, env.cmp)], cfg)[0], ensemble
 
 
 def _fit_mtpp_mh(runs, cfg):
-    """Every chain of every run advances in one lockstep batch.
+    """Every chain of every run advances in one lockstep batch, each on its
+    run's kernel.
 
     An ``mtpp-mh-N`` run has N chains, any other run ``mh_chains``.  An
     ``mtpp-mh-flat`` run pools every demonstration into task 0, and its one
     policy serves every task.
     """
-    cmp = runs[0][1].cmp
-    if not all(np.array_equal(env.cmp.transition, cmp.transition) for _, env, *_ in runs):
-        raise ValueError("the runs of one mtpp-mh batch must share a transition kernel")
     fits, copies = [], []       # a flat run's one policy is copied to each of its tasks
-    for method, _, demos, budget, seed in runs:
+    for method, env, demos, budget, seed in runs:
         n_iterations = cfg.get("mh_iterations", 2000) if budget is None else budget
         suffix = method.rpartition("-")[2]
         chains = int(suffix) if suffix.isdigit() else cfg.get("mh_chains", 1)
@@ -284,15 +294,16 @@ def _fit_mtpp_mh(runs, cfg):
         copies.append(len({d.task_id for d in demos}) if flat else 1)
         if flat:
             demos = [Demonstration(0, d.states, d.actions) for d in demos]
-        fits.append((demos, n_iterations, chains, seed))
+        fits.append((env.cmp, demos, n_iterations, chains, seed))
     ensembles = _mtpp_mh_batch(
-        cmp, fits, _hyperprior(cfg, cmp.n_states), _discount(cfg),
+        fits, _hyperprior(cfg, runs[0][1].cmp.n_states), _discount(cfg),
         burn_in_fraction=cfg.get("burn_in_fraction", 0.1),
         reward_step=cfg.get("reward_step", 50.0),
         temperature_step=cfg.get("temperature_step", 0.25),
         hyper_step=cfg.get("hyper_step", 0.25),
     )
-    return [(_greedy(ensemble, cmp, cfg) * n, ensemble) for n, ensemble in zip(copies, ensembles)]
+    policies = _greedy([(ensemble, fit[0]) for ensemble, fit in zip(ensembles, fits)], cfg)
+    return [(greedy * n, ensemble) for greedy, n, ensemble in zip(policies, copies, ensembles)]
 
 
 @_each
@@ -306,7 +317,7 @@ def _fit_mtpo_mc(env, demos, cfg, budget, seed):
         n_hypotheses=cfg.get("n_hypotheses", 64),
         discount=_discount(cfg), seed=seed,
     )
-    return _greedy(result, cmp, cfg), result
+    return _greedy([(result, cmp)], cfg)[0], result
 
 
 # name -> (fit, seed-path tag); the baselines draw no randomness.
@@ -364,8 +375,10 @@ def _list_key(cfg, key: str, default) -> tuple:
 
 
 def _chain_mdp(cfg) -> Mdp:
+    n_states = cfg.get("chain_states", 5)
+    _check_chain_rewards(n_states, cfg.get("chain_rewards"))
     spec = ChainSpec(
-        n_states=cfg.get("chain_states", 5),
+        n_states=n_states,
         slip=cfg.get("chain_slip", 0.2),
         rewards=cfg.get("chain_rewards"),
         discount=_discount(cfg),
@@ -513,17 +526,25 @@ def _check_out_dir(path) -> None:
         raise ConfigError(f"cannot create output directory {path}: {existing} is not a directory")
 
 
+# Replications fitted as one batch.  A block holds the posteriors of all its
+# Metropolis-Hastings fits at once: about 5.5 MB per random-MDP task-sweep
+# replication at the default 2000 iterations.
+_REPLICATION_BLOCK = 8
+
+
 def run_experiment(config) -> ExperimentResult:
     """Run a named experiment template from a parsed configuration mapping.
 
     Every method named by ``methods`` (default: the template's list) is
     fitted at every sweep point of every replication, and scored per task
-    with :func:`l1_loss`.  Each fit is handed at once all of a replication's
-    points, which share one kernel, for every method that shares it, so all
-    the Metropolis-Hastings fits of a replication advance in one lockstep
-    batch; the rows are those of one fit per point and method, in
-    point-then-method order.  A method or sweep value listed twice raises
-    ``ConfigError``.  Writes ``<name>-runs.csv`` and ``<name>-aggregate.csv``
+    with :func:`l1_loss`.  Replications run in blocks of
+    ``_REPLICATION_BLOCK``: each fit is handed at once every point of every
+    replication of a block, for every method that shares it, so all the
+    Metropolis-Hastings fits of a block advance in one lockstep batch, each
+    on its own replication's kernel.  Each run keeps its seed path, so the
+    rows are those of one fit per replication, point and method, in that
+    order, whatever the block size.  A method or sweep value listed twice
+    raises ``ConfigError``.  Writes ``<name>-runs.csv`` and ``<name>-aggregate.csv``
     into ``out_dir`` when the configuration names one.
     """
     cfg = dict(config)
@@ -552,19 +573,21 @@ def run_experiment(config) -> ExperimentResult:
     if out_dir:
         _check_out_dir(out_dir)
     rows = []
-    for rep in range(replications):
-        points = list(template.points(seed, rep))
-        optima = [_true_optima(point.true_mdps) for point in points]
+    for first in range(0, replications, _REPLICATION_BLOCK):
+        points = [(rep, point)
+                  for rep in range(first, min(first + _REPLICATION_BLOCK, replications))
+                  for point in template.points(seed, rep)]
+        optima = [_true_optima(point.true_mdps) for _, point in points]
         losses = {}
         for fit, group in groups.items():
             runs = [
                 (method, point.env, point.demos, point.budget,
                  None if tag is None else subseed(seed, name, "rep", rep, *tag, point.key))
-                for method, tag in group for point in points
+                for method, tag in group for rep, point in points
             ]
             fitted = iter(fit(runs, cfg))
             for method, _ in group:
-                for i, point in enumerate(points):
+                for i, (_, point) in enumerate(points):
                     # Only the policies are kept, so a run's posterior is
                     # dropped before the next run is fitted.
                     policies = next(fitted)[0]
@@ -573,7 +596,7 @@ def run_experiment(config) -> ExperimentResult:
                         for mdp, policy, optimal in zip(point.true_mdps, policies, optima[i])
                     )
         rows += [ResultRow(name, rep, method, point.x, losses[method, i])
-                 for i, point in enumerate(points) for method in methods]
+                 for i, (rep, point) in enumerate(points) for method in methods]
     meta = {
         "experiment": name,
         "methods": list(methods),

@@ -131,7 +131,19 @@ def parse_config(text: str) -> dict:
             f"mh_chains = {chains} exceeds mh_iterations = {iterations}: "
             "every chain needs at least one iteration"
         )
+    if "chain_states" in values:
+        _check_chain_rewards(values["chain_states"], values.get("chain_rewards"))
     return values
+
+
+def _check_chain_rewards(n_states: int, rewards) -> None:
+    """Raise ConfigError unless ``rewards`` (None: the chain's defaults)
+    lists one reward per state of an ``n_states``-state chain."""
+    if rewards is not None and len(rewards) != n_states:
+        raise ConfigError(
+            f"chain_rewards lists {len(rewards)} values but chain_states = {n_states}: "
+            "give one reward per state"
+        )
 
 
 def load_config(path) -> dict:

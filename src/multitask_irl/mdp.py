@@ -316,8 +316,10 @@ _MAX_POLICY_ITERATIONS = 200
 
 def _batch_q(transition: np.ndarray, rewards: np.ndarray, values: np.ndarray,
              discount: float) -> np.ndarray:
-    """Action values for batched (K, S) rewards and values: (K, S, A)."""
-    return rewards[:, :, None] + discount * np.einsum("sat,kt->ksa", transition, values)
+    """Action values for batched (K, S) rewards and values: (K, S, A), under
+    one (S, A, S) kernel or a (K, S, A, S) stack with a kernel per row."""
+    spec = "sat,kt->ksa" if transition.ndim == 3 else "ksat,kt->ksa"
+    return rewards[:, :, None] + discount * np.einsum(spec, transition, values)
 
 
 def batch_solve_optimal(transition: np.ndarray, rewards: np.ndarray, discount: float,
@@ -325,7 +327,9 @@ def batch_solve_optimal(transition: np.ndarray, rewards: np.ndarray, discount: f
     """Optimal values and greedy actions for a batch of reward vectors.
 
     ``rewards`` has shape (K, S) or (S,); returns ``(values, actions)`` of
-    the same leading shape.  Policy iteration with exact linear evaluation,
+    the same leading shape.  ``transition`` is one (S, A, S) kernel that
+    every row shares, or, for (K, S) rewards, a (K, S, A, S) stack that
+    gives each row its own.  Policy iteration with exact linear evaluation,
     starting from ``start`` (integer actions shaped like ``rewards``; action
     0 everywhere by default) and switching a state's action only where
     another beats it by more than the tie margin.  A row leaves the batch in
@@ -347,7 +351,11 @@ def batch_solve_optimal(transition: np.ndarray, rewards: np.ndarray, discount: f
     squeeze = rewards.ndim == 1
     if squeeze:
         rewards, actions = rewards[None, :], actions[None, :]
-    n_states, n_actions = transition.shape[:2]
+    stacked = transition.ndim == 4
+    if stacked and (squeeze or transition.shape[0] != rewards.shape[0]):
+        raise ValueError(f"a stack of kernels needs one (K, S) reward row per kernel, got "
+                         f"{transition.shape[0]} kernels for rewards {rewards.shape}")
+    n_states, n_actions = transition.shape[-3:-1]
     if rewards.shape[1] != n_states:
         raise ValueError(f"rewards must have {n_states} columns, got {rewards.shape}")
     if not np.all(np.isfinite(rewards)):
@@ -360,7 +368,10 @@ def batch_solve_optimal(transition: np.ndarray, rewards: np.ndarray, discount: f
     # Indices of the rows still iterating, once some have left the batch.
     active = None
     for _ in range(_MAX_POLICY_ITERATIONS):
-        rows = transition[states, actions]  # (K, S, S')
+        if stacked:
+            rows = transition[np.arange(rewards.shape[0])[:, None], states, actions]
+        else:
+            rows = transition[states, actions]  # (K, S, S')
         values = np.linalg.solve(eye[None] - discount * rows, rewards[:, :, None])[:, :, 0]
         q = _batch_q(transition, rewards, values, discount)
         best = q.max(axis=2)
@@ -392,6 +403,8 @@ def batch_solve_optimal(transition: np.ndarray, rewards: np.ndarray, discount: f
             if with_q:
                 out_q[active[done]] = q[done]
             active, rewards, actions = active[pending], rewards[pending], actions[pending]
+            if stacked:
+                transition = transition[pending]
     raise RuntimeError(
         f"policy iteration did not converge within {_MAX_POLICY_ITERATIONS} iterations"
     )

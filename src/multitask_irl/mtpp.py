@@ -13,13 +13,14 @@ population draw, which both samplers below exploit:
   (hyperparameters plus every task's reward and temperature).
 
 Metropolis-Hastings chains run in lockstep: :func:`mtpp_mh`'s chains, and
-in the benchmark harness every chain of a replication's fits that share a
-kernel, advance one iteration at a time together.  Each chain draws from its
-own substream exactly what it draws running alone, in the order
-:func:`mtpp_mh` documents, while the arithmetic of each block (planner,
-likelihood, log-densities) runs once over the tasks of every chain.  Each
-task's numbers do not depend on the batch it is in, so every chain, and every
-fit, gets the same bits as run alone.
+in the benchmark harness every chain of every fit of a block of
+replications, advance one iteration at a time together.  Each chain carries
+its fit's kernel, so one batch may mix CMPs of one state and action count.
+Each chain draws from its own substream exactly what it draws running
+alone, in the order :func:`mtpp_mh` documents, while the arithmetic of each
+block (planner, likelihood, log-densities) runs once over the tasks of every
+chain.  Each task's numbers do not depend on the batch it is in, so every
+chain, and every fit, gets the same bits as run alone.
 """
 
 from __future__ import annotations
@@ -423,31 +424,34 @@ def _log_norms(hyper: np.ndarray) -> np.ndarray:
                      _gamma_log_norm(hyper[:, -2], hyper[:, -1])]).T
 
 
-def _lockstep_chains(transition, discount: float, hyperprior, chains, reward_step: float,
+def _lockstep_chains(discount: float, hyperprior, chains, reward_step: float,
                      temperature_step: float, hyper_step: float):
-    """Advance independent Metropolis-Hastings chains on one CMP in lockstep.
+    """Advance independent Metropolis-Hastings chains in lockstep.
 
-    ``chains`` lists ``(counts, n_iterations, burn, rng)``: a chain's
-    ``(M, S, A)`` demonstration counts, its length, how many leading
-    iterations it discards, and its own stream.  Every chain draws from its
-    stream what it would draw running alone (see :func:`mtpp_mh`); the
-    arithmetic of each block runs once over the rows (tasks) of all chains
-    still running, and a chain leaves the batch after its last iteration.
-    Each row's numbers do not depend on which other rows are in the batch,
-    and a chain's sums over its tasks are sums over its contiguous rows, so
-    each chain keeps the bits it has alone.  Returns per chain its kept
-    rewards ``(K, M, S)``, temperatures and log-likelihoods ``(K, M)``, and
-    its acceptance rates.
+    ``chains`` lists ``(transition, counts, n_iterations, burn, rng)``: a
+    chain's ``(S, A, S)`` kernel, its ``(M, S, A)`` demonstration counts,
+    its length, how many leading iterations it discards, and its own
+    stream; every kernel has the same state and action counts.  Every chain
+    draws from its stream what it would draw running alone (see
+    :func:`mtpp_mh`); the arithmetic of each block runs once over the rows
+    (tasks) of all chains still running, each row planning on its chain's
+    kernel, and a chain leaves the batch after its last iteration.  Each
+    row's numbers do not depend on which other rows are in the batch, and a
+    chain's sums over its tasks are sums over its contiguous rows, so each
+    chain keeps the bits it has alone.  Returns per chain its kept rewards
+    ``(K, M, S)``, temperatures and log-likelihoods ``(K, M)``, and its
+    acceptance rates.
     """
     fixed = isinstance(hyperprior, FixedHyperprior)
-    rngs = [chain[3] for chain in chains]
-    sizes = np.array([chain[0].shape[0] for chain in chains])
-    lengths = np.array([chain[1] for chain in chains])
-    counts = np.concatenate([chain[0] for chain in chains])
+    rngs = [chain[4] for chain in chains]
+    sizes = np.array([chain[1].shape[0] for chain in chains])
+    lengths = np.array([chain[2] for chain in chains])
+    counts = np.concatenate([chain[1] for chain in chains])
+    kernels = np.repeat(np.stack([chain[0] for chain in chains]), sizes, axis=0)
     # Each chain starts as it would alone: its population state, then per
     # task a reward and a temperature.
     states, rho, eta = [], [], []
-    for task_counts, _, _, rng in chains:
+    for _, task_counts, _, _, rng in chains:
         if fixed:
             reward_prior, temp_prior = hyperprior.reward_prior, hyperprior.temperature_prior
         else:
@@ -491,21 +495,21 @@ def _lockstep_chains(transition, discount: float, hyperprior, chains, reward_ste
 
     active = np.arange(len(chains))                 # the chains still running
     local, bounds, streams = rows_of(active)
-    _, greedy, q = batch_solve_optimal(transition, rho, discount, with_q=True)
+    _, greedy, q = batch_solve_optimal(kernels, rho, discount, with_q=True)
     log_lik = counts_log_likelihood(counts, _batch_softmax(q, eta))
     log_prior_rho = reward_log_pdf(rho, local, hyper, hyper_norm)
     log_prior_eta = temperature_log_pdf(eta, local, hyper, hyper_norm)
 
-    records = [tuple(np.empty((n - burn, m) + shape) for shape in ((transition.shape[0],), (), ()))
-               for m, (_, n, burn, _) in zip(sizes, chains)]
+    records = [tuple(np.empty((n - burn, m) + shape) for shape in ((rho.shape[1],), (), ()))
+               for m, (_, _, n, burn, _) in zip(sizes, chains)]
     hits = np.zeros((3, len(chains)), dtype=np.int64)   # hyper, reward, temperature
     for it in range(lengths.max()):
         leaving = lengths[active] == it
         if leaving.any():
             rows = ~leaving[local]
-            rho, eta, q, greedy, log_lik, log_prior_rho, log_prior_eta, counts = (
+            rho, eta, q, greedy, log_lik, log_prior_rho, log_prior_eta, counts, kernels = (
                 a[rows] for a in (rho, eta, q, greedy, log_lik, log_prior_rho,
-                                  log_prior_eta, counts))
+                                  log_prior_eta, counts, kernels))
             if not fixed:
                 hyper, hyper_lp, hyper_norm = (a[~leaving] for a in (hyper, hyper_lp, hyper_norm))
             active = active[~leaving]
@@ -540,7 +544,7 @@ def _lockstep_chains(transition, discount: float, hyperprior, chains, reward_ste
         proposals, hastings = _propose_rewards(discrete, rho, streams, bounds, reward_step)
         # A proposal lies near its task's reward, so the task's greedy
         # actions are a close start for policy iteration.
-        _, prop_greedy, q_prop = batch_solve_optimal(transition, proposals, discount,
+        _, prop_greedy, q_prop = batch_solve_optimal(kernels, proposals, discount,
                                                      start=greedy, with_q=True)
         new_ll = counts_log_likelihood(counts, _batch_softmax(q_prop, eta))
         new_lp = reward_log_pdf(proposals, local, hyper, hyper_norm)
@@ -576,7 +580,7 @@ def _lockstep_chains(transition, discount: float, hyperprior, chains, reward_ste
             log_prior_eta[moved] = new_lp[accepted]
 
         for c, (lo, hi) in zip(active, bounds):
-            kept = it - chains[c][2]
+            kept = it - chains[c][3]
             if kept >= 0:
                 for record, current in zip(records[c], (rho, eta, log_lik)):
                     record[kept] = current[lo:hi]
@@ -591,41 +595,45 @@ def _lockstep_chains(transition, discount: float, hyperprior, chains, reward_ste
     return out
 
 
-def _mtpp_mh_batch(cmp: Cmp, fits, hyperprior, discount: float, *,
+def _mtpp_mh_batch(fits, hyperprior, discount: float, *,
                    burn_in_fraction: float = 0.1, reward_step: float = 50.0,
                    temperature_step: float = 0.25, hyper_step: float = 0.25):
-    """:func:`mtpp_mh` for several fits on one CMP, advanced in one lockstep
-    batch: ``fits`` lists ``(demos, n_iterations, n_chains, seed)`` and the
+    """:func:`mtpp_mh` for several fits, advanced in one lockstep batch:
+    ``fits`` lists ``(cmp, demos, n_iterations, n_chains, seed)`` and the
     result is one ensemble per fit, the one ``mtpp_mh`` returns for that fit
-    alone."""
-    fits = [(demos, int(n_iterations), int(n_chains), seed)
-            for demos, n_iterations, n_chains, seed in fits]
-    for _, n_iterations, n_chains, _ in fits:
+    alone.  The fits' CMPs may differ but must share their state and action
+    counts."""
+    fits = [(cmp, demos, int(n_iterations), int(n_chains), seed)
+            for cmp, demos, n_iterations, n_chains, seed in fits]
+    for cmp, _, n_iterations, n_chains, _ in fits:
         if n_chains < 1:
             raise ValueError(f"n_chains must be at least 1, got {n_chains}")
         if n_iterations // n_chains < 1:
             raise ValueError(
                 f"n_iterations={n_iterations} leaves no iterations for {n_chains} chains"
             )
+        _check_sampler_inputs(cmp, hyperprior, discount)
+    if len({fit[0].transition.shape for fit in fits}) > 1:
+        raise ValueError("the fits of one batch must share their state and action counts")
     if not (0.0 <= burn_in_fraction < 1.0):
         raise ValueError(f"burn_in_fraction must lie in [0, 1), got {burn_in_fraction}")
-    _check_sampler_inputs(cmp, hyperprior, discount)
     if reward_step <= 0 or temperature_step <= 0 or hyper_step <= 0:
         raise ValueError("proposal step parameters must be positive")
     chains, task_ids = [], []
-    for demos, n_iterations, n_chains, seed in fits:
+    for cmp, demos, n_iterations, n_chains, seed in fits:
         tasks, counts = _group_demos(demos, cmp)
         task_ids.append(tasks)
         per_chain = n_iterations // n_chains
         burn = int(np.floor(burn_in_fraction * per_chain))
-        chains += [(counts, per_chain, burn, substream(seed, "mtpp-mh", "chain", chain))
-                   for chain in range(n_chains)]
-    runs = iter(_lockstep_chains(cmp.transition, discount, hyperprior, chains, reward_step,
-                                 temperature_step, hyper_step))
+        chains += [(cmp.transition, counts, per_chain, burn,
+                    substream(seed, "mtpp-mh", "chain", chain)) for chain in range(n_chains)]
+    # Popped as each fit is pooled, so a chain's records are dropped once
+    # its ensemble holds them.
+    runs = _lockstep_chains(discount, hyperprior, chains, reward_step, temperature_step,
+                            hyper_step)[::-1]
     ensembles = []
-    for tasks, (_, n_iterations, n_chains, seed) in zip(task_ids, fits):
-        rewards, temperatures, log_liks, acceptance = zip(
-            *(next(runs) for _ in range(n_chains)))
+    for tasks, (_, _, n_iterations, n_chains, seed) in zip(task_ids, fits):
+        rewards, temperatures, log_liks, acceptance = zip(*(runs.pop() for _ in range(n_chains)))
         kept = sum(len(chain) for chain in rewards)
         ensembles.append(PosteriorEnsemble(
             task_ids=tasks,
@@ -677,7 +685,7 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
     tasks, and each chain's draws and results are those it has alone.
     """
     (ensemble,) = _mtpp_mh_batch(
-        cmp, [(demos, n_iterations, n_chains, seed)], hyperprior, discount,
+        [(cmp, demos, n_iterations, n_chains, seed)], hyperprior, discount,
         burn_in_fraction=burn_in_fraction, reward_step=reward_step,
         temperature_step=temperature_step, hyper_step=hyper_step,
     )

@@ -19,6 +19,7 @@ or a ``(k, n_states + 2)`` batch of them row by row, or a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -322,10 +323,17 @@ class GammaHyperprior:
             raise ValueError(
                 f"state must have shape ([k,] {self.n_states + 2}), got {state.shape}"
             )
-        total = _gamma_log_pdf(state[..., :-2], *self.concentration_law).sum(axis=-1)
-        total = total + _gamma_log_pdf(state[..., -2], *_TEMPERATURE_LAW)
-        total = total + _gamma_log_pdf(state[..., -1], *_TEMPERATURE_LAW)
+        conc_norm, temp_norm = self._log_norms
+        total = _gamma_log_pdf(state[..., :-2], *self.concentration_law, conc_norm).sum(axis=-1)
+        total = total + _gamma_log_pdf(state[..., -2], *_TEMPERATURE_LAW, temp_norm)
+        total = total + _gamma_log_pdf(state[..., -1], *_TEMPERATURE_LAW, temp_norm)
         return _batch_result(total)
+
+    @cached_property
+    def _log_norms(self):
+        """Log-normalizers of the concentration law and of the temperature
+        law, computed at the first ``log_pdf`` call: they load scipy."""
+        return _gamma_log_norm(*self.concentration_law), _gamma_log_norm(*_TEMPERATURE_LAW)
 
 
 @dataclass(frozen=True)

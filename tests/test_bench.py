@@ -4,6 +4,7 @@ import pytest
 from multitask_irl import (
     EXPERIMENTS,
     ChainSpec,
+    Cmp,
     ConfigError,
     Demonstration,
     ExperimentResult,
@@ -255,21 +256,22 @@ MH_HARNESS_CASES = {
 
 @pytest.mark.parametrize("name", sorted(MH_HARNESS_CASES))
 def test_mh_rows_equal_one_mtpp_mh_call_per_fit(name, monkeypatch):
-    # The harness hands all of a replication's MH fits, every method at every
-    # point, to one batch; every row must be the one a lone mtpp_mh call per
-    # fit gives, on the seed path subseed(seed, name, "rep", rep, *tag, point key).
+    # The harness hands all of a block's MH fits, every method at every point
+    # of every replication, to one batch; every row must be the one a lone
+    # mtpp_mh call per fit gives, on the seed path
+    # subseed(seed, name, "rep", rep, *tag, point key).
     batches = []
     real = bench._mtpp_mh_batch
 
-    def spy(cmp, fits, *args, **kwargs):
+    def spy(fits, *args, **kwargs):
         batches.append(len(fits))
-        return real(cmp, fits, *args, **kwargs)
+        return real(fits, *args, **kwargs)
 
     monkeypatch.setattr(bench, "_mtpp_mh_batch", spy)
     overrides, replications = MH_HARNESS_CASES[name]
     cfg = dict(overrides, experiment=name, seed=5, replications=replications)
     rows = {(row.method, row.x, row.seed): row.task_losses for row in run_experiment(cfg).rows}
-    assert batches == [3 * len(cfg["methods"])] * replications
+    assert batches == [3 * len(cfg["methods"]) * replications]
     discount = 0.95
     for rep in range(replications):
         for point in bench._TEMPLATES[name](cfg, name).points(5, rep):
@@ -295,11 +297,56 @@ def test_mh_rows_equal_one_mtpp_mh_call_per_fit(name, monkeypatch):
                     l1_loss(mdp, policy) for mdp, policy in zip(point.true_mdps, policies))
 
 
-def test_mh_batch_rejects_runs_on_different_kernels():
+BLOCK_CASES = {
+    "random-mdp-task-sweep": {"task_counts": (2, 3), "mh_iterations": 30, "mdp_states": 4,
+                              "demo_length": 6,
+                              "methods": ("soft", "imitator", "mtpp-mh", "mtpp-mh-flat")},
+    "sampler-comparison": {"sample_budgets": (20, 50), "mh_chain_counts": (1, 2),
+                           "demo_length": 5, "chain_states": 3},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_rows_do_not_depend_on_the_replication_block(name, monkeypatch):
+    # Blocks of 1, 2 and 8 split three replications in three ways, one of
+    # them with a short last block; every row must be the same.
+    cfg = dict(BLOCK_CASES[name], experiment=name, seed=7, replications=3)
+    results = []
+    for block in (1, 2, 8):
+        monkeypatch.setattr(bench, "_REPLICATION_BLOCK", block)
+        results.append(run_experiment(cfg).rows)
+    assert [row.seed for row in results[0]] == sorted(row.seed for row in results[0])
+    assert {row.seed for row in results[0]} == {0, 1, 2}
+    assert results[1] == results[0] and results[2] == results[0]
+
+
+def test_mh_batch_on_two_kernels_equals_one_batch_per_kernel():
+    # Runs on two kernels, interleaved, fitted in one batch: each run's
+    # policies and posterior are the bits of a batch of its kernel's runs.
     envs = [bench.Environment(chain_transition(3, slip)) for slip in (0.1, 0.3)]
-    demos = [Demonstration(0, np.array([0, 1]), np.array([1, 0]))]
-    with pytest.raises(ValueError, match="share a transition kernel"):
-        bench._fit_mtpp_mh([("mtpp-mh", env, demos, 10, 0) for env in envs], {})
+    demos = [Demonstration(0, np.array([0, 1, 2, 2]), np.array([0, 0, 1, 0])),
+             Demonstration(1, np.array([0, 0, 1]), np.array([1, 0, 0]))]
+    runs = [(method, envs[i % 2], demos, 40, seed)
+            for i, (method, seed) in enumerate([("mtpp-mh", 1), ("mtpp-mh-flat", 2),
+                                                ("mtpp-mh-2", 3), ("mtpp-mh", 4)])]
+    together = bench._fit_mtpp_mh(runs, {})
+    apart = [None] * len(runs)
+    for env in envs:
+        indices = [i for i, run in enumerate(runs) if run[1] is env]
+        for i, fitted in zip(indices, bench._fit_mtpp_mh([runs[i] for i in indices], {})):
+            apart[i] = fitted
+    for (policies, ensemble), (expected, alone) in zip(together, apart):
+        assert [p.action_probs.tolist() for p in policies] == [
+            p.action_probs.tolist() for p in expected]
+        assert np.array_equal(ensemble.rewards, alone.rewards)
+        assert np.array_equal(ensemble.temperatures, alone.temperatures)
+        assert np.array_equal(ensemble.log_likelihoods, alone.log_likelihoods)
+        assert ensemble.metadata == alone.metadata
+    # Kernels with other action counts cannot share a batch.
+    wide = bench.Environment(Cmp(np.full((3, 3, 3), 1.0 / 3.0)))
+    with pytest.raises(ValueError, match="state and action counts"):
+        bench._fit_mtpp_mh([("mtpp-mh", envs[0], demos, 10, 0),
+                            ("mtpp-mh", wide, demos, 10, 0)], {})
 
 
 def test_multitask_gain_divisibility_check():

@@ -231,6 +231,41 @@ def test_infer_rejects_mismatched_state_count(tmp_path, demo_file, capsys):
     assert "chain_states = 4" in capsys.readouterr().err
 
 
+CHAIN_REWARDS_ERROR = "config error: chain_rewards lists 2 values but chain_states = {}"
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_chain_rewards_of_another_length_are_a_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "rewards.cfg"
+    cfg.write_text("experiment = sampler-comparison\nchain_states = 4\nchain_rewards = 0.1, 0.2\n")
+    args = [command, "--config", str(cfg)] + (["--out", str(tmp_path / "o")]
+                                              if command == "run" else [])
+    assert main(args) == 2
+    assert CHAIN_REWARDS_ERROR.format(4) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_checks_chain_rewards_against_the_default_state_count(tmp_path, capsys):
+    cfg = tmp_path / "rewards.cfg"
+    cfg.write_text("experiment = sampler-comparison\nchain_rewards = 0.1, 0.2\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert CHAIN_REWARDS_ERROR.format(5) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_infer_checks_chain_rewards_against_the_header_state_count(tmp_path, demo_file,
+                                                                   capsys):
+    cfg = tmp_path / "rewards.cfg"
+    cfg.write_text("chain_rewards = 0.1, 0.2\n")
+    code = main([
+        "infer", "--demos", str(demo_file), "--model", "mtpp-mc",
+        "--config", str(cfg), "--out", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert CHAIN_REWARDS_ERROR.format(3) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_infer_rejects_wrong_action_count(tmp_path, capsys):
     path = tmp_path / "demos3.txt"
     path.write_text("3 3\n0 0 0 1 1\n")

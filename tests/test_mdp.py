@@ -264,6 +264,43 @@ def test_batch_solve_optimal_q_is_the_bits_of_its_values(monkeypatch):
     assert np.array_equal(actions, batch_solve_optimal(cmp.transition, rewards[5], 0.97)[1])
 
 
+@pytest.mark.parametrize("n_actions", [1, 2, 3])
+@pytest.mark.parametrize("n_states", [2, 3, 5, 8])
+def test_batch_solve_optimal_kernel_stack_is_bit_identical(monkeypatch, n_states, n_actions):
+    # A (K, S, A, S) stack that mixes kernels gives every row the values,
+    # actions and Q of a solve of that row alone on its own kernel, cold or
+    # warm started, while rows leave the batch in different rounds.
+    rng = np.random.default_rng(31 + 10 * n_states + n_actions)
+    kernels = np.stack([random_cmp(rng, n_states, n_actions).transition for _ in range(4)])
+    stack = kernels[rng.integers(4, size=40)]
+    rewards = rng.random((40, n_states)) ** 3
+    start = rng.integers(n_actions, size=(40, n_states))
+    batch_sizes = []
+    batch_q = mdp_module._batch_q
+
+    def recording(transition, rewards, values, discount):
+        batch_sizes.append(rewards.shape[0])
+        return batch_q(transition, rewards, values, discount)
+
+    monkeypatch.setattr(mdp_module, "_batch_q", recording)
+    for begin in (None, start):
+        batch_sizes.clear()
+        values, actions, q = batch_solve_optimal(stack, rewards, 0.97, start=begin, with_q=True)
+        if n_actions > 1:   # the batch shrinks, so rows leave it in two rounds or more
+            assert len(set(batch_sizes)) > 1
+        for k in range(40):
+            alone = batch_solve_optimal(stack[k], rewards[k], 0.97,
+                                        start=None if begin is None else begin[k], with_q=True)
+            assert np.array_equal(values[k], alone[0])
+            assert np.array_equal(actions[k], alone[1])
+            assert np.array_equal(q[k], alone[2])
+    for bad in (stack[:39], stack[:1]):
+        with pytest.raises(ValueError, match="stack of kernels"):
+            batch_solve_optimal(bad, rewards, 0.97)
+    with pytest.raises(ValueError, match="stack of kernels"):
+        batch_solve_optimal(stack[:1], rewards[0], 0.97)
+
+
 def test_batch_solve_optimal_rejects_bad_start():
     rng = np.random.default_rng(29)
     cmp = random_cmp(rng, 3, 2)

@@ -442,7 +442,7 @@ def test_lockstep_chains_match_one_chain_at_a_time(kind, n_chains):
         fits.append((demos, per_chain * counts[index], counts[index], 30 + index))
     steps = {"temperature_step": 250.0} if kind == "discrete" else {}
     with np.errstate(over="ignore"):
-        ensembles = _mtpp_mh_batch(cmp, fits, hyper, DISCOUNT, **steps)
+        ensembles = _mtpp_mh_batch([(cmp,) + fit for fit in fits], hyper, DISCOUNT, **steps)
         expected = [per_chain_mh(cmp, demos, hyper, n_iterations, chains, DISCOUNT, seed,
                                  **steps) for demos, n_iterations, chains, seed in fits]
     unmovable = 0
