@@ -40,14 +40,7 @@ from .priors import (
     sample_policies,
 )
 from .seeding import subseed, substream
-from .tasks import (
-    ChainSpec,
-    RandomMdpSpec,
-    chain_transition,
-    make_chain,
-    make_demonstrator,
-    make_random_mdp_population,
-)
+from .tasks import chain_transition, make_chain, make_demonstrator, make_random_mdp_population
 
 __all__ = [
     "EXPERIMENTS",
@@ -60,16 +53,6 @@ __all__ = [
     "value_error_bound",
     "bound_check",
 ]
-
-EXPERIMENTS = (
-    "sampler-comparison",
-    "model-comparison",
-    "multitask-gain",
-    "data-efficiency",
-    "random-mdp-temperature-sweep",
-    "random-mdp-task-sweep",
-)
-
 
 def l1_loss(mdp: Mdp, policy, optimal: np.ndarray = None) -> float:
     """Sum over states of the optimal-minus-achieved value gap.
@@ -268,28 +251,35 @@ def _fit_mtpp_mc(env, demos, cfg, budget, seed):
     return _greedy([(ensemble, env.cmp)], cfg)[0], ensemble
 
 
+def _mh_shape(method, cfg, budget):
+    """(iterations, chains) of one run of the ``mtpp-mh``-family ``method`` on
+    ``budget``: an ``mtpp-mh-N`` run has N chains, any other run ``mh_chains``.
+    Raises ConfigError if a chain would get no iteration."""
+    n_iterations = cfg.get("mh_iterations", 2000) if budget is None else budget
+    suffix = method.rpartition("-")[2]
+    chains = int(suffix) if suffix.isdigit() else cfg.get("mh_chains", 1)
+    if chains > n_iterations:
+        # An mtpp-mh-N method's chain count comes from mh_chain_counts.
+        named = (f"{method} (chain count {chains} from mh_chain_counts)"
+                 if suffix.isdigit() else f"mh_chains = {chains}")
+        raise ConfigError(
+            f"{named} exceeds the {n_iterations} iterations of an mtpp-mh fit "
+            "(mh_iterations, its default or a swept budget): every chain needs at "
+            "least one iteration"
+        )
+    return n_iterations, chains
+
+
 def _fit_mtpp_mh(runs, cfg):
     """Every chain of every run advances in one lockstep batch, each on its
     run's kernel.
 
-    An ``mtpp-mh-N`` run has N chains, any other run ``mh_chains``.  An
-    ``mtpp-mh-flat`` run pools every demonstration into task 0, and its one
+    An ``mtpp-mh-flat`` run pools every demonstration into task 0, and its one
     policy serves every task.
     """
     fits, copies = [], []       # a flat run's one policy is copied to each of its tasks
     for method, env, demos, budget, seed in runs:
-        n_iterations = cfg.get("mh_iterations", 2000) if budget is None else budget
-        suffix = method.rpartition("-")[2]
-        chains = int(suffix) if suffix.isdigit() else cfg.get("mh_chains", 1)
-        if chains > n_iterations:
-            # An mtpp-mh-N method's chain count comes from mh_chain_counts.
-            named = (f"{method} (chain count {chains} from mh_chain_counts)"
-                     if suffix.isdigit() else f"mh_chains = {chains}")
-            raise ConfigError(
-                f"{named} exceeds the {n_iterations} iterations of an mtpp-mh fit "
-                "(mh_iterations, its default or a swept budget): every chain needs at "
-                "least one iteration"
-            )
+        n_iterations, chains = _mh_shape(method, cfg, budget)
         flat = method == "mtpp-mh-flat"
         copies.append(len({d.task_id for d in demos}) if flat else 1)
         if flat:
@@ -342,8 +332,8 @@ def _resolve(method: str):
 # --- templates --------------------------------------------------------------
 #
 # A template is data: its default (and permitted) methods, its default
-# replication count, and how it builds each replication's sweep points,
-# which all share one transition kernel.
+# replication count, how it builds each replication's sweep points, which
+# all share one transition kernel, and the budgets those points carry.
 
 
 @dataclass(frozen=True)
@@ -363,6 +353,7 @@ class _Template:
     methods: tuple
     replications: int
     points: object           # (seed, rep) -> iterable of _Point
+    budgets: tuple = (None,)  # every _Point.budget
 
 
 def _list_key(cfg, key: str, default) -> tuple:
@@ -377,13 +368,8 @@ def _list_key(cfg, key: str, default) -> tuple:
 def _chain_mdp(cfg) -> Mdp:
     n_states = cfg.get("chain_states", 5)
     _check_chain_rewards(n_states, cfg.get("chain_rewards"))
-    spec = ChainSpec(
-        n_states=n_states,
-        slip=cfg.get("chain_slip", 0.2),
-        rewards=cfg.get("chain_rewards"),
-        discount=_discount(cfg),
-    )
-    return make_chain(spec)
+    return make_chain(n_states, cfg.get("chain_slip", 0.2), cfg.get("chain_rewards"),
+                      _discount(cfg))
 
 
 def _chain_demos(mdps, demonstrators, per_task, length, rng):
@@ -410,7 +396,7 @@ def _chain_budget_sweep(cfg, name, methods, n_tasks, length, budgets) -> _Templa
         for budget in budgets:
             yield _Point(float(budget), budget, budget, env, demos, true_mdps)
 
-    return _Template(methods, 100, points)
+    return _Template(methods, 100, points, budgets)
 
 
 def _sampler_comparison(cfg, name):
@@ -473,7 +459,8 @@ def _random_mdp_sweep(cfg, name):
     length = cfg.get("demo_length", 50)
 
     def population(seed, rep, temperature):
-        spec = RandomMdpSpec(
+        return make_random_mdp_population(
+            substream(seed, name, "rep", rep, "env"),
             n_states=cfg.get("mdp_states", 8),
             n_actions=cfg.get("mdp_actions", 2),
             n_tasks=max(task_counts),
@@ -482,7 +469,6 @@ def _random_mdp_sweep(cfg, name):
             temperature_range=(temperature, temperature),
             discount=_discount(cfg),
         )
-        return make_random_mdp_population(spec, substream(seed, name, "rep", rep, "env"))
 
     def points(seed, rep):
         # Every population of a replication comes from the same env stream,
@@ -515,6 +501,8 @@ _TEMPLATES = {
     "random-mdp-task-sweep": _random_mdp_sweep,
 }
 
+EXPERIMENTS = tuple(_TEMPLATES)
+
 
 def _check_out_dir(path) -> None:
     """Fail before any fitting if a file stands where the output directory
@@ -524,6 +512,35 @@ def _check_out_dir(path) -> None:
         existing = os.path.dirname(existing)
     if not os.path.isdir(existing):
         raise ConfigError(f"cannot create output directory {path}: {existing} is not a directory")
+
+
+def _prepare(cfg):
+    """The name, template and methods of the experiment ``cfg`` names.
+
+    Makes every check that :func:`run_experiment` makes before its first fit,
+    raising ConfigError: the template name, the list keys, the methods, each
+    ``mtpp-mh``-family method's chains against every budget it gets, and the
+    output directory.
+    """
+    name = cfg.get("experiment")
+    if name not in _TEMPLATES:
+        raise ConfigError(
+            f"unknown experiment template {name!r}; expected one of {', '.join(EXPERIMENTS)}"
+        )
+    template = _TEMPLATES[name](cfg, name)
+    methods = _list_key(cfg, "methods", template.methods)
+    for method in methods:
+        if method not in template.methods:
+            raise ConfigError(
+                f"unknown method {method!r} for {name}; expected some of "
+                + ", ".join(template.methods)
+            )
+        if _resolve(method)[0] is _fit_mtpp_mh:
+            for budget in template.budgets:
+                _mh_shape(method, cfg, budget)
+    if cfg.get("out_dir"):
+        _check_out_dir(cfg["out_dir"])
+    return name, template, methods
 
 
 # Replications fitted as one batch.  A block holds the posteriors of all its
@@ -548,21 +565,9 @@ def run_experiment(config) -> ExperimentResult:
     into ``out_dir`` when the configuration names one.
     """
     cfg = dict(config)
-    name = cfg.get("experiment")
-    if name not in _TEMPLATES:
-        raise ConfigError(
-            f"unknown experiment template {name!r}; expected one of {', '.join(EXPERIMENTS)}"
-        )
     seed = cfg.get("seed", 0)
     started = time.perf_counter()
-    template = _TEMPLATES[name](cfg, name)
-    methods = _list_key(cfg, "methods", template.methods)
-    for method in methods:
-        if method not in template.methods:
-            raise ConfigError(
-                f"unknown method {method!r} for {name}; expected some of "
-                + ", ".join(template.methods)
-            )
+    name, template, methods = _prepare(cfg)
     # The methods that share a fit (the mtpp-mh family) are fitted together.
     groups = {}
     for method in methods:
@@ -570,8 +575,6 @@ def run_experiment(config) -> ExperimentResult:
         groups.setdefault(fit, []).append((method, tag))
     replications = cfg.get("replications", template.replications)
     out_dir = cfg.get("out_dir")
-    if out_dir:
-        _check_out_dir(out_dir)
     rows = []
     for first in range(0, replications, _REPLICATION_BLOCK):
         points = [(rep, point)

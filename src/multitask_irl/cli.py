@@ -11,8 +11,8 @@ import json
 import os
 import sys
 
-from .bench import (EXPERIMENTS, METHODS, Environment, _chain_mdp, _check_out_dir, l1_loss,
-                    run_experiment)
+from .bench import (EXPERIMENTS, METHODS, Environment, _chain_mdp, _check_out_dir, _prepare,
+                    l1_loss, run_experiment)
 from .config import ConfigError, load_config
 from .io import DataError, read_demonstrations
 from .mdp import DegeneratePosteriorError, Mdp, solve_optimal
@@ -38,6 +38,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="multitask-irl",
                      description="Multitask reward inference from demonstrations.")
@@ -45,14 +56,14 @@ def _build_parser() -> _Parser:
 
     run = commands.add_parser("run", help="run an experiment template", add_help=True)
     run.add_argument("--config", required=True, help="experiment configuration file")
-    run.add_argument("--seed", type=int, default=None, help="override the config seed")
+    run.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     run.add_argument("--out", default=None, help="override the config output directory")
 
     infer = commands.add_parser("infer", help="fit a posterior to demonstrations")
     infer.add_argument("--demos", required=True, help="demonstrations text file")
     infer.add_argument("--model", required=True, choices=MODELS, help="sampler to run")
     infer.add_argument("--config", default=None, help="optional parameter file")
-    infer.add_argument("--seed", type=int, default=None, help="override the config seed")
+    infer.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     infer.add_argument("--out", default=".", help="output directory")
 
     validate = commands.add_parser("validate", help="check a configuration file")
@@ -138,11 +149,8 @@ def _cmd_infer(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = load_config(args.config)
-    name = config.get("experiment")
-    if name is not None and name not in EXPERIMENTS:
-        raise ConfigError(
-            f"unknown experiment template {name!r}; expected one of {', '.join(EXPERIMENTS)}"
-        )
+    if "experiment" in config:
+        _prepare(config)
     print(f"{args.config}: ok ({len(config)} keys)")
     return EXIT_OK
 

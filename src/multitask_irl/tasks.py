@@ -11,10 +11,8 @@ from .mdp import Cmp, Mdp, RewardFunction, StationaryPolicy, batch_solve_optimal
 __all__ = [
     "ADVANCE",
     "RESET",
-    "ChainSpec",
     "make_chain",
     "chain_transition",
-    "RandomMdpSpec",
     "RandomMdpPopulation",
     "make_random_mdp_population",
     "make_demonstrator",
@@ -24,40 +22,13 @@ ADVANCE = 0
 RESET = 1
 
 
-@dataclass(frozen=True)
-class ChainSpec:
-    """Linear chain: advance moves right but may slip two states, reset jumps home."""
-
-    n_states: int = 5
-    slip: float = 0.2
-    rewards: tuple = None   # defaults to 0.2 at home, 1 at the far end
-    discount: float = 0.95
-
-    def __post_init__(self):
-        if int(self.n_states) < 2:
-            raise ValueError(f"a chain needs at least 2 states, got {self.n_states}")
-        if not (0.0 <= float(self.slip) <= 1.0):
-            raise ValueError(f"slip must lie in [0, 1], got {self.slip}")
-        object.__setattr__(self, "n_states", int(self.n_states))
-        object.__setattr__(self, "slip", float(self.slip))
-        if self.rewards is not None:
-            rewards = tuple(float(r) for r in self.rewards)
-            if len(rewards) != self.n_states:
-                raise ValueError("rewards must list one value per state")
-            object.__setattr__(self, "rewards", rewards)
-
-    def reward_values(self) -> np.ndarray:
-        if self.rewards is not None:
-            return np.array(self.rewards)
-        values = np.zeros(self.n_states)
-        values[0] = 0.2
-        values[-1] = 1.0
-        return values
-
-
 def chain_transition(n_states: int, slip: float) -> Cmp:
     """Advance: next state w.p. 1 - slip, two ahead w.p. slip (clamped at the
     end). Reset: state 0 with certainty."""
+    if n_states < 2:
+        raise ValueError(f"a chain needs at least 2 states, got {n_states}")
+    if not (0.0 <= slip <= 1.0):
+        raise ValueError(f"slip must lie in [0, 1], got {slip}")
     last = n_states - 1
     transition = np.zeros((n_states, 2, n_states))
     for s in range(n_states):
@@ -67,41 +38,17 @@ def chain_transition(n_states: int, slip: float) -> Cmp:
     return Cmp(transition)
 
 
-def make_chain(spec: ChainSpec = None) -> Mdp:
-    if spec is None:
-        spec = ChainSpec()
-    cmp = chain_transition(spec.n_states, spec.slip)
-    return Mdp(cmp, RewardFunction(spec.reward_values()), spec.discount)
-
-
-@dataclass(frozen=True)
-class RandomMdpSpec:
-    """Population of related tasks over one random controlled process.
-
-    The tasks share the dynamics and a reward pattern: a Dirichlet
-    concentration is drawn once (independent exponential coordinates with
-    the given mean), then each task's reward is a draw from that Dirichlet
-    and each demonstrator a softmax policy with its own temperature.
-    """
-
-    n_states: int = 8
-    n_actions: int = 2
-    n_tasks: int = 10
-    transition_concentration: float = 1.0
-    reward_concentration_mean: float = 0.1
-    temperature_range: tuple = (2.0, 8.0)
-    discount: float = 0.95
-
-    def __post_init__(self):
-        if int(self.n_states) < 2 or int(self.n_actions) < 1 or int(self.n_tasks) < 1:
-            raise ValueError("need at least 2 states, 1 action and 1 task")
-        low, high = (float(v) for v in self.temperature_range)
-        if not (0.0 <= low <= high):
-            raise ValueError(f"temperature_range must be ordered and non-negative, got {self.temperature_range}")
-        object.__setattr__(self, "n_states", int(self.n_states))
-        object.__setattr__(self, "n_actions", int(self.n_actions))
-        object.__setattr__(self, "n_tasks", int(self.n_tasks))
-        object.__setattr__(self, "temperature_range", (low, high))
+def make_chain(n_states: int = 5, slip: float = 0.2, rewards=None,
+               discount: float = 0.95) -> Mdp:
+    """Linear chain: advance moves right but may slip two states, reset jumps
+    home.  ``rewards`` lists one value per state; by default 0.2 at home, 1 at
+    the far end."""
+    cmp = chain_transition(n_states, slip)
+    if rewards is None:
+        rewards = np.zeros(n_states)
+        rewards[0] = 0.2
+        rewards[-1] = 1.0
+    return Mdp(cmp, RewardFunction(np.array(rewards, dtype=float)), discount)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,24 +66,40 @@ class RandomMdpPopulation:
         return Mdp(self.cmp, RewardFunction(self.rewards[task]), self.discount)
 
 
-def make_random_mdp_population(spec: RandomMdpSpec,
-                               rng: np.random.Generator) -> RandomMdpPopulation:
-    """Draw the dynamics, rewards, temperatures and experts from the
-    generator ``rng``; a generator in the same state gives the same
-    population."""
-    s, a = spec.n_states, spec.n_actions
+def make_random_mdp_population(rng: np.random.Generator, *, n_states: int = 8,
+                               n_actions: int = 2, n_tasks: int = 10,
+                               transition_concentration: float = 1.0,
+                               reward_concentration_mean: float = 0.1,
+                               temperature_range: tuple = (2.0, 8.0),
+                               discount: float = 0.95) -> RandomMdpPopulation:
+    """Population of related tasks over one random controlled process.
+
+    The tasks share the dynamics and a reward pattern: a Dirichlet
+    concentration is drawn once (independent exponential coordinates with
+    mean ``reward_concentration_mean``), then each task's reward is a draw
+    from that Dirichlet and each demonstrator a softmax policy with its own
+    temperature, uniform over ``temperature_range``.  Everything is drawn
+    from the generator ``rng``; a generator in the same state gives the same
+    population.
+    """
+    if n_states < 2 or n_actions < 1 or n_tasks < 1:
+        raise ValueError("need at least 2 states, 1 action and 1 task")
+    low, high = temperature_range
+    if not (0.0 <= low <= high):
+        raise ValueError("temperature_range must be ordered and non-negative, got "
+                         f"{temperature_range}")
+    s, a = n_states, n_actions
     transition = np.empty((s, a, s))
     for i in range(s):
-        transition[i] = rng.dirichlet(np.full(s, spec.transition_concentration), size=a)
+        transition[i] = rng.dirichlet(np.full(s, transition_concentration), size=a)
     cmp = Cmp(transition)
     # Exponential coordinates with a small mean favor sparse, shared reward peaks.
-    concentration = rng.gamma(1.0, spec.reward_concentration_mean, size=s)
-    rewards = rng.dirichlet(concentration, size=spec.n_tasks)
-    low, high = spec.temperature_range
-    temperatures = rng.uniform(low, high, size=spec.n_tasks)
+    concentration = rng.gamma(1.0, reward_concentration_mean, size=s)
+    rewards = rng.dirichlet(concentration, size=n_tasks)
+    temperatures = rng.uniform(low, high, size=n_tasks)
     demonstrators = []
-    for m in range(spec.n_tasks):
-        mdp = Mdp(cmp, RewardFunction(rewards[m]), spec.discount)
+    for m in range(n_tasks):
+        mdp = Mdp(cmp, RewardFunction(rewards[m]), discount)
         demonstrators.append(make_demonstrator("softmax", mdp, eta=temperatures[m]))
     return RandomMdpPopulation(
         cmp=cmp,
@@ -144,7 +107,7 @@ def make_random_mdp_population(spec: RandomMdpSpec,
         rewards=rewards,
         temperatures=temperatures,
         demonstrators=tuple(demonstrators),
-        discount=spec.discount,
+        discount=discount,
     )
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from multitask_irl import (
-    ChainSpec,
     Cmp,
     Demonstration,
     MixedPolicy,
@@ -58,7 +57,7 @@ def test_imitator_without_demos_returns_prior_mean():
 
 @pytest.fixture(scope="module")
 def chain_demos():
-    mdp = make_chain(ChainSpec(n_states=5, slip=0.1))
+    mdp = make_chain(n_states=5, slip=0.1)
     demonstrator = make_demonstrator("eps_greedy", mdp, epsilon=0.0)
     demos = [
         simulate(mdp, demonstrator, 400, substream(0, "demo", i)) for i in range(3)

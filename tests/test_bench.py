@@ -3,7 +3,6 @@ import pytest
 
 from multitask_irl import (
     EXPERIMENTS,
-    ChainSpec,
     Cmp,
     ConfigError,
     Demonstration,
@@ -59,7 +58,7 @@ def tiny_sampler_runs(tmp_path_factory):
 
 
 def test_l1_loss_frozen_chain_values():
-    mdp = make_chain(ChainSpec(n_states=3, slip=0.0))
+    mdp = make_chain(n_states=3, slip=0.0)
     optimal = StationaryPolicy.from_actions([0, 0, 0], 2)  # always advance
     assert l1_loss(mdp, optimal) < 1e-6
     reset = StationaryPolicy.from_actions([1, 1, 1], 2)
@@ -69,7 +68,7 @@ def test_l1_loss_frozen_chain_values():
 
 
 def test_l1_loss_takes_a_solved_optimum():
-    mdp = make_chain(ChainSpec(n_states=3, slip=0.2))
+    mdp = make_chain(n_states=3, slip=0.2)
     policy = StationaryPolicy.from_actions([1, 0, 1], 2)
     optimum, _ = batch_solve_optimal(mdp.cmp.transition, mdp.reward.values, mdp.discount)
     assert l1_loss(mdp, policy, optimum) == l1_loss(mdp, policy)
@@ -442,9 +441,9 @@ def test_random_mdp_task_sweep_is_paired_across_counts(monkeypatch):
     # population per replication serves every count.
     built = []
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         built.append(args)
-        return make_random_mdp_population(*args)
+        return make_random_mdp_population(*args, **kwargs)
 
     monkeypatch.setattr(bench, "make_random_mdp_population", counting)
     # The true optima of a point are solved once, in one batch, and l1_loss

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from multitask_irl import (
-    ChainSpec,
     GammaHyperprior,
     MtpoResult,
     PosteriorEnsemble,
@@ -25,7 +24,7 @@ from multitask_irl.cli import main
 @pytest.fixture(scope="module")
 def demo_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("demos") / "chain.txt"
-    mdp = make_chain(ChainSpec(n_states=3, slip=0.2))
+    mdp = make_chain(n_states=3, slip=0.2)
     demonstrator = make_demonstrator("eps_greedy", mdp, epsilon=0.05)
     demos = [
         simulate(mdp, demonstrator, 30, substream(0, "cli-demo", tid), task_id=tid)
@@ -106,7 +105,7 @@ def test_infer_mtpp_mc_matches_in_process_run(tmp_path, demo_file, capsys):
     loaded = PosteriorEnsemble.from_jsonl(out / "posterior.jsonl")
 
     n_states, n_actions, demos = read_demonstrations(demo_file)
-    mdp = make_chain(ChainSpec(n_states=3, slip=0.2))
+    mdp = make_chain(n_states=3, slip=0.2)
     hyper = GammaHyperprior(3, concentration_law=(1.0, 10.0))
     expected = mtpp_mc(mdp.cmp, demos, hyper, 150, 0.95, 5)
     assert loaded.task_ids == expected.task_ids == (0, 1)
@@ -242,6 +241,59 @@ def test_chain_rewards_of_another_length_are_a_config_error(tmp_path, capsys, co
                                               if command == "run" else [])
     assert main(args) == 2
     assert CHAIN_REWARDS_ERROR.format(4) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("text, message", [
+    ("experiment = multitask-gain\nmethods = mwal\n",
+     "unknown method 'mwal' for multitask-gain"),
+    ("experiment = multitask-gain\ntotal_demos = 7\n",
+     "total_demos (7) must be divisible by every task count, not 2"),
+    ("experiment = sampler-comparison\nmh_chain_counts = 4\nsample_budgets = 2\n",
+     "mtpp-mh-4 (chain count 4 from mh_chain_counts) exceeds the 2 iterations"),
+    ("experiment = sampler-comparison\nchain_rewards = 0.1, 0.2\n",
+     CHAIN_REWARDS_ERROR.format(5)),
+    ("experiment = sampler-comparison\nmh_chain_counts = 1, 1\n",
+     "mh_chain_counts lists 1 more than once"),
+    ("experiment = data-efficiency\nmethods = mwal, mwal\n",
+     "methods lists 'mwal' more than once"),
+], ids=["method", "total-demos", "chain-count", "chain-rewards", "chain-counts-repeat",
+        "methods-repeat"])
+def test_validate_rejects_what_run_rejects(tmp_path, capsys, command, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    args = [command, "--config", str(cfg)] + (["--out", str(tmp_path / "o")]
+                                              if command == "run" else [])
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert message in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_rejects_a_chain_count_before_any_fit(tmp_path, capsys, monkeypatch):
+    fitted = []
+    monkeypatch.setattr(bench, "mtpp_mc", lambda *args: fitted.append("mtpp-mc"))
+    monkeypatch.setattr(bench, "_mtpp_mh_batch", lambda *args, **kwargs: fitted.append("mh"))
+    cfg = tmp_path / "budget.cfg"
+    cfg.write_text("experiment = sampler-comparison\nreplications = 3\n"
+                   "sample_budgets = 2, 20\nmh_chain_counts = 4\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "mtpp-mh-4 (chain count 4" in capsys.readouterr().err
+    assert fitted == []
+
+
+@pytest.mark.parametrize("command", ["run", "infer"])
+def test_a_negative_seed_is_a_usage_error(tmp_path, demo_file, capsys, command):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("experiment = sampler-comparison\nreplications = 1\nsample_budgets = 20\n"
+                   "mh_chain_counts = 1\ndemo_length = 5\nchain_states = 3\n")
+    args = (["run", "--config", str(cfg)] if command == "run" else
+            ["infer", "--demos", str(demo_file), "--model", "mtpp-mc"])
+    assert main(args + ["--seed", "-1", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("usage error: argument --seed: must be "
+                                              "non-negative, got -1")
     assert not (tmp_path / "o").exists()
 
 

@@ -7,7 +7,6 @@ from multitask_irl import (
     ADVANCE,
     LOG_ZERO,
     RESET,
-    ChainSpec,
     Cmp,
     Demonstration,
     Mdp,
@@ -35,7 +34,7 @@ CHAIN3_RESET = np.array([4.0, 3.8, 4.8])
 
 @pytest.fixture
 def chain3():
-    return make_chain(ChainSpec(n_states=3, slip=0.0))
+    return make_chain(n_states=3, slip=0.0)
 
 
 def policy_values(mdp, policy):
@@ -159,7 +158,7 @@ def test_solve_optimal_breaks_ties_toward_lowest_action():
         assert np.array_equal(actions, np.zeros((2, n_states)))
     # A tied row that converges in the first round, batched with a row that
     # needs more rounds, leaves the batch with the lowest tied actions too.
-    chain = make_chain(ChainSpec(n_states=3, slip=0.0, rewards=(1.0, 0.0, 0.0)))
+    chain = make_chain(n_states=3, slip=0.0, rewards=(1.0, 0.0, 0.0))
     rewards = np.stack([np.full(3, 0.5), chain.reward.values])
     _, actions = batch_solve_optimal(chain.cmp.transition, rewards, chain.discount,
                                      start=np.array([[RESET] * 3, [ADVANCE] * 3]))
@@ -170,7 +169,7 @@ def test_solve_optimal_breaks_ties_toward_lowest_action():
 def test_batch_solve_optimal_raises_at_iteration_cap(monkeypatch):
     # Action 0 (advance) is not optimal under this reward, so one policy
     # evaluation cannot finish the solve.
-    mdp = make_chain(ChainSpec(n_states=3, slip=0.0, rewards=(1.0, 0.0, 0.0)))
+    mdp = make_chain(n_states=3, slip=0.0, rewards=(1.0, 0.0, 0.0))
     monkeypatch.setattr(mdp_module, "_MAX_POLICY_ITERATIONS", 1)
     with pytest.raises(RuntimeError, match="did not converge"):
         batch_solve_optimal(mdp.cmp.transition, mdp.reward.values, mdp.discount)
@@ -387,7 +386,7 @@ def test_simulate_initial_distribution_point_mass(chain3):
 
 
 def test_simulate_empirical_frequencies_match_policy_and_kernel():
-    mdp = make_chain(ChainSpec(n_states=3, slip=0.3))
+    mdp = make_chain(n_states=3, slip=0.3)
     policy = StationaryPolicy.uniform(3, 2)
     demo = simulate(mdp, policy, 20000, substream(99, "freq"))
     assert abs(np.mean(demo.actions == RESET) - 0.5) < 0.015

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from multitask_irl import (
-    ChainSpec,
     Demonstration,
     DirichletRewardPrior,
     LossMatrix,
@@ -62,7 +61,7 @@ def test_hypothesis_set_validation_and_accessors():
 def test_loss_matrix_hand_oracle_on_chain():
     # 3-state deterministic chain: the always-reset policy is 15.2 below
     # optimal in sup norm under the default rewards (0.2, 0, 1).
-    mdp = make_chain(ChainSpec(n_states=3, slip=0.0))
+    mdp = make_chain(n_states=3, slip=0.0)
     hypotheses = RewardHypothesisSet(mdp.reward.values[None, :])
     reset = StationaryPolicy.from_actions([1, 1, 1], 2)
     optimal = StationaryPolicy.from_actions([0, 0, 0], 2)  # always advance
@@ -194,7 +193,7 @@ def test_loss_matrix_validation():
 
 
 def test_posterior_policy_point_mass():
-    mdp = make_chain(ChainSpec(n_states=3, slip=0.0))
+    mdp = make_chain(n_states=3, slip=0.0)
     other = RewardFunction(np.array([1.0, 0.0, 0.0]))
     hypotheses = RewardHypothesisSet(np.stack([mdp.reward.values, other.values]))
     point = MtpoResult((0,), (RewardPosterior(np.array([1.0, 0.0])),), hypotheses)

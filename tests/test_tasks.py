@@ -6,10 +6,8 @@ import pytest
 from multitask_irl import (
     ADVANCE,
     RESET,
-    ChainSpec,
     Cmp,
     Mdp,
-    RandomMdpSpec,
     RewardFunction,
     chain_transition,
     make_chain,
@@ -53,22 +51,26 @@ def test_chain_spec_defaults_and_rewards():
     assert mdp.cmp.n_states == 5
     assert np.array_equal(mdp.reward.values, [0.2, 0.0, 0.0, 0.0, 1.0])
     assert mdp.discount == 0.95
-    custom = make_chain(ChainSpec(n_states=3, rewards=(0.1, 0.2, 0.3)))
+    custom = make_chain(n_states=3, rewards=(0.1, 0.2, 0.3))
     assert np.array_equal(custom.reward.values, [0.1, 0.2, 0.3])
 
 
 def test_chain_spec_validation():
     with pytest.raises(ValueError):
-        ChainSpec(n_states=1)
+        make_chain(n_states=1)
     with pytest.raises(ValueError):
-        ChainSpec(slip=1.5)
+        make_chain(slip=1.5)
     with pytest.raises(ValueError):
-        ChainSpec(n_states=3, rewards=(0.1, 0.2))
+        make_chain(n_states=3, rewards=(0.1, 0.2))
+    with pytest.raises(ValueError):
+        chain_transition(1, 0.2)
+    with pytest.raises(ValueError):
+        chain_transition(3, 1.5)
 
 
 def test_population_shapes_and_simplexes():
-    spec = RandomMdpSpec(n_states=6, n_actions=3, n_tasks=4)
-    population = make_random_mdp_population(spec, substream(0, "pop"))
+    population = make_random_mdp_population(substream(0, "pop"), n_states=6, n_actions=3,
+                                            n_tasks=4)
     assert population.cmp.transition.shape == (6, 3, 6)
     assert np.allclose(population.cmp.transition.sum(axis=2), 1.0, atol=1e-9)
     assert population.rewards.shape == (4, 6)
@@ -83,14 +85,14 @@ def test_population_shapes_and_simplexes():
 
 
 def test_population_degenerate_temperature_range_is_exact():
-    spec = RandomMdpSpec(n_tasks=3, temperature_range=(3.0, 3.0))
-    population = make_random_mdp_population(spec, substream(5, "pop"))
+    population = make_random_mdp_population(substream(5, "pop"), n_tasks=3,
+                                            temperature_range=(3.0, 3.0))
     assert np.array_equal(population.temperatures, [3.0, 3.0, 3.0])
 
 
 def test_population_temperatures_respect_range():
-    spec = RandomMdpSpec(n_tasks=20, temperature_range=(2.0, 8.0))
-    population = make_random_mdp_population(spec, substream(9, "pop"))
+    population = make_random_mdp_population(substream(9, "pop"), n_tasks=20,
+                                            temperature_range=(2.0, 8.0))
     assert np.all(population.temperatures >= 2.0)
     assert np.all(population.temperatures <= 8.0)
 
@@ -99,16 +101,15 @@ def test_population_concentration_mean():
     # Coordinates are exponential with mean reward_concentration_mean.
     draws = []
     for rep in range(500):
-        spec = RandomMdpSpec(n_states=8, n_tasks=1)
-        population = make_random_mdp_population(spec, substream(0, "conc", rep))
+        population = make_random_mdp_population(substream(0, "conc", rep), n_states=8, n_tasks=1)
         draws.append(population.concentration)
     mean = np.concatenate(draws).mean()
     assert abs(mean - 0.1) < 5e-3
 
 
 def test_population_demonstrators_are_softmax_experts():
-    spec = RandomMdpSpec(n_states=5, n_actions=2, n_tasks=3)
-    population = make_random_mdp_population(spec, substream(2, "pop"))
+    population = make_random_mdp_population(substream(2, "pop"), n_states=5, n_actions=2,
+                                            n_tasks=3)
     for task in range(3):
         mdp = population.mdp(task)
         values, _ = value_iteration(mdp)
@@ -122,17 +123,17 @@ def test_population_demonstrators_are_softmax_experts():
 
 def test_random_mdp_spec_validation():
     with pytest.raises(ValueError):
-        RandomMdpSpec(n_states=1)
+        make_random_mdp_population(substream(0, "pop"), n_states=1)
     with pytest.raises(ValueError):
-        RandomMdpSpec(n_tasks=0)
+        make_random_mdp_population(substream(0, "pop"), n_tasks=0)
     with pytest.raises(ValueError):
-        RandomMdpSpec(temperature_range=(5.0, 2.0))
+        make_random_mdp_population(substream(0, "pop"), temperature_range=(5.0, 2.0))
     with pytest.raises(ValueError):
-        RandomMdpSpec(temperature_range=(-1.0, 2.0))
+        make_random_mdp_population(substream(0, "pop"), temperature_range=(-1.0, 2.0))
 
 
 def test_demonstrator_greedy_limit():
-    mdp = make_chain(ChainSpec(n_states=3, slip=0.0))
+    mdp = make_chain(n_states=3, slip=0.0)
     _, greedy = value_iteration(mdp)
     policy = make_demonstrator("eps_greedy", mdp, epsilon=0.0)
     expected = np.zeros((3, 2))
@@ -141,7 +142,7 @@ def test_demonstrator_greedy_limit():
 
 
 def test_demonstrator_uniform_limits():
-    mdp = make_chain(ChainSpec(n_states=3, slip=0.0))
+    mdp = make_chain(n_states=3, slip=0.0)
     scrambled = make_demonstrator("eps_greedy", mdp, epsilon=1.0)
     assert np.allclose(scrambled.action_probs, 0.5, atol=1e-12)
     indifferent = make_demonstrator("softmax", mdp, eta=0.0)
@@ -149,7 +150,7 @@ def test_demonstrator_uniform_limits():
 
 
 def test_demonstrator_softmax_matches_direct_construction():
-    mdp = make_chain(ChainSpec(n_states=4, slip=0.1))
+    mdp = make_chain(n_states=4, slip=0.1)
     policy = make_demonstrator("softmax", mdp, eta=2.5)
     values, _ = value_iteration(mdp)
     expected = softmax_policy(bellman_q(mdp, values), 2.5)
@@ -192,7 +193,7 @@ def test_demonstrators_take_one_planner_solve_and_its_q(monkeypatch):
 
 
 def test_demonstrator_validation():
-    mdp = make_chain(ChainSpec(n_states=3))
+    mdp = make_chain(n_states=3)
     with pytest.raises(ValueError):
         make_demonstrator("softmax", mdp)
     with pytest.raises(ValueError):
