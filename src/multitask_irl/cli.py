@@ -14,9 +14,8 @@ import sys
 from .bench import (EXPERIMENTS, METHODS, Environment, _chain_mdp, _check_out_dir, _prepare,
                     l1_loss, run_experiment)
 from .config import ConfigError, load_config
-from .io import DataError, read_demonstrations
+from .io import DataError, read_demonstrations, read_posterior, write_posterior
 from .mdp import DegeneratePosteriorError, Mdp, solve_optimal
-from .mtpo import MtpoResult
 from .mtpp import PosteriorEnsemble
 
 EXIT_OK = 0
@@ -120,7 +119,7 @@ def _cmd_infer(args) -> int:
     _check_out_dir(args.out)
     ((policies, posterior),) = fit([(args.model, env, demos, None, seed)], config)
     os.makedirs(args.out, exist_ok=True)
-    posterior.to_jsonl(posterior_path)
+    write_posterior(posterior_path, posterior)
     ((baselines, _),) = METHODS["imitator"][0]([("imitator", env, demos, None, None)], config)
     task_ids = posterior.task_ids
     optimal, _ = solve_optimal(truth)
@@ -156,23 +155,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_show(args) -> int:
-    try:
-        with open(args.path, "r", encoding="utf-8") as handle:
-            first = handle.readline()
-        header = json.loads(first)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise DataError(f"cannot read posterior file {args.path}: {error}")
-    kind = header.get("format") if isinstance(header, dict) else None
-    if kind == "mtpp-ensemble":
-        result = PosteriorEnsemble.from_jsonl(args.path)
+    result = read_posterior(args.path)
+    if isinstance(result, PosteriorEnsemble):
         print(f"reward-and-temperature posterior: {result.n_samples} samples, "
               f"tasks {list(result.task_ids)}")
-    elif kind == "mtpo-posterior":
-        result = MtpoResult.from_jsonl(args.path)
+    else:
         print(f"policy-optimality posterior: {result.hypotheses.n_hypotheses} hypotheses, "
               f"tasks {list(result.task_ids)}")
-    else:
-        raise DataError(f"{args.path}: unrecognized posterior format {kind!r}")
     for tid in result.task_ids:
         reward = result.posterior_mean_reward(tid).values
         print(f"  task {tid} mean reward: " + " ".join(f"{v:.4f}" for v in reward))

@@ -13,14 +13,12 @@ weighted sum over intervals with exponential interval masses.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .mdp import Cmp, RewardFunction, batch_policy_values, batch_solve_optimal
-from .mtpp import (_errors_name, _group_demos, _header_fields, _json_safe, _read_jsonl,
-                   _seed_metadata, _stack)
+from .mtpp import _group_demos, _seed_metadata
 from .priors import OptimalityPrior, PolicyDirichletPrior, policy_posterior, sample_policies
 from .seeding import substream
 
@@ -180,44 +178,6 @@ class MtpoResult:
         """Posterior mean of the task's reward over the hypothesis set."""
         mean = self.posterior(task_id).probabilities @ self.hypotheses.values
         return RewardFunction(np.clip(mean, 0.0, 1.0))
-
-    def to_jsonl(self, path) -> None:
-        """Write hypothesis set plus one posterior line per task."""
-        header = {
-            "format": "mtpo-posterior",
-            "task_ids": list(self.task_ids),
-            "hypotheses": self.hypotheses.values.tolist(),
-            "measure": self.hypotheses.measure.tolist(),
-            "metadata": {k: v for k, v in self.metadata.items() if _json_safe(v)},
-        }
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header) + "\n")
-            for tid, post in zip(self.task_ids, self.posteriors):
-                record = {"task_id": int(tid), "probabilities": post.probabilities.tolist()}
-                handle.write(json.dumps(record) + "\n")
-
-    @classmethod
-    def from_jsonl(cls, path) -> "MtpoResult":
-        with _errors_name(path):
-            header, records = _read_jsonl(path, "mtpo-posterior")
-            task_ids, metadata = _header_fields(header)
-            found = tuple(r["task_id"] for r in records)
-            if found != task_ids:
-                raise ValueError(
-                    f"header lists tasks {list(task_ids)}, records are for {list(found)}"
-                )
-            # A null measure is malformed here, not the counting measure.
-            measure = np.asarray(header["measure"], dtype=float)
-            hypotheses = RewardHypothesisSet(header["hypotheses"], measure)
-            probabilities = _stack(records, "probabilities",
-                                   (len(records), hypotheses.n_hypotheses))
-            posteriors = tuple(RewardPosterior(row) for row in probabilities)
-        return cls(
-            task_ids=task_ids,
-            posteriors=posteriors,
-            hypotheses=hypotheses,
-            metadata=metadata,
-        )
 
 
 def mtpo_mc(cmp: Cmp, demos, policy_prior: PolicyDirichletPrior, *,

@@ -25,8 +25,6 @@ chain, and every fit, gets the same bits as run alone.
 
 from __future__ import annotations
 
-import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,117 +138,6 @@ class PosteriorEnsemble:
         m = self.task_index(task_id)
         mean = self.weights @ self.rewards[:, m, :]
         return RewardFunction(np.clip(mean, 0.0, 1.0))
-
-    def to_jsonl(self, path) -> None:
-        """Write the ensemble as JSON lines.
-
-        The first line is a header object; each following line is one sample
-        with its weight, per-task reward vectors, temperatures and per-task
-        log-likelihoods.
-        """
-        header = {
-            "format": "mtpp-ensemble",
-            "task_ids": list(self.task_ids),
-            "n_samples": int(self.n_samples),
-            "n_states": int(self.rewards.shape[2]),
-            "metadata": {k: v for k, v in self.metadata.items() if _json_safe(v)},
-        }
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header) + "\n")
-            for k in range(self.n_samples):
-                record = {
-                    "weight": float(self.weights[k]),
-                    "rewards": self.rewards[k].tolist(),
-                    "temperatures": self.temperatures[k].tolist(),
-                    "log_likelihoods": self.log_likelihoods[k].tolist(),
-                }
-                handle.write(json.dumps(record) + "\n")
-
-    @classmethod
-    def from_jsonl(cls, path) -> "PosteriorEnsemble":
-        with _errors_name(path):
-            header, records = _read_jsonl(path, "mtpp-ensemble")
-            for key in ("n_samples", "n_states"):
-                if not _is_int(header[key]):
-                    raise ValueError(f"{key!r} must be an integer")
-            if len(records) != header["n_samples"]:
-                raise ValueError(
-                    f"header promises {header['n_samples']} samples, found {len(records)}"
-                )
-            task_ids, metadata = _header_fields(header)
-            shape = (len(records), len(task_ids))
-            return cls(
-                task_ids=task_ids,
-                weights=_stack(records, "weight", shape[:1]),
-                rewards=_stack(records, "rewards", shape + (header["n_states"],)),
-                temperatures=_stack(records, "temperatures", shape),
-                log_likelihoods=_stack(records, "log_likelihoods", shape),
-                metadata=metadata,
-            )
-
-
-def _read_jsonl(path, kind: str):
-    """Header and records of a JSON-lines posterior file of format ``kind``;
-    call it inside :func:`_errors_name`, which names the file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        header = json.loads(handle.readline())
-        if not isinstance(header, dict) or header.get("format") != kind:
-            raise ValueError(f"not an {kind} file")
-        records = [json.loads(line) for line in handle if line.strip()]
-    if not all(isinstance(record, dict) for record in records):
-        raise ValueError("every record must be a JSON object")
-    return header, records
-
-
-@contextmanager
-def _errors_name(path):
-    """Report what a posterior file's contents get wrong as a ``ValueError``
-    that names the file: a line that is not JSON, a missing key, or a value
-    of the wrong type, shape or range."""
-    try:
-        yield
-    except KeyError as error:
-        raise ValueError(f"{path}: missing key {error}") from None
-    except (TypeError, ValueError) as error:
-        raise ValueError(f"{path}: {error}") from None
-
-
-def _is_int(value) -> bool:
-    """Whether a value read from JSON is an integer (a bool is not)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _header_fields(header):
-    """A posterior file header's task ids (a tuple) and metadata (a dict)."""
-    task_ids = header["task_ids"]
-    if not isinstance(task_ids, list) or not all(_is_int(tid) for tid in task_ids):
-        raise ValueError("'task_ids' must be a list of integers")
-    # Each id must exceed the one before it, and the first must exceed -1.
-    if any(tid <= previous for previous, tid in zip([-1] + task_ids, task_ids)):
-        raise ValueError(f"'task_ids' must be non-negative and strictly ascending, got {task_ids}")
-    metadata = header.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise ValueError("'metadata' must be an object")
-    return tuple(task_ids), dict(metadata)
-
-
-def _stack(records, key: str, shape: tuple) -> np.ndarray:
-    """Every record's ``key`` as one float array, which must have ``shape``."""
-    try:
-        values = np.array([record[key] for record in records], dtype=float)
-    except (TypeError, ValueError):
-        values = None
-    if values is None or values.shape != shape:
-        raise ValueError(f"{key!r} must have shape {shape} over the records")
-    return values
-
-
-def _json_safe(value) -> bool:
-    try:
-        json.dumps(value)
-        return True
-    except TypeError:
-        return False
 
 
 def _group_demos(demos, cmp: Cmp):

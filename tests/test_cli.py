@@ -13,6 +13,7 @@ from multitask_irl import (
     make_demonstrator,
     mtpp_mc,
     read_demonstrations,
+    read_posterior,
     simulate,
     substream,
     write_demonstrations,
@@ -102,7 +103,8 @@ def test_infer_mtpp_mc_matches_in_process_run(tmp_path, demo_file, capsys):
         "--config", str(cfg), "--seed", "5", "--out", str(out),
     ])
     assert code == 0
-    loaded = PosteriorEnsemble.from_jsonl(out / "posterior.jsonl")
+    loaded = read_posterior(out / "posterior.jsonl")
+    assert isinstance(loaded, PosteriorEnsemble)
 
     n_states, n_actions, demos = read_demonstrations(demo_file)
     mdp = make_chain(n_states=3, slip=0.2)
@@ -134,7 +136,8 @@ def test_infer_mtpo_mc_and_show(tmp_path, demo_file, capsys):
         "--config", str(cfg), "--out", str(out),
     ])
     assert code == 0
-    result = MtpoResult.from_jsonl(out / "posterior.jsonl")
+    result = read_posterior(out / "posterior.jsonl")
+    assert isinstance(result, MtpoResult)
     assert result.hypotheses.n_hypotheses == 8
     capsys.readouterr()
     assert main(["show", str(out / "posterior.jsonl")]) == 0
@@ -152,7 +155,8 @@ def test_infer_mtpp_mh_writes_ensemble(tmp_path, demo_file):
         "--config", str(cfg), "--out", str(out),
     ])
     assert code == 0
-    loaded = PosteriorEnsemble.from_jsonl(out / "posterior.jsonl")
+    loaded = read_posterior(out / "posterior.jsonl")
+    assert isinstance(loaded, PosteriorEnsemble)
     assert loaded.metadata["kind"] == "mtpp-mh"
     # 60 total iterations over 2 chains: 30 each, minus a 3-sweep burn-in.
     assert loaded.n_samples == 2 * (30 - 3)
@@ -327,6 +331,17 @@ def test_infer_rejects_wrong_action_count(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_infer_rejects_an_index_too_large_for_an_integer(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("5 2\n0 0 1 99999999999999999999999 0\n")
+    code = main(["infer", "--demos", str(path), "--model", "mtpp-mc",
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"data error: {path} line 2: a state or action index is out of range\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_infer_missing_demo_file(tmp_path, capsys):
     code = main(["infer", "--demos", str(tmp_path / "absent.txt"),
                  "--model", "mtpp-mc", "--out", str(tmp_path / "o")])
@@ -448,6 +463,20 @@ MTPP_TWO_TASK_RECORD = {"weight": 1.0, "rewards": [[0.5, 0.5]] * 2, "temperature
      {"task_id": 0, "probabilities": [0.5, 0.5]}],
     [dict(MTPP_HEADER, task_ids=[-1]), MTPP_RECORD],
     [dict(MTPP_HEADER, n_samples="1"), MTPP_RECORD],
+    [MTPP_HEADER, {"weight": "1.0", "rewards": [["0.5", "0.5"]], "temperatures": ["1"],
+                   "log_likelihoods": ["0"]}],
+    [dict(MTPO_HEADER, task_ids=[0], measure=["1", 1]),
+     {"task_id": 0, "probabilities": [0.5, 0.5]}],
+    [dict(MTPO_HEADER, task_ids=[1], measure=[True, 1]),
+     {"task_id": True, "probabilities": [False, True]}],
+    [dict(MTPO_HEADER, task_ids=[1]), {"task_id": True, "probabilities": [0.5, 0.5]}],
+    [dict(MTPO_HEADER, task_ids=[0]), {"task_id": 0, "probabilities": [False, True]}],
+    [dict(MTPO_HEADER, task_ids=[0], measure=[True, 1]),
+     {"task_id": 0, "probabilities": [0.5, 0.5]}],
+    [dict(MTPO_HEADER, task_ids=[0], hypotheses=[[True, False], [False, True]]),
+     {"task_id": 0, "probabilities": [0.5, 0.5]}],
+    [MTPP_HEADER, dict(MTPP_RECORD, weight=True)],
+    [MTPP_HEADER, dict(MTPP_RECORD, weight=10 ** 400)],
 ], ids=["missing-record", "unlisted-task", "missing-key", "header-not-object",
         "record-not-object", "record-task-count", "flat-rewards", "record-state-count",
         "hypothesis-count", "mtpp-task-ids-not-list", "mtpo-task-ids-not-list",
@@ -456,7 +485,9 @@ MTPP_TWO_TASK_RECORD = {"weight": 1.0, "rewards": [[0.5, 0.5]] * 2, "temperature
         "reward-above-one", "nan-temperatures", "negative-temperature",
         "nan-log-likelihoods", "nan-measure", "infinite-measure", "no-states", "corrupt-record",
         "mtpp-task-ids-repeat", "mtpp-task-ids-unsorted", "mtpo-task-ids-repeat",
-        "mtpp-task-ids-negative", "n-samples-string"])
+        "mtpp-task-ids-negative", "n-samples-string", "strings-for-numbers", "string-measure",
+        "bools-for-numbers", "bool-task-id", "bool-probabilities", "bool-measure",
+        "bool-hypotheses", "bool-weight", "number-too-large-for-a-float"])
 def test_show_rejects_malformed_posterior_files(tmp_path, capsys, lines):
     # A string is written as it stands, so it can be a line that is not JSON.
     path = tmp_path / "malformed.jsonl"

@@ -1,4 +1,5 @@
-"""Every demo runs to completion against the package in ``src``."""
+"""Every demo, and the README's quick start, runs to completion against the
+package in ``src``."""
 
 import os
 import subprocess
@@ -24,3 +25,15 @@ def test_demo_runs(demo):
                                capture_output=True, text=True, timeout=120)
     assert completed.returncode == 0, completed.stderr[-2000:]
     assert completed.stdout.strip()
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    quick_start = readme.split("## Quick start", 1)[1]
+    code = quick_start.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    completed = subprocess.run([sys.executable, "-c", code], env=env,
+                               capture_output=True, text=True, timeout=120)
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    # The block prints the posterior-mean reward, then the greedy actions.
+    assert len(completed.stdout.splitlines()) == 2

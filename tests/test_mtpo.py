@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from multitask_irl import (
+    DataError,
     Demonstration,
     DirichletRewardPrior,
     LossMatrix,
@@ -21,11 +22,13 @@ from multitask_irl import (
     mtpo_mc,
     policy_posterior,
     posterior_policy,
+    read_posterior,
     reward_posterior,
     sample_policies,
     simulate,
     solve_optimal,
     substream,
+    write_posterior,
 )
 from oracles import midpoint_reference_posterior, quadrature_posterior, value_iteration
 
@@ -335,8 +338,9 @@ def test_mtpo_result_jsonl_round_trip(tmp_path):
         n_policy_samples=80, discount=DISCOUNT, seed=7,
     )
     path = tmp_path / "mtpo.jsonl"
-    result.to_jsonl(path)
-    loaded = MtpoResult.from_jsonl(path)
+    write_posterior(path, result)
+    loaded = read_posterior(path)
+    assert isinstance(loaded, MtpoResult)
     assert loaded.task_ids == result.task_ids
     assert np.allclose(loaded.posterior(0).probabilities,
                        result.posterior(0).probabilities, atol=1e-15)
@@ -347,6 +351,7 @@ def test_mtpo_result_jsonl_round_trip(tmp_path):
 
 def test_mtpo_result_jsonl_rejects_other_formats(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"format": "mtpp-ensemble"}\n')
-    with pytest.raises(ValueError):
-        MtpoResult.from_jsonl(path)
+    # A header without a format names none the reader knows.
+    path.write_text('{"task_ids": [0]}\n{"task_id": 0, "probabilities": [1.0]}\n')
+    with pytest.raises(DataError, match="unrecognized posterior format None"):
+        read_posterior(path)

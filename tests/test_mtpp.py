@@ -6,6 +6,7 @@ import pytest
 
 from multitask_irl import (
     LOG_ZERO,
+    DataError,
     Demonstration,
     DegeneratePosteriorError,
     DirichletRewardPrior,
@@ -26,8 +27,10 @@ from multitask_irl import (
     mtpp_mc,
     mtpp_mh,
     posterior_policy,
+    read_posterior,
     simulate,
     substream,
+    write_posterior,
 )
 from multitask_irl.mtpp import (
     _PROPOSAL_FLOOR,
@@ -594,8 +597,9 @@ def test_posterior_ensemble_jsonl_round_trip(tmp_path):
     demo = atom_demo(cmp, 1, seed=3)
     ensemble = mtpp_mc(cmp, [demo], GammaHyperprior(2), 60, DISCOUNT, 2)
     path = tmp_path / "ensemble.jsonl"
-    ensemble.to_jsonl(path)
-    loaded = PosteriorEnsemble.from_jsonl(path)
+    write_posterior(path, ensemble)
+    loaded = read_posterior(path)
+    assert isinstance(loaded, PosteriorEnsemble)
     assert loaded.task_ids == ensemble.task_ids
     assert np.array_equal(loaded.weights, ensemble.weights)
     assert np.array_equal(loaded.rewards, ensemble.rewards)
@@ -607,14 +611,14 @@ def test_posterior_ensemble_jsonl_round_trip(tmp_path):
 def test_posterior_ensemble_jsonl_rejects_other_formats(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"format": "something-else"}\n')
-    with pytest.raises(ValueError):
-        PosteriorEnsemble.from_jsonl(path)
+    with pytest.raises(DataError, match="unrecognized posterior format 'something-else'"):
+        read_posterior(path)
     # A count of the wrong type is named as such, not as a count mismatch.
     path.write_text('{"format": "mtpp-ensemble", "task_ids": [0], "n_samples": "1", '
                     '"n_states": 2}\n{"weight": 1.0, "rewards": [[0.5, 0.5]], '
                     '"temperatures": [1.0], "log_likelihoods": [0.0]}\n')
-    with pytest.raises(ValueError, match="'n_samples' must be an integer"):
-        PosteriorEnsemble.from_jsonl(path)
+    with pytest.raises(DataError, match="'n_samples' must be an integer"):
+        read_posterior(path)
 
 
 def test_posterior_policy_recovers_demonstrated_goal():
