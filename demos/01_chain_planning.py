@@ -25,8 +25,9 @@ def main():
           f"discount {mdp.discount}")
     print(f"rewards by state: {mdp.reward.values}")
 
-    values, actions, q = batch_solve_optimal(mdp.cmp.transition, mdp.reward.values,
-                                             mdp.discount, with_q=True)
+    # The planner solves a batch of reward vectors; this one is a batch of one.
+    (values,), (actions,), (q,) = batch_solve_optimal(mdp.cmp.transition, mdp.reward.values[None],
+                                                      mdp.discount)
     names = {ADVANCE: "advance", RESET: "reset"}
     print("\noptimal values and actions:")
     for s, (v, a) in enumerate(zip(values, actions)):

@@ -20,10 +20,10 @@ from multitask_irl import (
     l1_loss,
     make_demonstrator,
     mtpo_mc,
-    posterior_policy,
     reward_posterior,
     sample_policies,
     simulate,
+    solve_optimal,
     substream,
 )
 
@@ -61,7 +61,7 @@ def main():
         post = result.posterior(0)
         print(f"  {horizon:>4} steps: {np.round(post.probabilities, 3)}")
         if horizon == 200:
-            greedy = posterior_policy(result, 0, cmp, DISCOUNT)
+            _, greedy = solve_optimal(Mdp(cmp, result.posterior_mean_reward(0), DISCOUNT))
             print(f"        posterior-mean-reward plan loss on the truth: "
                   f"{l1_loss(truth, greedy):.4f}")
     print("\nmass moves to the far-state hypothesis (last entry) as evidence")

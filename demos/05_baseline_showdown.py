@@ -10,6 +10,7 @@ import numpy as np
 from multitask_irl import (
     DirichletRewardPrior,
     GammaHyperprior,
+    Mdp,
     PolicyDirichletPrior,
     demo_counts,
     imitator,
@@ -19,8 +20,8 @@ from multitask_irl import (
     mtpo_mc,
     mtpp_mc,
     mwal,
-    posterior_policy,
     simulate,
+    solve_optimal,
     substream,
 )
 
@@ -46,14 +47,14 @@ def main():
 
     ensemble = mtpp_mc(cmp, [demo], GammaHyperprior(n), 3000, DISCOUNT, seed=1)
     scores["mtpp-mc (reward+temperature)"] = l1_loss(
-        truth, posterior_policy(ensemble, 0, cmp, DISCOUNT))
+        truth, solve_optimal(Mdp(cmp, ensemble.posterior_mean_reward(0), DISCOUNT))[1])
 
     result = mtpo_mc(cmp, [demo], policy_prior,
                      reward_prior=DirichletRewardPrior(np.ones(n)),
                      n_hypotheses=64, n_policy_samples=200,
                      discount=DISCOUNT, seed=1)
     scores["mtpo-mc (policy optimality)"] = l1_loss(
-        truth, posterior_policy(result, 0, cmp, DISCOUNT))
+        truth, solve_optimal(Mdp(cmp, result.posterior_mean_reward(0), DISCOUNT))[1])
 
     for name, loss in sorted(scores.items(), key=lambda kv: kv[1]):
         print(f"  {name:<32} loss {loss:8.4f}")

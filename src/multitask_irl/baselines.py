@@ -39,8 +39,8 @@ class MixedPolicy:
         if not policies:
             raise ValueError("a mixed policy needs at least one component")
         weights = np.array(self.weights, dtype=float)
-        if weights.shape != (len(policies),) or np.any(weights < 0):
-            raise ValueError("weights must be non-negative, one per component")
+        if weights.shape != (len(policies),) or not np.all(np.isfinite(weights) & (weights >= 0)):
+            raise ValueError("weights must be finite and non-negative, one per component")
         if abs(weights.sum() - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1 within 1e-9")
         weights.setflags(write=False)
@@ -94,7 +94,7 @@ def mwal(cmp: Cmp, discount: float, demos, n_iterations: int = 100) -> MixedPoli
     for t in range(n_iterations):
         weights = np.exp(log_w - log_w.max())
         weights /= weights.sum()
-        _, actions = batch_solve_optimal(cmp.transition, weights, discount)
+        actions = batch_solve_optimal(cmp.transition, weights[None], discount)[1][0]
         kernel = cmp.transition[states, actions]  # (S, S') under the response
         mu = np.linalg.solve(eye - discount * kernel.T, p0)
         # G in [0, 1]: each state's discounted visits lie in [0, 1/(1-gamma)].

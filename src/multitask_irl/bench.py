@@ -77,7 +77,7 @@ def _true_optima(mdps) -> np.ndarray:
     """Optimal values of a sweep point's true MDPs, (M, S), in one batched
     solve; the MDPs of a point share one CMP and one discount."""
     rewards = np.stack([mdp.reward.values for mdp in mdps])
-    values, _ = batch_solve_optimal(mdps[0].cmp.transition, rewards, mdps[0].discount)
+    values, _, _ = batch_solve_optimal(mdps[0].cmp.transition, rewards, mdps[0].discount)
     return values
 
 
@@ -205,12 +205,12 @@ def _policy_prior(cfg, cmp: Cmp) -> PolicyDirichletPrior:
 def _greedy(fitted, cfg):
     """Per ``(posterior, cmp)`` pair of ``fitted``, the greedy policy of each
     task's posterior-mean reward, in sorted task order: the policies
-    :func:`posterior_policy` gives, from one planner call with a kernel per
-    task."""
+    ``solve_optimal`` gives for each task's MDP, from one planner call with
+    a kernel per task."""
     tasks = [(posterior, cmp, tid) for posterior, cmp in fitted for tid in posterior.task_ids]
     means = np.stack([posterior.posterior_mean_reward(tid).values for posterior, _, tid in tasks])
     kernels = np.stack([cmp.transition for _, cmp, _ in tasks])
-    _, actions = batch_solve_optimal(kernels, means, _discount(cfg))
+    _, actions, _ = batch_solve_optimal(kernels, means, _discount(cfg))
     policies = iter(StationaryPolicy.from_actions(greedy, cmp.n_actions)
                     for greedy, (_, cmp, _) in zip(actions, tasks))
     return [[next(policies) for _ in posterior.task_ids] for posterior, _ in fitted]
@@ -646,7 +646,7 @@ def bound_check(k_values=(10, 100, 1000), replications: int = 100, *, seed=0,
                     task_id=0, initial_state_probs=_delta_start(cmp.n_states))
     posterior = policy_posterior(PolicyDirichletPrior.uniform(cmp.n_states, cmp.n_actions),
                                  demo_counts([demo], cmp.n_states, cmp.n_actions))
-    optimal_values, _ = batch_solve_optimal(cmp.transition, hypotheses.values, discount)
+    optimal_values, _, _ = batch_solve_optimal(cmp.transition, hypotheses.values, discount)
     prior = OptimalityPrior(1.0)
 
     def estimate(n_policies, rng):

@@ -156,10 +156,6 @@ class StationaryPolicy:
         probs[np.arange(actions.shape[0]), actions] = 1.0
         return cls(probs)
 
-    @classmethod
-    def uniform(cls, n_states: int, n_actions: int) -> "StationaryPolicy":
-        return cls(np.full((n_states, n_actions), 1.0 / n_actions))
-
     def greedy_actions(self) -> np.ndarray:
         return self.action_probs.argmax(axis=1)
 
@@ -323,41 +319,37 @@ def _batch_q(transition: np.ndarray, rewards: np.ndarray, values: np.ndarray,
 
 
 def batch_solve_optimal(transition: np.ndarray, rewards: np.ndarray, discount: float,
-                        start=None, *, with_q: bool = False):
-    """Optimal values and greedy actions for a batch of reward vectors.
+                        start=None):
+    """Optimal values, greedy actions and action values for a batch of rewards.
 
-    ``rewards`` has shape (K, S) or (S,); returns ``(values, actions)`` of
-    the same leading shape.  ``transition`` is one (S, A, S) kernel that
-    every row shares, or, for (K, S) rewards, a (K, S, A, S) stack that
-    gives each row its own.  Policy iteration with exact linear evaluation,
-    starting from ``start`` (integer actions shaped like ``rewards``; action
-    0 everywhere by default) and switching a state's action only where
-    another beats it by more than the tie margin.  A row leaves the batch in
-    the round in which none of its states can improve: its values are those
-    of that round's policy and its actions the greedy ones of that round's
-    Q.  Each row's linear system is solved on its own, so a row's values do
-    not depend on which other rows are still in the batch; they are the same
-    bits as a solve of that row alone.  With ``with_q`` the result also
-    holds that last round's Q, (K, S, A) or (S, A): the bits ``_batch_q``
-    gives from the returned values.  A start nearer the optimum (the
-    previous solution of a nearby reward) saves rounds.  Raises
-    ``RuntimeError`` if some row has no optimal policy among the first
-    ``_MAX_POLICY_ITERATIONS`` evaluated.
+    ``rewards`` has shape (K, S); a single reward vector is a batch of one.
+    Returns ``(values, actions, q)`` shaped (K, S), (K, S) and (K, S, A).
+    ``transition`` is one (S, A, S) kernel that every row shares, or a
+    (K, S, A, S) stack that gives each row its own.  Policy iteration with
+    exact linear evaluation, starting from ``start`` (integer actions shaped
+    like ``rewards``; action 0 everywhere by default) and switching a
+    state's action only where another beats it by more than the tie margin.
+    A row leaves the batch in the round in which none of its states can
+    improve: its values are those of that round's policy, its actions the
+    greedy ones of that round's Q, and its Q that round's Q, the bits
+    ``_batch_q`` gives from the returned values.  Each row's linear system
+    is solved on its own, so a row's results do not depend on which other
+    rows are still in the batch; they are the same bits as a solve of that
+    row alone.  A start nearer the optimum (the previous solution of a
+    nearby reward) saves rounds.  Raises ``RuntimeError`` if some row has no
+    optimal policy among the first ``_MAX_POLICY_ITERATIONS`` evaluated.
     """
     rewards = np.asarray(rewards, dtype=float)
+    n_states, n_actions = transition.shape[-3:-1]
+    if rewards.ndim != 2 or rewards.shape[1] != n_states:
+        raise ValueError(f"rewards must have shape (K, {n_states}), got {rewards.shape}")
     actions = np.zeros(rewards.shape, dtype=np.int64) if start is None else np.asarray(start)
     if actions.shape != rewards.shape:
         raise ValueError(f"start must be shaped like rewards, got {actions.shape}")
-    squeeze = rewards.ndim == 1
-    if squeeze:
-        rewards, actions = rewards[None, :], actions[None, :]
     stacked = transition.ndim == 4
-    if stacked and (squeeze or transition.shape[0] != rewards.shape[0]):
+    if stacked and transition.shape[0] != rewards.shape[0]:
         raise ValueError(f"a stack of kernels needs one (K, S) reward row per kernel, got "
                          f"{transition.shape[0]} kernels for rewards {rewards.shape}")
-    n_states, n_actions = transition.shape[-3:-1]
-    if rewards.shape[1] != n_states:
-        raise ValueError(f"rewards must have {n_states} columns, got {rewards.shape}")
     if not np.all(np.isfinite(rewards)):
         raise ValueError("reward entries must be finite")
     if start is not None and (actions.dtype.kind not in "iu" or actions.size and (
@@ -381,27 +373,19 @@ def batch_solve_optimal(transition: np.ndarray, rewards: np.ndarray, discount: f
         greedy = np.argmax(q >= (best - _TIE_MARGIN)[:, :, None], axis=2)
         if not pending.any():
             if active is None:
-                out = (values[0], greedy[0], q[0]) if squeeze else (values, greedy, q)
-            else:
-                out = (out_values, out_actions, out_q)
-                out_values[active] = values
-                out_actions[active] = greedy
-                if with_q:
-                    out_q[active] = q
-            return out if with_q else out[:2]
+                return values, greedy, q
+            for out, part in zip(outs, (values, greedy, q)):
+                out[active] = part
+            return outs
         actions = np.where(improvable, greedy, actions)
         if not pending.all():
             if active is None:
                 active = np.arange(rewards.shape[0])
-                out_values = np.empty(rewards.shape)
-                out_actions = np.empty(rewards.shape, dtype=np.int64)
-                # A caller that drops Q does not pay for assembling it.
-                out_q = np.empty(q.shape) if with_q else None
+                outs = (np.empty(rewards.shape), np.empty(rewards.shape, dtype=np.int64),
+                        np.empty(q.shape))
             done = ~pending
-            out_values[active[done]] = values[done]
-            out_actions[active[done]] = greedy[done]
-            if with_q:
-                out_q[active[done]] = q[done]
+            for out, part in zip(outs, (values, greedy, q)):
+                out[active[done]] = part[done]
             active, rewards, actions = active[pending], rewards[pending], actions[pending]
             if stacked:
                 transition = transition[pending]
@@ -415,8 +399,9 @@ def solve_optimal(mdp: Mdp):
 
     Ties go to the lowest action index (see ``batch_solve_optimal``).
     """
-    values, actions = batch_solve_optimal(mdp.cmp.transition, mdp.reward.values, mdp.discount)
-    return values, StationaryPolicy.from_actions(actions, mdp.cmp.n_actions)
+    values, actions, _ = batch_solve_optimal(mdp.cmp.transition, mdp.reward.values[None],
+                                             mdp.discount)
+    return values[0], StationaryPolicy.from_actions(actions[0], mdp.cmp.n_actions)
 
 
 def batch_policy_values(transition: np.ndarray, rewards: np.ndarray,

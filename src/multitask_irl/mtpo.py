@@ -95,7 +95,7 @@ def build_loss_matrix(cmp: Cmp, discount: float, policies, hypotheses: RewardHyp
     if hypotheses.n_states != cmp.n_states:
         raise ValueError("hypothesis set does not match the CMP's state count")
     if optimal is None:
-        optimal, _ = batch_solve_optimal(cmp.transition, hypotheses.values, discount)
+        optimal, _, _ = batch_solve_optimal(cmp.transition, hypotheses.values, discount)
     policies = np.asarray(policies, dtype=float)
     if policies.shape[1:] != (cmp.n_states, cmp.n_actions):
         raise ValueError(
@@ -167,6 +167,15 @@ class MtpoResult:
     hypotheses: RewardHypothesisSet
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        posteriors = tuple(self.posteriors)
+        n_hypotheses = self.hypotheses.n_hypotheses
+        if len(posteriors) != len(self.task_ids) or any(
+                p.probabilities.shape != (n_hypotheses,) for p in posteriors):
+            raise ValueError(f"need one posterior over {n_hypotheses} hypotheses per task id, "
+                             f"got {len(posteriors)} for task ids {tuple(self.task_ids)}")
+        object.__setattr__(self, "posteriors", posteriors)
+
     def posterior(self, task_id: int) -> RewardPosterior:
         try:
             index = self.task_ids.index(task_id)
@@ -211,7 +220,7 @@ def mtpo_mc(cmp: Cmp, demos, policy_prior: PolicyDirichletPrior, *,
 
     task_ids, counts = _group_demos(demos, cmp)
     # One hypothesis set serves every task, so its optima are solved once.
-    optimal, _ = batch_solve_optimal(cmp.transition, hypotheses.values, discount)
+    optimal, _, _ = batch_solve_optimal(cmp.transition, hypotheses.values, discount)
     posteriors = []
     for tid, task_counts in zip(task_ids, counts):
         rng = substream(seed, "mtpo-mc", "task", tid)

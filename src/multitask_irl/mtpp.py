@@ -33,14 +33,11 @@ from .mdp import (
     LOG_ZERO,
     Cmp,
     DegeneratePosteriorError,
-    Mdp,
     RewardFunction,
-    StationaryPolicy,
     _batch_softmax,
     batch_solve_optimal,
     counts_log_likelihood,
     demo_counts,
-    solve_optimal,
 )
 from .priors import (
     DirichletRewardPrior,
@@ -62,7 +59,6 @@ __all__ = [
     "PosteriorEnsemble",
     "mtpp_mc",
     "mtpp_mh",
-    "posterior_policy",
     "importance_weights",
 ]
 
@@ -109,19 +105,28 @@ class PosteriorEnsemble:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=float)
+        arrays = {name: np.asarray(getattr(self, name), dtype=float)
+                  for name in ("weights", "rewards", "temperatures", "log_likelihoods")}
+        weights, rewards, temperatures, log_likelihoods = arrays.values()
+        shape = weights.shape + (len(self.task_ids),)
+        if (weights.ndim != 1 or rewards.ndim != 3 or rewards.shape[:2] != shape
+                or temperatures.shape != shape or log_likelihoods.shape != shape):
+            raise ValueError(
+                f"for {len(self.task_ids)} task ids, need weights (K,), rewards (K, M, S), "
+                f"temperatures and log-likelihoods (K, M); got "
+                + ", ".join(str(array.shape) for array in arrays.values()))
         valid = np.all(np.isfinite(weights)) and np.all(weights >= 0)
         if not valid or abs(weights.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be finite, non-negative and sum to 1 within 1e-9")
-        rewards = np.asarray(self.rewards, dtype=float)
         # min and max read the (K, M, S) rewards in place; NaN fails both bounds.
         if rewards.size == 0 or not (rewards.min() >= 0 and rewards.max() <= 1):
             raise ValueError("rewards must be non-empty, finite and lie in [0, 1]")
-        temperatures = np.asarray(self.temperatures, dtype=float)
         if not (np.all(np.isfinite(temperatures)) and np.all(temperatures >= 0)):
             raise ValueError("temperatures must be finite and non-negative")
-        if not np.all(np.isfinite(self.log_likelihoods)):
+        if not np.all(np.isfinite(log_likelihoods)):
             raise ValueError("log-likelihoods must be finite")
+        for name, array in arrays.items():
+            object.__setattr__(self, name, array)
 
     @property
     def n_samples(self) -> int:
@@ -207,7 +212,7 @@ def mtpp_mc(cmp: Cmp, demos, hyperprior, n_samples: int, discount: float,
         else:
             rewards_m = _dirichlet_rows(rng, conc)
             etas_m = rng.gamma(t_shapes) / t_rates
-        _, _, q = batch_solve_optimal(transition, rewards_m, discount, with_q=True)
+        _, _, q = batch_solve_optimal(transition, rewards_m, discount)
         rewards[:, m, :] = rewards_m
         temperatures[:, m] = etas_m
         log_liks[:, m] = counts_log_likelihood(counts[m], _batch_softmax(q, etas_m))
@@ -382,7 +387,7 @@ def _lockstep_chains(discount: float, hyperprior, chains, reward_step: float,
 
     active = np.arange(len(chains))                 # the chains still running
     local, bounds, streams = rows_of(active)
-    _, greedy, q = batch_solve_optimal(kernels, rho, discount, with_q=True)
+    _, greedy, q = batch_solve_optimal(kernels, rho, discount)
     log_lik = counts_log_likelihood(counts, _batch_softmax(q, eta))
     log_prior_rho = reward_log_pdf(rho, local, hyper, hyper_norm)
     log_prior_eta = temperature_log_pdf(eta, local, hyper, hyper_norm)
@@ -431,8 +436,7 @@ def _lockstep_chains(discount: float, hyperprior, chains, reward_step: float,
         proposals, hastings = _propose_rewards(discrete, rho, streams, bounds, reward_step)
         # A proposal lies near its task's reward, so the task's greedy
         # actions are a close start for policy iteration.
-        _, prop_greedy, q_prop = batch_solve_optimal(kernels, proposals, discount,
-                                                     start=greedy, with_q=True)
+        _, prop_greedy, q_prop = batch_solve_optimal(kernels, proposals, discount, start=greedy)
         new_ll = counts_log_likelihood(counts, _batch_softmax(q_prop, eta))
         new_lp = reward_log_pdf(proposals, local, hyper, hyper_norm)
         accepted = _accept_rows(new_lp - log_prior_rho + new_ll - log_lik + hastings, local,
@@ -577,14 +581,3 @@ def mtpp_mh(cmp: Cmp, demos, hyperprior, n_iterations: int, n_chains: int,
         temperature_step=temperature_step, hyper_step=hyper_step,
     )
     return ensemble
-
-
-def posterior_policy(ensemble, task_id: int, cmp: Cmp, discount: float) -> StationaryPolicy:
-    """Greedy policy for the task's posterior-mean reward.
-
-    ``ensemble`` is a :class:`PosteriorEnsemble` or an ``MtpoResult``; both
-    give the mean through ``posterior_mean_reward(task_id)``.
-    """
-    mean_reward = ensemble.posterior_mean_reward(task_id)
-    _, policy = solve_optimal(Mdp(cmp, mean_reward, discount))
-    return policy

@@ -115,8 +115,8 @@ def make_demonstrator(kind: str, mdp: Mdp, *, eta: float = None,
                       epsilon: float = None) -> StationaryPolicy:
     """Expert policy for an MDP from one planner solve: ``softmax`` over its
     Q*, or ``eps_greedy`` on its greedy actions."""
-    _, greedy, q = batch_solve_optimal(mdp.cmp.transition, mdp.reward.values, mdp.discount,
-                                       with_q=True)
+    _, (greedy,), (q,) = batch_solve_optimal(mdp.cmp.transition, mdp.reward.values[None],
+                                             mdp.discount)
     if kind == "softmax":
         if eta is None:
             raise ValueError("softmax demonstrator needs eta")

@@ -183,7 +183,7 @@ def task_by_task_mh(cmp, demos, hyperprior, n_iterations, n_chains, discount, se
 
     def policy_for(reward):
         mdp = Mdp(cmp, RewardFunction(reward), discount)
-        values, _ = batch_solve_optimal(cmp.transition, reward, discount)
+        values = batch_solve_optimal(cmp.transition, reward[None], discount)[0][0]
         return softmax_policy(bellman_q(mdp, values), eta).action_probs
 
     kept_rewards, kept_lls, rates = [], [], []
@@ -261,7 +261,7 @@ def per_chain_mh(cmp, demos, hyperprior, n_iterations, n_chains, discount, seed,
         return DirichletRewardPrior(state[:-2]), TemperaturePrior(state[-2], state[-1])
 
     def action_values(rewards, start=None):
-        values, greedy = batch_solve_optimal(cmp.transition, rewards, discount, start=start)
+        values, greedy, _ = batch_solve_optimal(cmp.transition, rewards, discount, start=start)
         return _batch_q(cmp.transition, rewards, values, discount), greedy
 
     kept_rewards, kept_temps, kept_lls, rates = [], [], [], []

@@ -302,7 +302,7 @@ def test_criterion_7_randomized_invariants(capsys):
         cmp = Cmp(rng.dirichlet(np.ones(3), size=(3, 2)))
         hyp_rewards = rng.dirichlet(np.ones(3), size=2)
         hypotheses = RewardHypothesisSet(hyp_rewards)
-        _, greedy = batch_solve_optimal(cmp.transition, hyp_rewards, DISCOUNT)
+        _, greedy, _ = batch_solve_optimal(cmp.transition, hyp_rewards, DISCOUNT)
         matrix = build_loss_matrix(cmp, DISCOUNT, np.eye(2)[greedy], hypotheses)
         if np.any(matrix.losses < 0):
             failures.append("loss matrix negativity")

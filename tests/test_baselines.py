@@ -30,7 +30,7 @@ def test_mixed_policy_uniform_and_mean():
 
 
 def test_mixed_policy_validation():
-    a = StationaryPolicy.uniform(2, 2)
+    a = StationaryPolicy(np.full((2, 2), 1 / 2))
     with pytest.raises(ValueError):
         MixedPolicy((), np.array([]))
     with pytest.raises(ValueError):
@@ -39,6 +39,8 @@ def test_mixed_policy_validation():
         MixedPolicy((a, a), np.array([0.7, 0.2]))
     with pytest.raises(ValueError):
         MixedPolicy((a, a), np.array([-0.5, 1.5]))
+    with pytest.raises(ValueError):
+        MixedPolicy((a,), np.array([np.nan]))
 
 
 def test_imitator_matches_conjugate_mean():

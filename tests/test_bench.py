@@ -25,9 +25,9 @@ from multitask_irl import (
     make_random_mdp_population,
     mtpp_mc,
     mtpp_mh,
-    posterior_policy,
     run_experiment,
     simulate,
+    solve_optimal,
     subseed,
     substream,
     value_error_bound,
@@ -70,8 +70,9 @@ def test_l1_loss_frozen_chain_values():
 def test_l1_loss_takes_a_solved_optimum():
     mdp = make_chain(n_states=3, slip=0.2)
     policy = StationaryPolicy.from_actions([1, 0, 1], 2)
-    optimum, _ = batch_solve_optimal(mdp.cmp.transition, mdp.reward.values, mdp.discount)
-    assert l1_loss(mdp, policy, optimum) == l1_loss(mdp, policy)
+    optimum, _, _ = batch_solve_optimal(mdp.cmp.transition, mdp.reward.values[None],
+                                        mdp.discount)
+    assert l1_loss(mdp, policy, optimum[0]) == l1_loss(mdp, policy)
 
 
 def test_result_row_total_loss():
@@ -288,8 +289,8 @@ def test_mh_rows_equal_one_mtpp_mh_call_per_fit(name, monkeypatch):
                     cmp, demos, GammaHyperprior(cmp.n_states, concentration_law=(1.0, 10.0)),
                     point.budget or cfg["mh_iterations"], chains, discount,
                     subseed(5, name, "rep", rep, *tag, point.key))
-                policies = [posterior_policy(ensemble, tid, cmp, discount)
-                            for tid in ensemble.task_ids]
+                policies = [solve_optimal(Mdp(cmp, ensemble.posterior_mean_reward(tid),
+                                              discount))[1] for tid in ensemble.task_ids]
                 if flat:
                     policies = policies * len(point.true_mdps)
                 assert rows[method, point.x, rep] == tuple(
@@ -426,7 +427,7 @@ def test_multitask_gain_rows_reconstructable_from_documented_streams():
     expected_imitator = []
     policy_prior = PolicyDirichletPrior.uniform(n_states, cmp.n_actions, 1.0)
     for m in range(count):
-        policy = posterior_policy(ensemble, m, cmp, discount)
+        _, policy = solve_optimal(Mdp(cmp, ensemble.posterior_mean_reward(m), discount))
         expected_mc.append(l1_loss(true_mdps[m], policy))
         mimic = imitator(demo_counts([d for d in demos if d.task_id == m], n_states,
                                      cmp.n_actions), policy_prior)

@@ -50,8 +50,8 @@ def test_chain_optimal_values_match_hand_solution(chain3):
 
 
 def test_chain_q_values_match_hand_solution(chain3):
-    _, _, q = batch_solve_optimal(chain3.cmp.transition, chain3.reward.values, chain3.discount,
-                                  with_q=True)
+    q = batch_solve_optimal(chain3.cmp.transition, chain3.reward.values[None],
+                            chain3.discount)[2][0]
     assert abs(q[0, ADVANCE] - 18.25) < 1e-7
     assert abs(q[0, RESET] - 17.5375) < 1e-7
 
@@ -79,7 +79,7 @@ def test_batch_solve_optimal_matches_value_iteration():
     rng = np.random.default_rng(7)
     cmp = random_cmp(rng, 5, 3)
     rewards = rng.random((6, 5))
-    values, actions = batch_solve_optimal(cmp.transition, rewards, 0.95)
+    values, actions, _ = batch_solve_optimal(cmp.transition, rewards, 0.95)
     for k in range(6):
         expected, _ = value_iteration(Mdp(cmp, RewardFunction(rewards[k]), 0.95), 1e-10)
         assert np.allclose(values[k], expected, atol=1e-7)
@@ -91,19 +91,26 @@ def test_batch_solve_optimal_matches_value_iteration():
 
 
 def test_batch_solve_optimal_single_reward_shape():
+    # One reward vector is a (1, S) batch; a bare (S,) vector is refused.
     rng = np.random.default_rng(3)
     cmp = random_cmp(rng, 3, 2)
-    reward = rng.random(3)
-    values, actions = batch_solve_optimal(cmp.transition, reward, 0.9)
-    assert values.shape == (3,)
-    assert actions.shape == (3,)
+    rewards = rng.random((4, 3))
+    with pytest.raises(ValueError, match="rewards must have shape"):
+        batch_solve_optimal(cmp.transition, rewards[2], 0.9)
+    values, actions, q = batch_solve_optimal(cmp.transition, rewards[2:3], 0.9)
+    assert values.shape == (1, 3)
+    assert actions.shape == (1, 3)
+    assert q.shape == (1, 3, 2)
+    batched = batch_solve_optimal(cmp.transition, rewards, 0.9)
+    for alone, together in zip((values, actions, q), batched):
+        assert np.array_equal(alone[0], together[2])
 
 
 def test_batch_solve_optimal_zero_discount():
     rng = np.random.default_rng(4)
     cmp = random_cmp(rng, 3, 2)
     rewards = rng.random((2, 3))
-    values, actions = batch_solve_optimal(cmp.transition, rewards, 0.0)
+    values, actions, _ = batch_solve_optimal(cmp.transition, rewards, 0.0)
     assert np.array_equal(values, rewards)
     assert np.array_equal(actions, np.zeros((2, 3), dtype=int))
 
@@ -137,8 +144,9 @@ def test_solve_optimal_breaks_ties_toward_lowest_action():
     mdp = Mdp(Cmp(kernel), RewardFunction([0.1, 0.5, 0.9]), 0.9)
     _, policy = solve_optimal(mdp)
     assert np.array_equal(policy.greedy_actions(), [0, 0, 0])
-    _, actions = batch_solve_optimal(kernel, mdp.reward.values, 0.9, start=np.ones(3, dtype=int))
-    assert np.array_equal(actions, [0, 0, 0])
+    _, actions, _ = batch_solve_optimal(kernel, mdp.reward.values[None], 0.9,
+                                        start=np.ones((1, 3), dtype=int))
+    assert np.array_equal(actions, [[0, 0, 0]])
     # A constant reward ties every action on any kernel (the first mwal round
     # plans for one); float noise in the values must not pick the action.
     rng = np.random.default_rng(5)
@@ -148,22 +156,23 @@ def test_solve_optimal_breaks_ties_toward_lowest_action():
         reward = np.full(n_states, rng.random())
         _, policy = solve_optimal(Mdp(cmp, RewardFunction(reward), 0.95))
         assert np.array_equal(policy.greedy_actions(), np.zeros(n_states))
-        _, actions = batch_solve_optimal(cmp.transition, np.stack([reward, reward]), 0.95)
+        _, actions, _ = batch_solve_optimal(cmp.transition, np.stack([reward, reward]), 0.95)
         assert np.array_equal(actions, np.zeros((2, n_states)))
         # Started from tied actions other than the lowest, the greedy choice
         # still goes to action 0.
         start = rng.integers(1, n_actions, size=(2, n_states))
-        _, actions = batch_solve_optimal(cmp.transition, np.stack([reward, reward]), 0.95,
-                                         start=start)
+        _, actions, _ = batch_solve_optimal(cmp.transition, np.stack([reward, reward]), 0.95,
+                                            start=start)
         assert np.array_equal(actions, np.zeros((2, n_states)))
     # A tied row that converges in the first round, batched with a row that
     # needs more rounds, leaves the batch with the lowest tied actions too.
     chain = make_chain(n_states=3, slip=0.0, rewards=(1.0, 0.0, 0.0))
     rewards = np.stack([np.full(3, 0.5), chain.reward.values])
-    _, actions = batch_solve_optimal(chain.cmp.transition, rewards, chain.discount,
-                                     start=np.array([[RESET] * 3, [ADVANCE] * 3]))
-    _, expected = batch_solve_optimal(chain.cmp.transition, chain.reward.values, chain.discount)
-    assert np.array_equal(actions, [[0, 0, 0], expected])
+    _, actions, _ = batch_solve_optimal(chain.cmp.transition, rewards, chain.discount,
+                                        start=np.array([[RESET] * 3, [ADVANCE] * 3]))
+    _, expected, _ = batch_solve_optimal(chain.cmp.transition, chain.reward.values[None],
+                                         chain.discount)
+    assert np.array_equal(actions, [[0, 0, 0], expected[0]])
 
 
 def test_batch_solve_optimal_raises_at_iteration_cap(monkeypatch):
@@ -172,10 +181,10 @@ def test_batch_solve_optimal_raises_at_iteration_cap(monkeypatch):
     mdp = make_chain(n_states=3, slip=0.0, rewards=(1.0, 0.0, 0.0))
     monkeypatch.setattr(mdp_module, "_MAX_POLICY_ITERATIONS", 1)
     with pytest.raises(RuntimeError, match="did not converge"):
-        batch_solve_optimal(mdp.cmp.transition, mdp.reward.values, mdp.discount)
+        batch_solve_optimal(mdp.cmp.transition, mdp.reward.values[None], mdp.discount)
     with pytest.raises(RuntimeError, match="did not converge"):
-        batch_solve_optimal(mdp.cmp.transition, mdp.reward.values, mdp.discount,
-                            start=np.full(3, ADVANCE))
+        batch_solve_optimal(mdp.cmp.transition, mdp.reward.values[None], mdp.discount,
+                            start=np.full((1, 3), ADVANCE))
     # A batch in which one row converges at once still raises for the other.
     both = np.stack([mdp.reward.values, [0.0, 0.0, 1.0]])
     with pytest.raises(RuntimeError, match="did not converge"):
@@ -190,7 +199,7 @@ def test_batch_solve_optimal_from_random_start_matches_value_iteration():
         cmp = random_cmp(rng, n_states, n_actions)
         rewards = rng.random((4, n_states))
         start = rng.integers(n_actions, size=(4, n_states))
-        values, actions = batch_solve_optimal(cmp.transition, rewards, 0.95, start=start)
+        values, actions, _ = batch_solve_optimal(cmp.transition, rewards, 0.95, start=start)
         for k in range(4):
             expected, policy = value_iteration(Mdp(cmp, RewardFunction(rewards[k]), 0.95), 1e-11)
             assert np.allclose(values[k], expected, atol=1e-8)
@@ -213,21 +222,23 @@ def test_batch_solve_optimal_active_set_is_bit_identical(monkeypatch):
         return batch_q(transition, rewards, values, discount)
 
     monkeypatch.setattr(mdp_module, "_batch_q", recording)
-    cold_values, cold_actions = batch_solve_optimal(cmp.transition, rewards, 0.97)
+    cold_values, cold_actions, _ = batch_solve_optimal(cmp.transition, rewards, 0.97)
     assert len(set(batch_sizes)) > 2 and batch_sizes[0] == 60
-    warm_values, warm_actions = batch_solve_optimal(cmp.transition, rewards, 0.97, start=start)
+    warm_values, warm_actions, _ = batch_solve_optimal(cmp.transition, rewards, 0.97, start=start)
     assert np.array_equal(warm_values, cold_values)
     assert np.array_equal(warm_actions, cold_actions)
     for k in range(60):
-        values, actions = batch_solve_optimal(cmp.transition, rewards[k], 0.97)
-        assert np.array_equal(values, cold_values[k])
-        assert np.array_equal(actions, cold_actions[k])
-        values, actions = batch_solve_optimal(cmp.transition, rewards[k], 0.97, start=start[k])
-        assert np.array_equal(values, cold_values[k])
-        assert np.array_equal(actions, cold_actions[k])
+        row = slice(k, k + 1)
+        values, actions, _ = batch_solve_optimal(cmp.transition, rewards[row], 0.97)
+        assert np.array_equal(values, cold_values[row])
+        assert np.array_equal(actions, cold_actions[row])
+        values, actions, _ = batch_solve_optimal(cmp.transition, rewards[row], 0.97,
+                                                 start=start[row])
+        assert np.array_equal(values, cold_values[row])
+        assert np.array_equal(actions, cold_actions[row])
     # Started from the optimum, every row converges in the first round.
     batch_sizes.clear()
-    values, actions = batch_solve_optimal(cmp.transition, rewards, 0.97, start=cold_actions)
+    values, actions, _ = batch_solve_optimal(cmp.transition, rewards, 0.97, start=cold_actions)
     assert batch_sizes == [60]
     assert np.array_equal(values, cold_values)
     assert np.array_equal(actions, cold_actions)
@@ -251,16 +262,18 @@ def test_batch_solve_optimal_q_is_the_bits_of_its_values(monkeypatch):
     monkeypatch.setattr(mdp_module, "_batch_q", recording)
     for begin in (None, start):
         batch_sizes.clear()
-        values, actions, q = batch_solve_optimal(cmp.transition, rewards, 0.97, start=begin,
-                                                 with_q=True)
+        values, actions, q = batch_solve_optimal(cmp.transition, rewards, 0.97, start=begin)
         assert len(set(batch_sizes)) > 2
         assert np.array_equal(q, batch_q(cmp.transition, rewards, values, 0.97))
-        expected = batch_solve_optimal(cmp.transition, rewards, 0.97, start=begin)
+        # Restarted from its own actions, every row leaves in the first round
+        # with the same values, actions and Q.
+        expected = batch_solve_optimal(cmp.transition, rewards, 0.97, start=actions)
         assert np.array_equal(values, expected[0]) and np.array_equal(actions, expected[1])
-    values, actions, q = batch_solve_optimal(cmp.transition, rewards[5], 0.97, with_q=True)
-    assert q.shape == (8, 3)
-    assert np.array_equal(q, batch_q(cmp.transition, rewards[5][None], values[None], 0.97)[0])
-    assert np.array_equal(actions, batch_solve_optimal(cmp.transition, rewards[5], 0.97)[1])
+        assert np.array_equal(q, expected[2])
+    values, actions, q = batch_solve_optimal(cmp.transition, rewards[5:6], 0.97)
+    assert q.shape == (1, 8, 3)
+    assert np.array_equal(q, batch_q(cmp.transition, rewards[5:6], values, 0.97))
+    assert np.array_equal(actions, batch_solve_optimal(cmp.transition, rewards, 0.97)[1][5:6])
 
 
 @pytest.mark.parametrize("n_actions", [1, 2, 3])
@@ -284,19 +297,20 @@ def test_batch_solve_optimal_kernel_stack_is_bit_identical(monkeypatch, n_states
     monkeypatch.setattr(mdp_module, "_batch_q", recording)
     for begin in (None, start):
         batch_sizes.clear()
-        values, actions, q = batch_solve_optimal(stack, rewards, 0.97, start=begin, with_q=True)
+        values, actions, q = batch_solve_optimal(stack, rewards, 0.97, start=begin)
         if n_actions > 1:   # the batch shrinks, so rows leave it in two rounds or more
             assert len(set(batch_sizes)) > 1
         for k in range(40):
-            alone = batch_solve_optimal(stack[k], rewards[k], 0.97,
-                                        start=None if begin is None else begin[k], with_q=True)
-            assert np.array_equal(values[k], alone[0])
-            assert np.array_equal(actions[k], alone[1])
-            assert np.array_equal(q[k], alone[2])
+            row = slice(k, k + 1)
+            alone = batch_solve_optimal(stack[k], rewards[row], 0.97,
+                                        start=None if begin is None else begin[row])
+            assert np.array_equal(values[row], alone[0])
+            assert np.array_equal(actions[row], alone[1])
+            assert np.array_equal(q[row], alone[2])
     for bad in (stack[:39], stack[:1]):
         with pytest.raises(ValueError, match="stack of kernels"):
             batch_solve_optimal(bad, rewards, 0.97)
-    with pytest.raises(ValueError, match="stack of kernels"):
+    with pytest.raises(ValueError, match="rewards must have shape"):
         batch_solve_optimal(stack[:1], rewards[0], 0.97)
 
 
@@ -310,7 +324,7 @@ def test_batch_solve_optimal_rejects_bad_start():
         with pytest.raises(ValueError, match="start"):
             batch_solve_optimal(cmp.transition, rewards, 0.9, start=start)
     with pytest.raises(ValueError, match="start"):
-        batch_solve_optimal(cmp.transition, rewards[0], 0.9, start=np.zeros((1, 3), dtype=int))
+        batch_solve_optimal(cmp.transition, rewards[:1], 0.9, start=np.zeros(3, dtype=int))
 
 
 def test_softmax_policy_known_ratio():
@@ -346,7 +360,7 @@ def test_softmax_policy_rejects_bad_inputs():
 
 
 def test_log_likelihood_uniform_policy():
-    policy = StationaryPolicy.uniform(3, 2)
+    policy = StationaryPolicy(np.full((3, 2), 1 / 2))
     demo = Demonstration(0, np.zeros(10, dtype=int), np.zeros(10, dtype=int))
     log_lik = counts_log_likelihood(demo_counts([demo], 3, 2), policy.action_probs)
     assert abs(log_lik - (-10.0 * np.log(2.0))) < 1e-12
@@ -359,14 +373,14 @@ def test_log_likelihood_impossible_step_is_log_zero():
 
 
 def test_log_likelihood_checks_bounds():
-    policy = StationaryPolicy.uniform(2, 2)
+    policy = StationaryPolicy(np.full((2, 2), 1 / 2))
     demo = Demonstration(0, np.array([5]), np.array([0]))
     with pytest.raises(ValueError, match="outside"):
         counts_log_likelihood(demo_counts([demo], 2, 2), policy.action_probs)
 
 
 def test_simulate_reproducible_and_in_bounds(chain3):
-    policy = StationaryPolicy.uniform(3, 2)
+    policy = StationaryPolicy(np.full((3, 2), 1 / 2))
     a = simulate(chain3, policy, 40, substream(5, "sim"), task_id=2)
     b = simulate(chain3, policy, 40, substream(5, "sim"), task_id=2)
     assert np.array_equal(a.states, b.states)
@@ -379,7 +393,7 @@ def test_simulate_reproducible_and_in_bounds(chain3):
 
 
 def test_simulate_initial_distribution_point_mass(chain3):
-    policy = StationaryPolicy.uniform(3, 2)
+    policy = StationaryPolicy(np.full((3, 2), 1 / 2))
     start = np.array([0.0, 1.0, 0.0])
     demo = simulate(chain3, policy, 5, substream(0, "s"), initial_state_probs=start)
     assert demo.states[0] == 1
@@ -387,7 +401,7 @@ def test_simulate_initial_distribution_point_mass(chain3):
 
 def test_simulate_empirical_frequencies_match_policy_and_kernel():
     mdp = make_chain(n_states=3, slip=0.3)
-    policy = StationaryPolicy.uniform(3, 2)
+    policy = StationaryPolicy(np.full((3, 2), 1 / 2))
     demo = simulate(mdp, policy, 20000, substream(99, "freq"))
     assert abs(np.mean(demo.actions == RESET) - 0.5) < 0.015
     # Transitions out of (state 0, advance) land on state 1 w.p. 0.7.
@@ -399,7 +413,7 @@ def test_simulate_empirical_frequencies_match_policy_and_kernel():
 def test_simulate_rejects_non_finite_start(chain3):
     # A nan passes the sign test and makes the sum test compare nan, so
     # without a finiteness check the run would silently start at state 0.
-    policy = StationaryPolicy.uniform(3, 2)
+    policy = StationaryPolicy(np.full((3, 2), 1 / 2))
     for start in ([np.nan, 0.0, 1.0], [np.inf, 0.0, 1.0], [0.0, np.nan, np.nan]):
         with pytest.raises(ValueError, match="initial_state_probs"):
             simulate(chain3, policy, 5, substream(0, "x"), initial_state_probs=start)
@@ -413,19 +427,19 @@ def test_simulate_rejects_non_finite_start(chain3):
 
 
 def test_simulate_accepts_bare_cmp(chain3):
-    policy = StationaryPolicy.uniform(3, 2)
+    policy = StationaryPolicy(np.full((3, 2), 1 / 2))
     demo = simulate(chain3.cmp, policy, 5, substream(1, "cmp"))
     assert len(demo) == 5
 
 
 def test_simulate_validates_inputs(chain3):
-    policy = StationaryPolicy.uniform(3, 2)
+    policy = StationaryPolicy(np.full((3, 2), 1 / 2))
     with pytest.raises(ValueError):
         simulate(chain3, policy, 0, substream(0, "x"))
     with pytest.raises(ValueError):
         simulate(chain3, policy, 5, substream(0, "x"), initial_state_probs=[0.5, 0.5])
     with pytest.raises(ValueError):
-        simulate(chain3, StationaryPolicy.uniform(4, 2), 5, substream(0, "x"))
+        simulate(chain3, StationaryPolicy(np.full((4, 2), 1 / 2)), 5, substream(0, "x"))
     with pytest.raises(TypeError):
         simulate(object(), policy, 5, substream(0, "x"))
 
@@ -466,7 +480,7 @@ def test_stationary_policy_validation_and_readonly():
         StationaryPolicy(np.array([[0.5, 0.4]]))
     with pytest.raises(ValueError):
         StationaryPolicy(np.array([[1.5, -0.5]]))
-    policy = StationaryPolicy.uniform(2, 2)
+    policy = StationaryPolicy(np.full((2, 2), 1 / 2))
     with pytest.raises(ValueError):
         policy.action_probs[0, 0] = 1.0
 

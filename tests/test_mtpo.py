@@ -21,7 +21,6 @@ from multitask_irl import (
     make_demonstrator,
     mtpo_mc,
     policy_posterior,
-    posterior_policy,
     read_posterior,
     reward_posterior,
     sample_policies,
@@ -79,7 +78,7 @@ def test_loss_matrix_accepts_policy_arrays_and_validates():
     cmp = chain_transition(2, 0.1)
     hypotheses = RewardHypothesisSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
     stacked = np.stack([
-        StationaryPolicy.uniform(2, 2).action_probs,
+        StationaryPolicy(np.full((2, 2), 1 / 2)).action_probs,
         StationaryPolicy.from_actions([0, 0], 2).action_probs,
     ])
     matrix = build_loss_matrix(cmp, DISCOUNT, stacked, hypotheses)
@@ -92,8 +91,7 @@ def test_loss_matrix_accepts_policy_arrays_and_validates():
     with pytest.raises(ValueError):
         build_loss_matrix(cmp, DISCOUNT, stacked[0], hypotheses)  # one (S, A) policy
     with pytest.raises(ValueError):
-        build_loss_matrix(cmp, DISCOUNT, StationaryPolicy.uniform(3, 2).action_probs[None],
-                          hypotheses)
+        build_loss_matrix(cmp, DISCOUNT, np.full((1, 3, 2), 1 / 2), hypotheses)
     bad_set = RewardHypothesisSet(np.array([[0.1, 0.2, 0.3]]))
     with pytest.raises(ValueError):
         build_loss_matrix(cmp, DISCOUNT, stacked, bad_set)
@@ -195,14 +193,27 @@ def test_loss_matrix_validation():
         LossMatrix(losses=np.ones((2,)))
 
 
-def test_posterior_policy_point_mass():
+def test_point_mass_posterior_mean_plans_the_true_policy():
     mdp = make_chain(n_states=3, slip=0.0)
     other = RewardFunction(np.array([1.0, 0.0, 0.0]))
     hypotheses = RewardHypothesisSet(np.stack([mdp.reward.values, other.values]))
     point = MtpoResult((0,), (RewardPosterior(np.array([1.0, 0.0])),), hypotheses)
-    policy = posterior_policy(point, 0, mdp.cmp, DISCOUNT)
+    _, policy = solve_optimal(Mdp(mdp.cmp, point.posterior_mean_reward(0), DISCOUNT))
     _, expected_policy = value_iteration(mdp)
     assert np.array_equal(policy.greedy_actions(), expected_policy.greedy_actions())
+
+
+def test_mtpo_result_shapes_must_agree():
+    hypotheses = RewardHypothesisSet(np.eye(3))
+    third = RewardPosterior(np.full(3, 1 / 3))
+    with pytest.raises(ValueError, match="one posterior over 3 hypotheses per task id"):
+        MtpoResult((0, 1), (third,), hypotheses)
+    with pytest.raises(ValueError, match="one posterior over 3 hypotheses per task id"):
+        MtpoResult((0,), (third, third), hypotheses)
+    with pytest.raises(ValueError, match="one posterior over 3 hypotheses per task id"):
+        MtpoResult((0, 1), (third, RewardPosterior([0.5, 0.5])), hypotheses)
+    result = MtpoResult((0, 1), [third, third], hypotheses)
+    assert result.posteriors == (third, third)
 
 
 def test_mtpo_mc_prior_only_task_is_symmetric():
@@ -255,7 +266,7 @@ def test_mtpo_mc_shares_hypotheses_and_separates_tasks():
         mean = result.posterior(tid).probabilities @ hypotheses.values
         assert np.allclose(result.posterior_mean_reward(tid).values, mean, atol=1e-15)
         _, expected = solve_optimal(Mdp(cmp, RewardFunction(mean), DISCOUNT))
-        policy = posterior_policy(result, tid, cmp, DISCOUNT)
+        _, policy = solve_optimal(Mdp(cmp, result.posterior_mean_reward(tid), DISCOUNT))
         assert np.array_equal(policy.action_probs, expected.action_probs)
     with pytest.raises(KeyError):
         result.posterior(9)

@@ -26,9 +26,9 @@ from multitask_irl import (
     mtpp as mtpp_module,
     mtpp_mc,
     mtpp_mh,
-    posterior_policy,
     read_posterior,
     simulate,
+    solve_optimal,
     substream,
     write_posterior,
 )
@@ -592,6 +592,28 @@ def test_posterior_ensemble_accessors_and_mean():
         )
 
 
+def test_posterior_ensemble_shapes_must_agree():
+    good = dict(task_ids=(0,), weights=np.array([0.25, 0.75]),
+                rewards=np.array([[[1.0, 0.0]], [[0.0, 1.0]]]), temperatures=np.ones((2, 1)),
+                log_likelihoods=np.zeros((2, 1)))
+    for name, value in (("task_ids", (0, 1)),
+                        ("weights", np.array([[0.25, 0.75]])),
+                        ("weights", np.array([0.25, 0.25, 0.5])),
+                        ("rewards", np.array([[1.0, 0.0], [0.0, 1.0]])),
+                        ("rewards", np.full((2, 2, 2), 0.5)),
+                        ("temperatures", np.ones(2)),
+                        ("temperatures", np.ones((2, 2))),
+                        ("log_likelihoods", np.zeros((1, 1)))):
+        with pytest.raises(ValueError, match="for [12] task ids, need weights"):
+            PosteriorEnsemble(**{**good, name: value})
+    # Lists are stored as the arrays they were checked as.
+    listed = PosteriorEnsemble(**{name: value.tolist() if isinstance(value, np.ndarray) else value
+                                  for name, value in good.items()})
+    assert listed.n_samples == 2
+    for name in ("weights", "rewards", "temperatures", "log_likelihoods"):
+        assert np.array_equal(getattr(listed, name), good[name])
+
+
 def test_posterior_ensemble_jsonl_round_trip(tmp_path):
     cmp = two_state_cmp()
     demo = atom_demo(cmp, 1, seed=3)
@@ -621,11 +643,11 @@ def test_posterior_ensemble_jsonl_rejects_other_formats(tmp_path):
         read_posterior(path)
 
 
-def test_posterior_policy_recovers_demonstrated_goal():
+def test_posterior_mean_reward_plans_the_demonstrated_goal():
     cmp = two_state_cmp()
     demo = atom_demo(cmp, 1, seed=101, horizon=100)
     ensemble = mtpp_mc(cmp, [demo], grid_hyperprior(), 2000, DISCOUNT, 19)
-    policy = posterior_policy(ensemble, 0, cmp, DISCOUNT)
+    _, policy = solve_optimal(Mdp(cmp, ensemble.posterior_mean_reward(0), DISCOUNT))
     # Atom (0, 1) rewards the far state; its optimal policy always advances.
     truth = Mdp(cmp, RewardFunction(ATOMS[1]), DISCOUNT)
     _, optimal = value_iteration(truth)

@@ -159,15 +159,15 @@ def test_demonstrator_softmax_matches_direct_construction():
 
 def test_demonstrators_take_one_planner_solve_and_its_q(monkeypatch):
     # One action-value route: each demonstrator comes from one planner call
-    # that hands back its Q, the softmax is that Q's softmax bit for bit, and
-    # nothing outside the planner recomputes a Q.  On these random MDPs a
-    # matrix-product Q differs from the planner's in the last bits.
+    # on a batch of one, whose Q it uses; the softmax is that Q's softmax bit
+    # for bit, and nothing outside the planner recomputes a Q.  On these
+    # random MDPs a matrix-product Q differs from the planner's in the last bits.
     calls = {"planner": [], "q outside the planner": 0}
     planner, batch_q = mdp_module.batch_solve_optimal, mdp_module._batch_q
 
-    def watched_planner(*args, **kwargs):
-        calls["planner"].append(kwargs.get("with_q", False))
-        return planner(*args, **kwargs)
+    def watched_planner(transition, rewards, *args, **kwargs):
+        calls["planner"].append(np.shape(rewards))
+        return planner(transition, rewards, *args, **kwargs)
 
     def watched_q(*args):
         calls["q outside the planner"] += sys._getframe(1).f_code.co_name != "batch_solve_optimal"
@@ -182,11 +182,11 @@ def test_demonstrators_take_one_planner_solve_and_its_q(monkeypatch):
         cmp = Cmp(rng.dirichlet(np.ones(n_states), size=(n_states, n_actions)))
         mdp = Mdp(cmp, RewardFunction(rng.random(n_states)), float(rng.uniform(0.5, 0.95)))
         eta = float(rng.uniform(0.5, 8.0))
-        _, greedy, q = planner(cmp.transition, mdp.reward.values, mdp.discount, with_q=True)
+        _, (greedy,), (q,) = planner(cmp.transition, mdp.reward.values[None], mdp.discount)
         calls["planner"].clear()
         softmax = make_demonstrator("softmax", mdp, eta=eta)
         eps_greedy = make_demonstrator("eps_greedy", mdp, epsilon=0.2)
-        assert calls["planner"] == [True, True]
+        assert calls["planner"] == [(1, n_states), (1, n_states)]
         assert np.array_equal(softmax.action_probs, _batch_softmax(q, eta))
         assert np.array_equal(eps_greedy.action_probs.argmax(axis=1), greedy)
     assert calls["q outside the planner"] == 0
